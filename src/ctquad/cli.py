@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``ctquad weights build|verify|info`` -- build the per-mode correction
-  weight tables, spot-check entries by recomputation, print metadata.
+  weight tables, spot-check entries against an independent
+  recomputation, print metadata.
 * ``ctquad quad2d run`` -- convergence studies of the corrected rules on
   plane point-singular benchmark integrands: successive-difference errors
   and observed orders over a geometric h-sequence.
@@ -27,7 +28,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -37,6 +37,7 @@ from . import ibim3d
 from . import surfaces
 from . import weights as wt
 from .quad_core import (
+    GridOffset,
     SingularFunction,
     SingularTerm,
     composite_Up,
@@ -44,6 +45,7 @@ from .quad_core import (
     grid_with_offset,
     locate_singularity,
     punctured_trapezoidal,
+    stencil_for_order,
 )
 
 
@@ -208,7 +210,7 @@ class StudyConfig:
                 raise ValueError(f"need at least one target, got {self.n_targets}")
 
     def hs(self) -> list[float]:
-        return [self.h0 / self.ratio ** i for i in range(self.count)]
+        return h_sequence(self.h0, self.ratio, self.count)
 
     def as_dict(self) -> dict:
         base = {"study": self.study, "h0": self.h0, "ratio": self.ratio,
@@ -289,30 +291,19 @@ def study_weights(term: SingularTerm, offset, stencil) -> np.ndarray:
     on lattice points (where it is undefined) the halving sweep takes over,
     accepting its cancellation floor when the tolerance is unreachable.
     """
-    try:
+    if not wt.on_stencil_node(stencil, offset.alpha, offset.beta):
         return wt.weights_dual(term, offset, stencil)
-    except ValueError:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                w, _hstar = wt.weights_limit(term, offset, stencil, tol=1e-9)
-            except wt.WeightConvergenceError as exc:
-                if exc.best_weights is None:
-                    raise
-                w = exc.best_weights
-        return w
-
-
-def _default_table_name(k: int, p: int, tol: float | None = None,
-                        n_modes: int = 16, grid_n: int = 33) -> str:
-    tol = wt.default_tolerance(p) if tol is None else tol
-    return f"ctwt_k{k}_p{p}_N{n_modes}_g{grid_n}_tol{tol:.1e}.ctwt"
+    try:
+        w, _hstar = wt.weights_limit(term, offset, stencil, tol=1e-9)
+    except wt.WeightConvergenceError as exc:
+        w = exc.best_weights
+    return w
 
 
 def find_table_path(k: int, p: int, cache_dir: str | None = None) -> str | None:
     """Locate a cached table for (k, p): canonical name first, any tol next."""
     cache_dir = cache_dir or wt.default_cache_dir()
-    prefer = os.path.join(cache_dir, _default_table_name(k, p))
+    prefer = os.path.join(cache_dir, wt.table_filename(k, p))
     if os.path.exists(prefer):
         return prefer
     if os.path.isdir(cache_dir):
@@ -610,8 +601,8 @@ def cmd_weights_build(args) -> int:
         args.k, args.p, tol=args.tol, n_modes=args.n_modes, grid_n=args.grid_n,
         processes=args.processes, cache_dir=args.cache_dir, force=args.force)
     cache_dir = args.cache_dir or wt.default_cache_dir()
-    name = _default_table_name(args.k, args.p, tol=table.tol,
-                               n_modes=table.n_modes, grid_n=table.grid_n)
+    name = wt.table_filename(args.k, args.p, table.tol, table.n_modes,
+                             table.grid_n)
     _print_table_info(table, os.path.join(cache_dir, name))
     return 0
 
@@ -641,26 +632,40 @@ def cmd_weights_info(args) -> int:
 
 
 def cmd_weights_verify(args) -> int:
-    """Recompute random table entries from scratch and compare to the file."""
+    """Recompute random table entries by an independent route and compare.
+
+    Off the stencil nodes the entries are recomputed by the dual-lattice
+    limit, which shares no code with the halving sweep that built them; at
+    a stencil node, where that limit is undefined, the sweep is rerun.
+    """
     table = load_table_checked(args.k, args.p, args.cache_dir)
+    stencil = stencil_for_order(table.p)
     rng = np.random.default_rng(args.seed)
     failures = 0
     worst = 0.0
     print(f"verifying {args.entries} random offsets of the (k={table.k}, "
-          f"p={table.p}) table against a fresh sweep (tol={table.tol:.1e})")
+          f"p={table.p}) table: dual-lattice limit off the stencil nodes, "
+          f"fresh sweep on them (tol={table.tol:.1e})")
     for _ in range(args.entries):
         mi = int(rng.integers(0, table.grid_n))
         ni = int(rng.integers(0, table.grid_n))
         alpha = table.domain_lo + mi * table.step
         beta = table.domain_lo + ni * table.step
-        _mi, _ni, recomputed, _lev = wt._table_point(
-            (table.k, table.p, mi, ni, alpha, beta, table.tol, table.n_modes,
-             2, 14, table.bump_r0, table.bump_R))
+        if wt.on_stencil_node(stencil, alpha, beta):
+            route = "sweep"
+            _mi, _ni, recomputed, _lev = wt._table_point(
+                (table.k, table.p, mi, ni, alpha, beta, table.tol, table.n_modes))
+        else:
+            route = "dual"
+            offset = GridOffset(alpha, beta, (0, 0))
+            recomputed = np.array([wt.weights_dual(wt.row_term(table.k, r),
+                                                   offset, stencil)
+                                   for r in range(table.n_rows)])
         dev = float(np.max(np.abs(recomputed - table.data[:, mi, ni, :])))
         worst = max(worst, dev)
         ok = dev <= 10.0 * table.tol
         failures += 0 if ok else 1
-        print(f"  (alpha, beta)=({alpha:+.5f}, {beta:+.5f})  "
+        print(f"  (alpha, beta)=({alpha:+.5f}, {beta:+.5f})  {route:<5}  "
               f"max deviation {dev:.3e}  [{'ok' if ok else 'FAIL'}]")
     print(f"worst deviation {worst:.3e} vs allowance {10.0 * table.tol:.1e}: "
           f"{'all entries verified' if failures == 0 else f'{failures} FAILED'}")
@@ -783,7 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "$CTQUAD_CACHE_DIR)")
     wb.set_defaults(func=cmd_weights_build)
 
-    wv = wsub.add_parser("verify", help="recompute random entries and compare")
+    wv = wsub.add_parser("verify", help="recompute random entries by the "
+                         "dual-lattice limit and compare")
     wv.add_argument("--k", type=int, required=True)
     wv.add_argument("--p", type=int, required=True)
     wv.add_argument("--entries", type=int, default=10)

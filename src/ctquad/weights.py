@@ -70,6 +70,7 @@ __all__ = [
     "load_weight_table",
     "interpolate_weights",
     "default_cache_dir",
+    "table_filename",
 ]
 
 _LD = np.longdouble
@@ -87,13 +88,12 @@ class IllConditionedStencilError(RuntimeError):
 class WeightConvergenceError(RuntimeError):
     """The h-sweep did not reach the requested tolerance.
 
-    Carries the best successive difference seen and the level it occurred at,
-    so callers can decide whether the partially converged weights are usable.
+    Carries the best iterate, its successive difference and its level, so
+    callers can decide whether the partially converged weights are usable.
     """
 
-    def __init__(self, msg: str, best_j: int | None = None,
-                 best_diff: float | None = None,
-                 best_weights: np.ndarray | None = None):
+    def __init__(self, msg: str, best_j: int, best_diff: float,
+                 best_weights: np.ndarray):
         super().__init__(msg)
         self.best_j = best_j
         self.best_diff = best_diff
@@ -107,6 +107,24 @@ class TailTruncationWarning(UserWarning):
 # --------------------------------------------------------------------------
 # the radial bump
 # --------------------------------------------------------------------------
+
+def _smoothstep(t):
+    """C-infinity ramp 0 -> 1 on [0, 1]: F(t) / (F(t) + F(1-t)), F(t) = exp(-1/t).
+
+    Keeps the dtype of a floating input (the lattice sums pass long double).
+    """
+    t = np.asarray(t)
+    if t.dtype.kind != "f":
+        t = t.astype(float)
+    out = np.zeros_like(t)
+    out[t >= 1.0] = 1.0
+    mid = (t > 0.0) & (t < 1.0)
+    if np.any(mid):
+        fu = np.exp(-1.0 / t[mid])
+        fv = np.exp(-1.0 / (1.0 - t[mid]))
+        out[mid] = fu / (fu + fv)
+    return out
+
 
 @dataclasses.dataclass(frozen=True)
 class BumpFunction:
@@ -128,16 +146,7 @@ class BumpFunction:
             raise ValueError(f"need 0 < r0 < R, got r0={self.r0}, R={self.R}")
 
     def __call__(self, r):
-        r = np.asarray(r)
-        out = np.zeros(r.shape, dtype=r.dtype if r.dtype.kind == "f" else float)
-        out[r <= self.r0] = 1.0
-        mid = (r > self.r0) & (r < self.R)
-        if np.any(mid):
-            u = (self.R - r[mid]) / (self.R - self.r0)
-            fu = np.exp(-1.0 / u)
-            fv = np.exp(-1.0 / (1.0 - u))
-            out[mid] = fu / (fu + fv)
-        return out
+        return _smoothstep((self.R - np.asarray(r)) / (self.R - self.r0))
 
     def mp_eval(self, r):
         """Same function in mpmath arithmetic (for high-precision moments)."""
@@ -224,22 +233,19 @@ class MomentCache:
     exact rational arithmetic times pi.
     """
 
-    def __init__(self, bump: BumpFunction = DEFAULT_BUMP, dps: int = 40):
-        self.bump = bump
-        self.dps = dps
+    def __init__(self):
         self._radial: dict[tuple[int, int], np.longdouble] = {}
         self._angular: dict[tuple[str, int, int, int], np.longdouble] = {}
 
-    def radial_moment(self, m: int, dps: int | None = None) -> np.longdouble:
-        dps = dps or self.dps
+    def radial_moment(self, m: int, dps: int = 40) -> np.longdouble:
         key = (m, dps)
         if key not in self._radial:
             with mp.workdps(dps):
-                r0 = mp.mpf(repr(self.bump.r0))
-                R = mp.mpf(repr(self.bump.R))
+                r0 = mp.mpf(repr(DEFAULT_BUMP.r0))
+                R = mp.mpf(repr(DEFAULT_BUMP.R))
 
                 def f(r):
-                    return r ** m * self.bump.mp_eval(r)
+                    return r ** m * DEFAULT_BUMP.mp_eval(r)
 
                 val = r0 ** (m + 1) / (m + 1) + mp.quad(f, [r0, R])
                 self._radial[key] = _LD(mp.nstr(val, 30))
@@ -261,7 +267,7 @@ class MomentCache:
         return self._angular[key]
 
 
-_DEFAULT_MOMENTS = MomentCache()
+_MOMENTS = MomentCache()
 
 
 def _term_coefficients(term: SingularTerm, cutoff: float = 1e-14
@@ -277,22 +283,18 @@ def _term_coefficients(term: SingularTerm, cutoff: float = 1e-14
     return out
 
 
-def singular_moment(term: SingularTerm, monomial: tuple[int, int],
-                    bump: BumpFunction = DEFAULT_BUMP,
-                    moments: MomentCache | None = None) -> float:
+def singular_moment(term: SingularTerm, monomial: tuple[int, int]) -> float:
     """Exact integral of s_k(x) * g(|x|) * x^a y^b over the plane.
 
     Separates into (radial moment of order k+a+b) x (angular moment per
     Fourier mode of phi).
     """
-    if moments is None:
-        moments = _DEFAULT_MOMENTS if bump == DEFAULT_BUMP else MomentCache(bump)
     a, b = monomial
     coeffs = _term_coefficients(term)
-    rad = moments.radial_moment(term.k + a + b)
+    rad = _MOMENTS.radial_moment(term.k + a + b)
     tot = _LD(0)
     for mode, c in coeffs.items():
-        tot += _LD(c) * rad * moments.angular_moment(mode, a, b)
+        tot += _LD(c) * rad * _MOMENTS.angular_moment(mode, a, b)
     return float(tot)
 
 
@@ -303,8 +305,7 @@ def singular_moment(term: SingularTerm, monomial: tuple[int, int],
 def _lattice_mode_sums(k: int, alpha: float, beta: float, h: float,
                        modes: Sequence[tuple[str, int]],
                        monos: Sequence[tuple[int, int]],
-                       stencil_offsets: Sequence[tuple[int, int]],
-                       bump: BumpFunction) -> np.ndarray:
+                       stencil_offsets: Sequence[tuple[int, int]]) -> np.ndarray:
     """Punctured sums sum_n g(h|u|) |u|**(k-1) e**(i m psi) u1**a u2**b.
 
     u = n - (alpha, beta) runs over the integer lattice minus the stencil
@@ -315,7 +316,7 @@ def _lattice_mode_sums(k: int, alpha: float, beta: float, h: float,
     Summation is deterministic: fixed tiling over rows, pairwise np.sum per
     tile, Kahan compensation across tiles, all in extended precision.
     """
-    K = int(np.ceil(bump.R / h)) + 3
+    K = int(np.ceil(DEFAULT_BUMP.R / h)) + 3
     n1 = np.arange(-K, K + 1, dtype=np.int64)
     ncols = n1.size
     res = np.zeros((len(modes), len(monos)), dtype=_CLD)
@@ -332,7 +333,7 @@ def _lattice_mode_sums(k: int, alpha: float, beta: float, h: float,
         u1 = (nn1[:, None].astype(_LD) - _LD(alpha)) + np.zeros((1, ncols), dtype=_LD)
         u2 = np.zeros((nn1.size, 1), dtype=_LD) + (n1[None, :].astype(_LD) - _LD(beta))
         rr = np.hypot(u1, u2)
-        g = bump((h * rr).astype(_LD))
+        g = DEFAULT_BUMP((h * rr).astype(_LD))
         live = g > 0
         if not live.any():
             continue
@@ -382,71 +383,101 @@ def _lattice_mode_sums(k: int, alpha: float, beta: float, h: float,
 
 def _system_matrix(offsets: Sequence[tuple[int, int]],
                    monos: Sequence[tuple[int, int]],
-                   alpha: float, beta: float, h: float | None,
-                   bump: BumpFunction) -> np.ndarray:
+                   alpha: float, beta: float, h: float | None) -> np.ndarray:
     """Matrix G[j, i] = g(h|u_i|) u_i1**a_j u_i2**b_j (g == 1 in the limit)."""
     G = np.zeros((len(monos), len(offsets)))
     for i, (sa, sb) in enumerate(offsets):
         u1, u2 = sa - alpha, sb - beta
-        gfac = 1.0 if h is None else float(bump(np.asarray(h * math.hypot(u1, u2))))
+        gfac = 1.0 if h is None else float(DEFAULT_BUMP(np.asarray(h * math.hypot(u1, u2))))
         for j, (a, b) in enumerate(monos):
             G[j, i] = gfac * u1 ** a * u2 ** b
     return G
 
 
-def _solve_checked(G: np.ndarray, rhs: np.ndarray, alpha: float, beta: float,
-                   stencil: Stencil) -> np.ndarray:
+def _check_conditioning(G: np.ndarray, alpha: float, beta: float,
+                        stencil: Stencil) -> None:
     cond = np.linalg.cond(G)
     if not np.isfinite(cond) or cond > 1e12:
         raise IllConditionedStencilError(
             f"moment-matching system is ill-conditioned (cond={cond:.2e}) at "
             f"(alpha, beta)=({alpha}, {beta}) for stencil {stencil.offsets}")
-    return np.linalg.solve(G, rhs)
 
 
-def _coeffs_rhs(k: int, coeffs: Mapping[tuple[str, int], float],
+def _mode_order(mode: tuple[str, int]) -> tuple[int, str]:
+    return mode[1], mode[0]
+
+
+def _moment_rhs(k: int, rows: Sequence[Mapping[tuple[str, int], float]],
                 alpha: float, beta: float, h: float,
                 monos: Sequence[tuple[int, int]],
-                stencil_offsets: Sequence[tuple[int, int]],
-                bump: BumpFunction, moments: MomentCache) -> np.ndarray:
-    """Right-hand sides h**(-kappa) * moment - lattice sum, one per monomial."""
-    modes = sorted(coeffs.keys(), key=lambda t: (t[1], t[0]))
-    S = _lattice_mode_sums(k, alpha, beta, h, modes, monos, stencil_offsets, bump)
+                stencil_offsets: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Right-hand sides h**(-kappa) * moment - lattice sum.
+
+    One row per {mode: coefficient} map, one column per monomial.  The
+    windowed lattice sums are computed once for the union of the rows'
+    modes; each row adds up its modes in ascending order in extended
+    precision.
+    """
+    modes = sorted(set().union(*rows), key=_mode_order)
+    S = _lattice_mode_sums(k, alpha, beta, h, modes, monos, stencil_offsets)
     hl = _LD(h)
-    rhs = np.zeros(len(monos), dtype=_LD)
+    rhs = np.zeros((len(rows), len(monos)), dtype=_LD)
     for j, (a, b) in enumerate(monos):
-        tot = _LD(0)
+        scale = hl ** _LD(-(k + 1 + a + b))
+        part = {}
         for mi, mode in enumerate(modes):
-            c = _LD(coeffs[mode])
-            mom = moments.radial_moment(k + a + b) * moments.angular_moment(mode, a, b)
+            mom = _MOMENTS.radial_moment(k + a + b) * _MOMENTS.angular_moment(mode, a, b)
             lat = S[mi, j].real if mode[0] == "c" else S[mi, j].imag
-            tot += c * (hl ** _LD(-(k + 1 + a + b)) * mom - lat)
-        rhs[j] = tot
+            part[mode] = scale * mom - lat
+        for i, coeffs in enumerate(rows):
+            tot = _LD(0)
+            for mode in sorted(coeffs, key=_mode_order):
+                tot += _LD(coeffs[mode]) * part[mode]
+            rhs[i, j] = tot
     return rhs.astype(float)
 
 
+def _finite_h_system(term: SingularTerm, offset: GridOffset, stencil: Stencil,
+                     h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix and right-hand side of the moment-matching system at spacing h."""
+    monos = correction_monomials(stencil.p)
+    G = _system_matrix(stencil.offsets, monos, offset.alpha, offset.beta, h)
+    rhs = _moment_rhs(term.k, [_term_coefficients(term)], offset.alpha,
+                      offset.beta, h, monos, stencil.offsets)
+    return G, rhs[0]
+
+
 def weights_at_h(term: SingularTerm, offset: GridOffset, stencil: Stencil,
-                 h: float, bump: BumpFunction = DEFAULT_BUMP,
-                 moments: MomentCache | None = None) -> np.ndarray:
+                 h: float) -> np.ndarray:
     """Solve the moment-matching system at one grid spacing h.
 
     Raises IllConditionedStencilError if the test matrix has condition number
     above 1e12 at this offset.
     """
-    if moments is None:
-        moments = _DEFAULT_MOMENTS if bump == DEFAULT_BUMP else MomentCache(bump)
-    monos = correction_monomials(stencil.p)
-    coeffs = _term_coefficients(term)
-    rhs = _coeffs_rhs(term.k, coeffs, offset.alpha, offset.beta, h,
-                      monos, stencil.offsets, bump, moments)
-    G = _system_matrix(stencil.offsets, monos, offset.alpha, offset.beta, h, bump)
-    return _solve_checked(G, rhs, offset.alpha, offset.beta, stencil)
+    G, rhs = _finite_h_system(term, offset, stencil, h)
+    _check_conditioning(G, offset.alpha, offset.beta, stencil)
+    return np.linalg.solve(G, rhs)
+
+
+def moment_residual(term: SingularTerm, offset: GridOffset, stencil: Stencil,
+                    weights: np.ndarray, h: float) -> np.ndarray:
+    """Residuals of the moment-matching equations at spacing h.
+
+    Returns sum_i w_i g_j(u_i) - (scaled moment - lattice sum) per monomial;
+    small residuals certify the weights against the defining integrals.
+    """
+    G, rhs = _finite_h_system(term, offset, stencil, h)
+    return G @ np.asarray(weights, dtype=float) - rhs
 
 
 def default_tolerance(p: int) -> float:
     """Sweep tolerance: 1e-8 up to order 3, 1e-4 for the order-4 rule."""
     return 1e-4 if p >= 4 else 1e-8
 
+
+# The sweep solves at h = 2**-j for j = J_START, ..., J_CAP.
+J_START = 2
+J_CAP = 14
 
 # Stall handling.  A sweep's successive differences trace a V once extended
 # precision runs out: superalgebraic decay down to a cancellation floor,
@@ -468,7 +499,8 @@ def default_tolerance(p: int) -> float:
 # leaves three decades above the highest measured floor and about seven
 # below the lowest measured dip; the k=2 stall cases are recognized at any
 # margin from 1e2 to 1e4.  A floored best iterate is accepted into tables
-# only when its difference came within STALL_ACCEPT_FACTOR*tol.
+# only when its difference came within STALL_ACCEPT_FACTOR*tol;
+# weights_limit never accepts one.
 STALL_FLOOR_MARGIN = 1e3
 STALL_ACCEPT_FACTOR = 32.0
 
@@ -489,87 +521,95 @@ def _stall_recognized(diff: float, best: float, rising: int,
     return best <= STALL_FLOOR_MARGIN * floor
 
 
+def _sweep(k: int, stencil: Stencil, alpha: float, beta: float,
+           rows: Sequence[Mapping[tuple[str, int], float]], tol: float
+           ) -> tuple[np.ndarray, np.ndarray, dict[int, float]]:
+    """The halving sweep for several right-hand sides at one offset.
+
+    rows holds one {mode: coefficient} map of phi per weight vector wanted.
+    At each level h = 2**-j the lattice sums are shared by the rows still
+    running and the system is checked for conditioning once.  A row stops
+    when the max-norm difference of its successive weight vectors drops to
+    tol; its weights are the coarser member of that pair and its level that
+    member's j.  A row whose differences turn upward from a bottom at the
+    rounding floor (see _stall_recognized) stops there with its best
+    iterate; a bottom far above the rounding floor is pre-asymptotic (a
+    chance near-coincidence of two iterates, or the wobble of barely
+    resolved angular modes) and the sweep goes on through it.
+
+    Returns (weights, levels, floored): floored maps each row that stopped
+    at the floor to its best difference.  Raises WeightConvergenceError,
+    with the best iterate of the first row left, when rows are still
+    running at J_CAP.
+    """
+    monos = correction_monomials(stencil.p)
+    kappa_max = k + 1 + max(a + b for a, b in monos)
+    weights = np.zeros((len(rows), len(stencil.offsets)))
+    levels = np.zeros(len(rows), dtype=np.int8)
+    floored: dict[int, float] = {}
+    active = list(range(len(rows)))
+    prev: dict[int, np.ndarray] = {}
+    best: dict[int, tuple[float, int, np.ndarray]] = {}
+    rising: dict[int, int] = {}
+    for j in range(J_START, J_CAP + 1):
+        h = 2.0 ** -j
+        G = _system_matrix(stencil.offsets, monos, alpha, beta, h)
+        _check_conditioning(G, alpha, beta, stencil)
+        rhs = _moment_rhs(k, [rows[r] for r in active], alpha, beta, h,
+                          monos, stencil.offsets)
+        still = []
+        for r, b in zip(active, rhs):
+            w = np.linalg.solve(G, b)
+            if r in prev:
+                diff = float(np.max(np.abs(w - prev[r])))
+                if diff <= tol:
+                    weights[r], levels[r] = prev[r], j - 1
+                    continue
+                if r not in best or diff < best[r][0]:
+                    best[r] = (diff, j - 1, prev[r])
+                    rising[r] = 0
+                else:
+                    rising[r] += 1
+                    if _stall_recognized(diff, best[r][0], rising[r],
+                                         kappa_max, best[r][1] + 1):
+                        floored[r], levels[r], weights[r] = best[r]
+                        continue
+            prev[r] = w
+            still.append(r)
+        active = still
+        if not active:
+            return weights, levels, floored
+    best_diff, best_j, best_w = best[active[0]]
+    raise WeightConvergenceError(
+        f"weight sweep did not converge by j={J_CAP} (best |dw|={best_diff:.3e}, "
+        f"tol={tol:.1e}) for k={k}, p={stencil.p}, (alpha,beta)=({alpha}, "
+        f"{beta}); unconverged rows: {active}", best_j, best_diff, best_w)
+
+
 def weights_limit(term: SingularTerm, offset: GridOffset, stencil: Stencil,
-                  tol: float | None = None, j_start: int = 2, j_cap: int = 14,
-                  on_stall: str = "raise",
-                  bump: BumpFunction = DEFAULT_BUMP,
-                  moments: MomentCache | None = None) -> tuple[np.ndarray, float]:
+                  tol: float | None = None) -> tuple[np.ndarray, float]:
     """h -> 0 limit of the correction weights by the halving sweep.
 
-    Solves at h = 2**-j for j = j_start, j_start+1, ... and accepts once the
-    max-norm difference between successive weight vectors drops to tol; the
-    returned weights are the coarser member of the accepted pair and h_star
-    its spacing.
-
-    The right-hand side of the system cancels about kappa*j binary digits at
-    level j, so for kappa = k+1+a+b large the achievable difference bottoms
-    out before tight tolerances are reached.  When the differences turn
-    upward from a bottom that lies at the rounding floor (see
-    _stall_recognized), the sweep has hit that floor: on_stall="raise"
-    (default) raises WeightConvergenceError carrying the best iterate;
-    on_stall="best" returns the best iterate with a warning.  Upturns from a
-    bottom far above the rounding floor are pre-asymptotic (a chance
-    near-coincidence of two iterates, or the wobble of barely-resolved
-    angular modes) and the sweep continues through them.  Exhausting j_cap
-    also raises, reporting the last difference.
+    Returns the weights and h_star, the spacing they were accepted at (see
+    _sweep).  The right-hand side of the system cancels about kappa*j binary
+    digits at level j, so for kappa = k+1+a+b large the achievable
+    difference bottoms out before tight tolerances are reached; when the
+    sweep stops at that cancellation floor, or runs out of levels, this
+    raises WeightConvergenceError carrying the best iterate.
     """
     if tol is None:
         tol = default_tolerance(stencil.p)
-    if on_stall not in ("raise", "best"):
-        raise ValueError(f"on_stall must be 'raise' or 'best', got {on_stall!r}")
-    kappa_max = term.k + 1 + max(a + b for a, b in correction_monomials(stencil.p))
-    prev: np.ndarray | None = None
-    best_diff, best_j, best_w = math.inf, -1, None
-    rising = 0
-    last_diff = math.nan
-    for j in range(j_start, j_cap + 1):
-        w = weights_at_h(term, offset, stencil, 2.0 ** -j, bump, moments)
-        if prev is not None:
-            diff = float(np.max(np.abs(w - prev)))
-            if diff <= tol:
-                return prev, 2.0 ** -(j - 1)
-            if diff < best_diff:
-                best_diff, best_j, best_w = diff, j - 1, prev
-                rising = 0
-            else:
-                rising += 1
-                if _stall_recognized(diff, best_diff, rising, kappa_max,
-                                     best_j + 1):
-                    msg = (f"weight sweep stalled at |dw|={best_diff:.3e} "
-                           f"(tol={tol:.1e}) for k={term.k}, p={stencil.p}, "
-                           f"(alpha,beta)=({offset.alpha}, {offset.beta}); "
-                           f"differences are rising again, which is the "
-                           f"cancellation floor of the finite-h systems")
-                    if on_stall == "best":
-                        warnings.warn(msg + "; returning the best iterate")
-                        return best_w, 2.0 ** -best_j
-                    raise WeightConvergenceError(msg, best_j, best_diff, best_w)
-            last_diff = diff
-        prev = w
-    raise WeightConvergenceError(
-        f"weight sweep did not converge by j={j_cap} "
-        f"(last |dw|={last_diff:.3e}, tol={tol:.1e}) for k={term.k}, "
-        f"p={stencil.p}, (alpha,beta)=({offset.alpha}, {offset.beta})",
-        best_j, best_diff, best_w)
-
-
-def moment_residual(term: SingularTerm, offset: GridOffset, stencil: Stencil,
-                    weights: np.ndarray, h: float,
-                    bump: BumpFunction = DEFAULT_BUMP,
-                    moments: MomentCache | None = None) -> np.ndarray:
-    """Residuals of the moment-matching equations at spacing h.
-
-    Returns sum_i w_i g_j(u_i) - (scaled moment - lattice sum) per monomial;
-    small residuals certify the weights against the defining integrals.
-    """
-    if moments is None:
-        moments = _DEFAULT_MOMENTS if bump == DEFAULT_BUMP else MomentCache(bump)
-    monos = correction_monomials(stencil.p)
-    coeffs = _term_coefficients(term)
-    rhs = _coeffs_rhs(term.k, coeffs, offset.alpha, offset.beta, h,
-                      monos, stencil.offsets, bump, moments)
-    G = _system_matrix(stencil.offsets, monos, offset.alpha, offset.beta, h, bump)
-    return G @ np.asarray(weights, dtype=float) - rhs
+    weights, levels, floored = _sweep(term.k, stencil, offset.alpha,
+                                      offset.beta, [_term_coefficients(term)], tol)
+    if floored:
+        raise WeightConvergenceError(
+            f"weight sweep stalled at |dw|={floored[0]:.3e} "
+            f"(tol={tol:.1e}) for k={term.k}, p={stencil.p}, "
+            f"(alpha,beta)=({offset.alpha}, {offset.beta}); "
+            f"differences are rising again, which is the "
+            f"cancellation floor of the finite-h systems",
+            int(levels[0]), floored[0], weights[0])
+    return weights[0], 2.0 ** -int(levels[0])
 
 
 # --------------------------------------------------------------------------
@@ -592,19 +632,6 @@ def _dual_coefficient(kappa: int, ell: int) -> complex:
         return 0.0 + 0.0j
     val = math.pi ** (1 - kappa) * math.gamma((al + kappa) / 2.0) / math.gamma(zden)
     return (-1j) ** al * val
-
-
-def _eta_blend(t: np.ndarray) -> np.ndarray:
-    """C-infinity ramp 0 -> 1 on [0, 1] (same quotient as the radial bump)."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    out[t >= 1.0] = 1.0
-    mid = (t > 0.0) & (t < 1.0)
-    if np.any(mid):
-        fu = np.exp(-1.0 / t[mid])
-        fv = np.exp(-1.0 / (1.0 - t[mid]))
-        out[mid] = fu / (fu + fv)
-    return out
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -636,7 +663,7 @@ def _w_tail_integral(kappa: int, ell: int, beta: float, P: float) -> float:
     half = 0.5 * (edges[1:] - edges[:-1])
     rho = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     wq = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    vals = rho ** (1.0 - kappa) * _eta_blend((rho - P) / P) * special.jv(ell, beta * rho)
+    vals = rho ** (1.0 - kappa) * _smoothstep((rho - P) / P) * special.jv(ell, beta * rho)
     part1 = float(np.dot(wq, vals))
 
     # pure power tail by Hankel rotation
@@ -665,7 +692,7 @@ def _dual_lattice_sums(kappa_ells: Iterable[tuple[int, int]],
     keep = (rho > 0) & (rho < 2.0 * P)
     N1, N2, rho = N1.ravel()[keep], N2.ravel()[keep], rho[keep]
     theta = np.arctan2(N2, N1)
-    window = 1.0 - _eta_blend(rho / P - 1.0)
+    window = 1.0 - _smoothstep(rho / P - 1.0)
     phase_w = np.exp(-2j * math.pi * (N1 * w[0] + N2 * w[1]))
     base = window * phase_w
     out: dict[tuple[int, int], complex] = {}
@@ -692,6 +719,12 @@ def _dual_lattice_sums(kappa_ells: Iterable[tuple[int, int]],
     return out
 
 
+def on_stencil_node(stencil: Stencil, alpha: float, beta: float) -> bool:
+    """True when the singular point sits on a stencil node (to 1e-9)."""
+    return any(math.hypot(sa - alpha, sb - beta) < 1e-9
+               for sa, sb in stencil.offsets)
+
+
 def weights_dual(term: SingularTerm, offset: GridOffset, stencil: Stencil,
                  P: float = 40.0) -> np.ndarray:
     """Correction weights directly in the h -> 0 limit.
@@ -707,12 +740,12 @@ def weights_dual(term: SingularTerm, offset: GridOffset, stencil: Stencil,
     covers lattice points, where the systems are benign anyway).
     """
     alpha, beta = offset.alpha, offset.beta
+    if on_stencil_node(stencil, alpha, beta):
+        raise ValueError("dual-lattice weights need (alpha, beta) strictly off "
+                         "the lattice; use weights_limit there")
     monos = correction_monomials(stencil.p)
     coeffs = _term_coefficients(term)
     U = np.array([(sa - alpha, sb - beta) for (sa, sb) in stencil.offsets])
-    if float(np.min(np.hypot(U[:, 0], U[:, 1]))) < 1e-9:
-        raise ValueError("dual-lattice weights need (alpha, beta) strictly off "
-                         "the lattice; use weights_limit there")
     # gather every (kappa, ell) needed across the monomials
     lau: dict[tuple[int, int], dict[int, complex]] = {}
     pairs: set[tuple[int, int]] = set()
@@ -743,8 +776,9 @@ def weights_dual(term: SingularTerm, offset: GridOffset, stencil: Stencil,
                                f"({total.imag:.2e}) for monomial {(a, b)}; "
                                f"harmonic bookkeeping is inconsistent")
         rhs[j] = total.real
-    G = _system_matrix(stencil.offsets, monos, alpha, beta, None, DEFAULT_BUMP)
-    return _solve_checked(G, rhs, alpha, beta, stencil)
+    G = _system_matrix(stencil.offsets, monos, alpha, beta, None)
+    _check_conditioning(G, alpha, beta, stencil)
+    return np.linalg.solve(G, rhs)
 
 
 # --------------------------------------------------------------------------
@@ -807,98 +841,40 @@ def _row_mode(row: int) -> tuple[str, int]:
     return ("c", m) if row % 2 == 1 else ("s", m)
 
 
+def row_term(k: int, row: int) -> SingularTerm:
+    """The singular term of table row `row`: phi = 1, cos(m psi) or sin(m psi)."""
+    kind, m = _row_mode(row)
+    if m == 0:
+        return SingularTerm.from_coefficients(k, 1.0)
+    coef = [0.0] * (m - 1) + [1.0]
+    if kind == "c":
+        return SingularTerm.from_coefficients(k, 0.0, a=coef)
+    return SingularTerm.from_coefficients(k, 0.0, b=coef)
+
+
 def _table_point(args) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """Worker: all per-mode weights at one lattice offset (joint sweep).
+    """Worker: all per-mode weights at one lattice offset (one joint sweep).
 
-    Shares the windowed lattice sums across every still-unconverged mode at
-    each level, and drops modes as they converge.
-
-    The finite-h differences cancel ~kappa binary digits per level, so for
-    kappa >= 5 the successive differences trace a V: they decay to a noise
-    floor near tol and then grow.  Once a row's differences turn upward from
-    a bottom at the rounding floor (see _stall_recognized), the sweep stops
-    for that row and the best iterate is accepted if the pair difference
-    came within STALL_ACCEPT_FACTOR*tol -- its level is recorded in m_levels
-    as usual -- otherwise the floor is above the certifiable accuracy and
-    the sweep fails.  Measured floors for the tightest tables reach ~22*tol
-    at the worst offsets; the bound still sits two orders below the offset
-    interpolation error that dominates every table-mediated evaluation.  A
-    bottom far above the rounding floor is no floor, whatever its size: the
-    sweep goes on through it, and a row still unconverged at j_cap fails.
+    A row that stops at the cancellation floor is accepted with its best
+    iterate if that pair difference came within STALL_ACCEPT_FACTOR*tol --
+    its level is recorded in m_levels as usual -- otherwise the floor is
+    above the certifiable accuracy and the point fails.  Measured floors for
+    the tightest tables reach ~22*tol at the worst offsets; the bound still
+    sits two orders below the offset interpolation error that dominates
+    every table-mediated evaluation.
     """
-    (k, p, mi, ni, alpha, beta, tol, n_modes, j_start, j_cap, r0, R) = args
-    bump = BumpFunction(r0, R)
-    moments = MomentCache(bump)
-    stencil = stencil_for_order(p)
-    monos = correction_monomials(p)
-    kappa_max = k + 1 + max(a + b for a, b in monos)
-    n_rows = 2 * n_modes + 1
-    modes = [_row_mode(r) for r in range(n_rows)]
-    weights = np.zeros((n_rows, len(stencil.offsets)))
-    m_levels = np.zeros(n_rows, dtype=np.int8)
-    active = list(range(n_rows))
-    prev: dict[int, np.ndarray] = {}
-    best: dict[int, tuple[float, np.ndarray, int]] = {}
-    rising: dict[int, int] = {}
-
-    def _settle(r: int) -> None:
-        bd, bw, bl = best[r]
-        if bd <= STALL_ACCEPT_FACTOR * tol:
-            weights[r] = bw
-            m_levels[r] = bl
-            return
-        raise WeightConvergenceError(
-            f"table sweep noise floor |dw|={bd:.3e} exceeds "
-            f"{STALL_ACCEPT_FACTOR:.0f}*tol={STALL_ACCEPT_FACTOR * tol:.1e} "
-            f"at (alpha, beta)=({alpha}, {beta}), mode row {r}",
-            bl, bd, bw)
-
-    for j in range(j_start, j_cap + 1):
-        h = 2.0 ** -j
-        S = _lattice_mode_sums(k, alpha, beta, h,
-                               [modes[r] for r in active], monos,
-                               stencil.offsets, bump)
-        Gh = _system_matrix(stencil.offsets, monos, alpha, beta, h, bump)
-        cond = np.linalg.cond(Gh)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise IllConditionedStencilError(
-                f"ill-conditioned system (cond={cond:.2e}) at "
-                f"(alpha, beta)=({alpha}, {beta}) for stencil {stencil.offsets}")
-        hl = _LD(h)
-        still = []
-        for row_i, r in enumerate(active):
-            kind = modes[r][0]
-            rhs = np.zeros(len(monos))
-            for jj, (a, b) in enumerate(monos):
-                kappa = k + 1 + a + b
-                mom = (moments.radial_moment(k + a + b)
-                       * moments.angular_moment(modes[r], a, b))
-                lat = S[row_i, jj].real if kind == "c" else S[row_i, jj].imag
-                rhs[jj] = float(hl ** _LD(-kappa) * mom - lat)
-            wnew = np.linalg.solve(Gh, rhs)
-            if r in prev:
-                diff = float(np.max(np.abs(wnew - prev[r])))
-                if diff <= tol:
-                    weights[r] = prev[r]
-                    m_levels[r] = j - 1
-                    continue
-                if r not in best or diff < best[r][0]:
-                    best[r] = (diff, prev[r], j - 1)
-                    rising[r] = 0
-                else:
-                    rising[r] += 1
-                    if _stall_recognized(diff, best[r][0], rising[r],
-                                         kappa_max, best[r][2] + 1):
-                        _settle(r)
-                        continue
-            prev[r] = wnew
-            still.append(r)
-        active = still
-        if not active:
-            return (mi, ni, weights, m_levels)
-    raise WeightConvergenceError(
-        f"table sweep did not converge by j={j_cap} at "
-        f"(alpha, beta)=({alpha}, {beta}); unconverged mode rows: {active}")
+    k, p, mi, ni, alpha, beta, tol, n_modes = args
+    rows = [{_row_mode(r): 1.0} for r in range(2 * n_modes + 1)]
+    weights, levels, floored = _sweep(k, stencil_for_order(p), alpha, beta,
+                                      rows, tol)
+    for r, diff in floored.items():
+        if diff > STALL_ACCEPT_FACTOR * tol:
+            raise WeightConvergenceError(
+                f"table sweep noise floor |dw|={diff:.3e} exceeds "
+                f"{STALL_ACCEPT_FACTOR:.0f}*tol={STALL_ACCEPT_FACTOR * tol:.1e} "
+                f"at (alpha, beta)=({alpha}, {beta}), mode row {r}",
+                int(levels[r]), diff, weights[r])
+    return mi, ni, weights, levels
 
 
 def default_cache_dir() -> str:
@@ -908,13 +884,18 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "ctquad")
 
 
+def table_filename(k: int, p: int, tol: float | None = None,
+                   n_modes: int = 16, grid_n: int = 33) -> str:
+    """Cache file name of the (k, p) table; tol defaults per order."""
+    tol = default_tolerance(p) if tol is None else tol
+    return f"ctwt_k{k}_p{p}_N{n_modes}_g{grid_n}_tol{tol:.1e}.ctwt"
+
+
 def build_weight_table(k: int, p: int, tol: float | None = None,
                        n_modes: int = 16, grid_n: int = 33,
                        processes: int | None = None,
                        cache_dir: str | None = None,
-                       force: bool = False,
-                       bump: BumpFunction = DEFAULT_BUMP,
-                       j_cap: int = 14) -> WeightTable:
+                       force: bool = False) -> WeightTable:
     """Build (or load from cache) the per-mode weight table for (k, p).
 
     The offsets run over the closed unit cell, 33x33 by default; for p = 1
@@ -926,8 +907,7 @@ def build_weight_table(k: int, p: int, tol: float | None = None,
     if tol is None:
         tol = default_tolerance(p)
     cache_dir = cache_dir or default_cache_dir()
-    name = f"ctwt_k{k}_p{p}_N{n_modes}_g{grid_n}_tol{tol:.1e}.ctwt"
-    path = os.path.join(cache_dir, name)
+    path = os.path.join(cache_dir, table_filename(k, p, tol, n_modes, grid_n))
     if not force and os.path.exists(path):
         return load_weight_table(path)
     domain_lo = -0.5 if p == 1 else 0.0
@@ -937,8 +917,7 @@ def build_weight_table(k: int, p: int, tol: float | None = None,
         for ni in range(grid_n):
             alpha = domain_lo + mi * step
             beta = domain_lo + ni * step
-            jobs.append((k, p, mi, ni, alpha, beta, tol, n_modes, 2, j_cap,
-                         bump.r0, bump.R))
+            jobs.append((k, p, mi, ni, alpha, beta, tol, n_modes))
     n_rows = 2 * n_modes + 1
     stencil = stencil_for_order(p)
     data = np.zeros((n_rows, grid_n, grid_n, len(stencil.offsets)))
@@ -956,11 +935,25 @@ def build_weight_table(k: int, p: int, tol: float | None = None,
             m_levels[:, mi, ni] = lev
     table = WeightTable(k=k, p=p, tol=tol, n_modes=n_modes, grid_n=grid_n,
                         domain_lo=domain_lo, stencil_offsets=stencil.offsets,
-                        bump_r0=bump.r0, bump_R=bump.R,
+                        bump_r0=DEFAULT_BUMP.r0, bump_R=DEFAULT_BUMP.R,
                         data=data, m_levels=m_levels)
     os.makedirs(cache_dir, exist_ok=True)
     save_weight_table(table, path)
     return table
+
+
+def _write_atomic(path: str, blob: bytes) -> None:
+    """Write blob to path through a temporary file in the same directory, so
+    an interrupted write never leaves a partial file under the final name."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_weight_table(table: WeightTable, path: str) -> None:
@@ -968,18 +961,18 @@ def save_weight_table(table: WeightTable, path: str) -> None:
 
     Layout: 8-byte magic, uint32 little-endian header length, UTF-8 JSON
     header, then the weight block and the level block as raw little-endian
-    arrays in C order.
+    arrays in C order.  Each file is written to a temporary name and moved
+    into place.
     """
     meta = table.metadata()
     header = json.dumps(meta, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(TABLE_FORMAT_MAGIC)
-        f.write(np.uint32(len(header)).tobytes())
-        f.write(header)
-        f.write(np.ascontiguousarray(table.data, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(table.m_levels, dtype="<i1").tobytes())
-    with open(path + ".json", "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
+    _write_atomic(path, b"".join([
+        TABLE_FORMAT_MAGIC,
+        np.uint32(len(header)).tobytes(),
+        header,
+        np.ascontiguousarray(table.data, dtype="<f8").tobytes(),
+        np.ascontiguousarray(table.m_levels, dtype="<i1").tobytes()]))
+    _write_atomic(path + ".json", json.dumps(meta, indent=2, sort_keys=True).encode())
 
 
 def load_weight_table(path: str) -> WeightTable:
@@ -991,10 +984,17 @@ def load_weight_table(path: str) -> WeightTable:
                              f"-- rebuild the table with the current version")
         hlen = int(np.frombuffer(f.read(4), dtype=np.uint32)[0])
         meta = json.loads(f.read(hlen).decode())
-        shape = tuple(meta["shape"])
-        count = int(np.prod(shape))
-        data = np.frombuffer(f.read(count * 8), dtype="<f8").reshape(shape).copy()
-        m_levels = np.frombuffer(f.read(count // shape[-1]), dtype="<i1").reshape(shape[:-1]).copy()
+        body = f.read()
+    shape = tuple(meta["shape"])
+    count = int(np.prod(shape))
+    n_data, n_levels = 8 * count, count // shape[-1]
+    if len(body) < n_data + n_levels:
+        raise ValueError(f"{path}: truncated weight table ({len(body)} bytes "
+                         f"after the header, shape {list(shape)} needs "
+                         f"{n_data + n_levels}) -- rebuild the table")
+    data = np.frombuffer(body[:n_data], dtype="<f8").reshape(shape).copy()
+    m_levels = np.frombuffer(body[n_data:n_data + n_levels],
+                             dtype="<i1").reshape(shape[:-1]).copy()
     return WeightTable(
         k=meta["k"], p=meta["p"], tol=meta["tol"], n_modes=meta["n_modes"],
         grid_n=meta["grid_n"], domain_lo=meta["domain_lo"],

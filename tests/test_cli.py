@@ -159,7 +159,7 @@ def test_missing_table_error_names_build_command(tmp_path):
 
 def test_version_mismatch_refused(tmp_path, table11):
     stale = dataclasses.replace(table11, version="0.0.1")
-    path = tmp_path / cli._default_table_name(1, 1)
+    path = tmp_path / wt.table_filename(1, 1)
     wt.save_weight_table(stale, str(path))
     with pytest.raises(cli.CliError, match="--force"):
         cli.load_table_checked(1, 1, cache_dir=str(tmp_path))
@@ -243,12 +243,38 @@ def test_weights_verify_fresh_table_passes(capsys):
 
 def test_weights_verify_detects_corruption(tmp_path, table11, capsys):
     broken = dataclasses.replace(table11, data=table11.data + 1e-3)
-    path = tmp_path / cli._default_table_name(1, 1)
+    path = tmp_path / wt.table_filename(1, 1)
     wt.save_weight_table(broken, str(path))
     rc = run_cli("weights", "verify", "--k", "1", "--p", "1",
                  "--entries", "2", "--seed", "5", "--cache-dir", str(tmp_path))
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_weights_verify_judges_off_node_entries_by_dual_route(
+        tmp_path, capsys, monkeypatch):
+    # a sweep that returns biased weights must not decide the off-node
+    # entries: they are recomputed by the dual-lattice limit, which shares
+    # no code with the sweep; only the stencil node (0, 0) of the (k=1, p=1)
+    # table is rerun through the sweep
+    wt.build_weight_table(1, 1, n_modes=2, grid_n=3, processes=1,
+                          cache_dir=str(tmp_path))
+    sweep = wt._table_point
+
+    def biased(args):
+        mi, ni, w, lev = sweep(args)
+        return mi, ni, w + 1e-3, lev
+
+    monkeypatch.setattr(wt, "_table_point", biased)
+    rc = run_cli("weights", "verify", "--k", "1", "--p", "1", "--entries", "9",
+                 "--seed", "3", "--cache-dir", str(tmp_path))
+    lines = capsys.readouterr().out.splitlines()[1:-1]
+    on_node = [ln for ln in lines if "(+0.00000, +0.00000)" in ln]
+    off_node = [ln for ln in lines if ln not in on_node]
+    assert on_node and off_node
+    assert all(" dual " in ln and "[ok]" in ln for ln in off_node)
+    assert all(" sweep " in ln and "[FAIL]" in ln for ln in on_node)
+    assert rc == 1
 
 
 def test_weights_build_cache_roundtrip(tmp_path, capsys):
