@@ -114,8 +114,15 @@ class SingularTerm:
         b[0] = 0.0
         if n % 2 == 0:
             b[-1] = 0.0
+        # read-only, so the mode list below cannot go stale
+        a.setflags(write=False)
+        b.setflags(write=False)
         self.a = a  # a[0] is the mean, a[j] multiplies cos(j*theta)
         self.b = b  # b[j] multiplies sin(j*theta)
+        # largest coefficient: the scale every mode cutoff is relative to
+        self.norm = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
+        big = np.abs(a[1:]) + np.abs(b[1:]) > 1e-15 * self.norm
+        self._modes = [0] + (np.flatnonzero(big) + 1).tolist()
         # reconstruction must reproduce the samples when all modes are kept
         theta = 2.0 * np.pi * np.arange(n) / n
         recon = self.phi(theta)
@@ -158,27 +165,24 @@ class SingularTerm:
 
     # -- evaluation --------------------------------------------------------
 
-    def active_modes(self, cutoff: float = 1e-15) -> list[int]:
-        """Mode indices whose coefficients matter, relative to phi's size."""
-        norm = max(float(np.max(np.abs(self.a))), float(np.max(np.abs(self.b))), 1e-300)
-        out = [0]
-        for j in range(1, len(self.a)):
-            if abs(self.a[j]) + abs(self.b[j]) > cutoff * norm:
-                out.append(j)
-        return out
+    def active_modes(self) -> list[int]:
+        """Mode 0 and every mode j with |a_j| + |b_j| > 1e-15 * norm, ascending."""
+        return list(self._modes)
 
     def phi(self, theta: np.ndarray) -> np.ndarray:
-        """Evaluate phi by summing its (truncated) Fourier series.
+        """Evaluate phi by summing its Fourier series through the last active mode.
 
+        The series stops at the highest mode of the list fixed at construction
+        (see `active_modes`); below it, every nonzero coefficient is summed.
         Uses the cos/sin Chebyshev-style recurrence so the cost is one pair of
-        multiply-adds per active mode, independent of how theta was produced.
+        multiply-adds per mode up to that one, independent of how theta was
+        produced.
         """
         theta = np.asarray(theta, dtype=float)
-        modes = self.active_modes()
         out = np.full(theta.shape, self.a[0])
-        if len(modes) <= 1:
+        jmax = self._modes[-1]
+        if jmax == 0:
             return out
-        jmax = modes[-1]
         c1 = np.cos(theta)
         s1 = np.sin(theta)
         cj, sj = c1.copy(), s1.copy()
@@ -382,12 +386,17 @@ def _eval_rows(f, grid: Grid2, skip: set[tuple[int, int]] | None = None) -> floa
     is_arr = isinstance(f, np.ndarray)
     if is_arr and f.shape != grid.shape:
         raise ValueError(f"value array shape {f.shape} does not match grid {grid.shape}")
+    # skipped columns per row; a row with none takes the unmasked path
+    skip_cols: dict[int, list[int]] = {}
+    for (i, j) in skip or ():
+        if j0 <= j <= j1:
+            skip_cols.setdefault(i, []).append(j - j0)
     row_sums = np.zeros(i1 - i0 + 1)
     for row, i in enumerate(range(i0, i1 + 1)):
-        if skip:
-            keep = np.array([(i, j) not in skip for j in range(j0, j1 + 1)])
-        else:
-            keep = None
+        keep = None
+        if i in skip_cols:
+            keep = np.ones(j1 - j0 + 1, dtype=bool)
+            keep[skip_cols[i]] = False
         if is_arr:
             vals = f[row] if keep is None else f[row][keep]
         else:

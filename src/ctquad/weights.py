@@ -272,13 +272,18 @@ _MOMENTS = MomentCache()
 
 def _term_coefficients(term: SingularTerm, cutoff: float = 1e-14
                        ) -> dict[tuple[str, int], float]:
-    """Fourier modes of phi as {("c"|"s", m): coefficient}, small ones dropped."""
-    norm = max(float(np.max(np.abs(term.a))), float(np.max(np.abs(term.b))), 1e-300)
+    """Fourier modes of phi as {("c"|"s", m): coefficient}, small ones dropped.
+
+    Keys run ("c", 0), then ("c", m) and ("s", m) for ascending m; sums over
+    the map follow that order.
+    """
+    big_a = np.abs(term.a) > cutoff * term.norm
+    big_b = np.abs(term.b) > cutoff * term.norm
     out: dict[tuple[str, int], float] = {("c", 0): float(term.a[0])}
-    for m in range(1, len(term.a)):
-        if abs(term.a[m]) > cutoff * norm:
+    for m in (np.flatnonzero(big_a[1:] | big_b[1:]) + 1).tolist():
+        if big_a[m]:
             out[("c", m)] = float(term.a[m])
-        if abs(term.b[m]) > cutoff * norm:
+        if big_b[m]:
             out[("s", m)] = float(term.b[m])
     return out
 
@@ -1018,10 +1023,9 @@ def interpolate_weights(table: WeightTable, term: SingularTerm,
     if term.k != table.k:
         raise ValueError(f"table is for k={table.k}, term has k={term.k}")
     coeffs = _term_coefficients(term, cutoff=1e-12)
-    norm = max(float(np.max(np.abs(term.a))), float(np.max(np.abs(term.b))), 1e-300)
-    tail = sum(float(np.abs(term.a[m]) + np.abs(term.b[m]))
-               for m in range(table.n_modes + 1, len(term.a)))
-    if tail > 1e-10 * norm:
+    first = table.n_modes + 1
+    tail = float(np.sum(np.abs(term.a[first:]) + np.abs(term.b[first:])))
+    if tail > 1e-10 * term.norm:
         warnings.warn(
             f"phi has Fourier mass {tail:.2e} beyond mode {table.n_modes}; "
             f"the interpolated weights ignore it", TailTruncationWarning)

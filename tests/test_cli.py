@@ -232,9 +232,10 @@ def test_weights_info_listing(capsys):
     assert "k=0 p=2" in out
 
 
-@pytest.mark.usefixtures("table11")
-def test_weights_verify_fresh_table_passes(capsys):
-    rc = run_cli("weights", "verify", "--k", "1", "--p", "1",
+@pytest.mark.parametrize("k, p", [(0, 2), (1, 1)])
+def test_weights_verify_fresh_table_passes(request, capsys, k, p):
+    request.getfixturevalue(f"table{k}{p}")
+    rc = run_cli("weights", "verify", "--k", str(k), "--p", str(p),
                  "--entries", "2", "--seed", "5")
     assert rc == 0
     out = capsys.readouterr().out
