@@ -300,35 +300,64 @@ def study_weights(term: SingularTerm, offset, stencil) -> np.ndarray:
     return w
 
 
-def find_table_path(k: int, p: int, cache_dir: str | None = None) -> str | None:
-    """Locate a cached table for (k, p): canonical name first, any tol next."""
+def find_table_path(k: int, p: int, cache_dir: str | None = None,
+                    tol: float | None = None, n_modes: int = 16,
+                    grid_n: int = 33) -> str | None:
+    """Path of the cached (k, p) table built with these parameters, or None.
+
+    Only the file named by ``weights.table_filename`` is served; a table
+    built with another tolerance, mode count or lattice never stands in.
+    """
     cache_dir = cache_dir or wt.default_cache_dir()
-    prefer = os.path.join(cache_dir, wt.table_filename(k, p))
-    if os.path.exists(prefer):
-        return prefer
-    if os.path.isdir(cache_dir):
-        cand = sorted(n for n in os.listdir(cache_dir)
-                      if n.startswith(f"ctwt_k{k}_p{p}_") and n.endswith(".ctwt"))
-        if cand:
-            return os.path.join(cache_dir, cand[0])
-    return None
+    path = os.path.join(cache_dir, wt.table_filename(k, p, tol, n_modes, grid_n))
+    return path if os.path.exists(path) else None
 
 
-def load_table_checked(k: int, p: int, cache_dir: str | None = None) -> wt.WeightTable:
-    """Load the (k, p) table or fail with the command that would create it."""
-    path = find_table_path(k, p, cache_dir)
+def _build_command(k: int, p: int, tol: float | None, n_modes: int,
+                   grid_n: int) -> str:
+    cmd = f"ctquad weights build --k {k} --p {p}"
+    if tol is not None:
+        cmd += f" --tol {tol:g}"
+    if n_modes != 16:
+        cmd += f" --n-modes {n_modes}"
+    if grid_n != 33:
+        cmd += f" --grid-n {grid_n}"
+    return cmd
+
+
+def load_table_checked(k: int, p: int, cache_dir: str | None = None,
+                       tol: float | None = None, n_modes: int = 16,
+                       grid_n: int = 33) -> wt.WeightTable:
+    """Load the (k, p) table or fail with the command that would create it.
+
+    When the cache holds (k, p) tables built for other parameters only, the
+    error lists them.
+    """
+    path = find_table_path(k, p, cache_dir, tol, n_modes, grid_n)
     where = cache_dir or wt.default_cache_dir()
+    build = _build_command(k, p, tol, n_modes, grid_n)
     if path is None:
-        raise CliError(
-            f"no weight table for (k={k}, p={p}) in {where}; "
-            f"build it with: ctquad weights build --k {k} --p {p}")
+        name = wt.table_filename(k, p, tol, n_modes, grid_n)
+        others = []
+        if os.path.isdir(where):
+            others = sorted(n for n in os.listdir(where)
+                            if n.startswith(f"ctwt_k{k}_p{p}_")
+                            and n.endswith(".ctwt"))
+        held = (f"; it holds (k={k}, p={p}) tables built for other "
+                f"parameters only: {', '.join(others)}" if others else "")
+        raise CliError(f"no weight table {name} in {where}{held}; "
+                       f"build it with: {build}")
     table = wt.load_weight_table(path)
     if table.version != wt.LIBRARY_VERSION:
         raise CliError(
             f"{path} was built by library version {table.version}, this is "
-            f"{wt.LIBRARY_VERSION}; rebuild it with: "
-            f"ctquad weights build --k {k} --p {p} --force")
+            f"{wt.LIBRARY_VERSION}; rebuild it with: {build} --force")
     return table
+
+
+def _table_selection(args) -> dict:
+    """The table parameters ``weights verify`` and ``weights info`` select by."""
+    return {"tol": args.tol, "n_modes": args.n_modes, "grid_n": args.grid_n}
 
 
 # --------------------------------------------------------------------------
@@ -626,8 +655,10 @@ def cmd_weights_info(args) -> int:
         return 0
     if args.k is None or args.p is None:
         raise CliError("give both --k and --p (or neither, to list the cache)")
-    table = load_table_checked(args.k, args.p, args.cache_dir)
-    _print_table_info(table, find_table_path(args.k, args.p, args.cache_dir))
+    selection = _table_selection(args)
+    table = load_table_checked(args.k, args.p, args.cache_dir, **selection)
+    _print_table_info(table, find_table_path(args.k, args.p, args.cache_dir,
+                                             **selection))
     return 0
 
 
@@ -638,7 +669,8 @@ def cmd_weights_verify(args) -> int:
     limit, which shares no code with the halving sweep that built them; at
     a stencil node, where that limit is undefined, the sweep is rerun.
     """
-    table = load_table_checked(args.k, args.p, args.cache_dir)
+    table = load_table_checked(args.k, args.p, args.cache_dir,
+                               **_table_selection(args))
     stencil = stencil_for_order(table.p)
     rng = np.random.default_rng(args.seed)
     failures = 0
@@ -763,6 +795,14 @@ def cmd_ibim3d_run(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
+def _add_table_selection(sp: argparse.ArgumentParser) -> None:
+    """Options naming a table built with non-default parameters."""
+    sp.add_argument("--tol", type=float, default=None,
+                    help="tolerance the table was built with (default per p)")
+    sp.add_argument("--n-modes", type=int, default=16)
+    sp.add_argument("--grid-n", type=int, default=33)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctquad",
@@ -795,12 +835,14 @@ def build_parser() -> argparse.ArgumentParser:
     wv.add_argument("--entries", type=int, default=10)
     wv.add_argument("--seed", type=int, default=0)
     wv.add_argument("--cache-dir", default=None)
+    _add_table_selection(wv)
     wv.set_defaults(func=cmd_weights_verify)
 
     wi = wsub.add_parser("info", help="print table metadata (no --k/--p: list all)")
     wi.add_argument("--k", type=int, default=None)
     wi.add_argument("--p", type=int, default=None)
     wi.add_argument("--cache-dir", default=None)
+    _add_table_selection(wi)
     wi.set_defaults(func=cmd_weights_info)
 
     qp = sub.add_parser("quad2d", help="2D singular-quadrature studies")

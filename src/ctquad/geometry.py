@@ -34,6 +34,8 @@ __all__ = [
     "hessian_eigenframe",
     "curvature_transfer",
     "third_derivatives",
+    "JACOBIAN_STENCIL",
+    "displaced_feet",
     "projection_jacobian",
     "jacobian_J",
     "canonical_tangent_frame",
@@ -48,6 +50,12 @@ _OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 _FD1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # h * f'(0)
 _FD2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # h^2 * f''(0)
 _FD0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0])  # evaluation at 0
+
+# displacements, in steps along each axis, of the points whose projections
+# projection_jacobian differences: the first-derivative stencil without its
+# zero-weight centre, with its weights
+JACOBIAN_STENCIL = (-2, -1, 1, 2)
+_JAC_FD1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
 
 class GeometryAsymmetryWarning(UserWarning):
@@ -247,25 +255,36 @@ def third_derivatives(project, zbar: np.ndarray, xstar: np.ndarray,
             float(np.mean(fxyy_all)), float(s2[3]))
 
 
-def projection_jacobian(project, points: np.ndarray, step: float) -> np.ndarray:
-    """Area-element ratio dsigma_surface / dsigma_offset at tube points.
+def displaced_feet(project, points: np.ndarray, step: float) -> np.ndarray:
+    """Projections of the 12 points that projection_jacobian differences.
 
-    Differentiates the closest-point map with fourth-order differences,
-    symmetrizes, and sums the three 2x2 principal minors.  The Jacobian of P
-    kills the normal direction, so that sum equals the product of the two
-    in-plane stretch factors — the exact area ratio between the level set
-    through each point and the surface.  Vectorized over leading axes.
+    For each point x the closest-point map is evaluated at x + s * step * e_a
+    for every axis a and every s in JACOBIAN_STENCIL.  Returns shape
+    (..., 3, 4, 3): axis a, stencil node, foot component.
     """
     pts = np.asarray(points, dtype=float)
-    coef = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-    ks = np.array([-2.0, -1.0, 1.0, 2.0])
-    disp = np.zeros((3, 4, 3))
+    ks = np.array(JACOBIAN_STENCIL, dtype=float)
+    disp = np.zeros((3, len(ks), 3))
     for a in range(3):
         disp[a, :, a] = ks * step
     vals = np.asarray(project(
         (pts[..., None, :] + disp.reshape(-1, 3)).reshape(-1, 3)))
-    vals = vals.reshape(*pts.shape[:-1], 3, 4, 3)  # (..., axis a, node, comp c)
-    DP = np.einsum("...akc,k->...ca", vals, coef) / step  # dP_c/dx_a
+    return vals.reshape(*pts.shape[:-1], 3, len(ks), 3)
+
+
+def projection_jacobian(feet: np.ndarray, step: float) -> np.ndarray:
+    """Area-element ratio dsigma_surface / dsigma_offset at tube points.
+
+    ``feet`` holds, for each point, the projections laid out as by
+    displaced_feet: shape (..., 3, 4, 3).  Differentiates the closest-point
+    map with those fourth-order differences, symmetrizes, and sums the three
+    2x2 principal minors.  The Jacobian of P kills the normal direction, so
+    that sum equals the product of the two in-plane stretch factors — the
+    exact area ratio between the level set through each point and the
+    surface.  Vectorized over leading axes.
+    """
+    vals = np.asarray(feet, dtype=float)  # (..., axis a, node, comp c)
+    DP = np.einsum("...akc,k->...ca", vals, _JAC_FD1) / step  # dP_c/dx_a
     S = 0.5 * (DP + np.swapaxes(DP, -1, -2))
     return (S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] ** 2
             + S[..., 0, 0] * S[..., 2, 2] - S[..., 0, 2] ** 2

@@ -34,7 +34,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.integrate import quad as _scipy_quad
 
-from .geometry import projection_jacobian, surface_probe
+from .geometry import (
+    JACOBIAN_STENCIL,
+    displaced_feet,
+    projection_jacobian,
+    surface_probe,
+)
 from .kernels3d import (
     AXIS_PERMUTATION,
     KERNEL_KINDS,
@@ -62,6 +67,15 @@ __all__ = [
 # kernel values are zeroed (and the node dropped from every rule) when a
 # lattice node lands on the singular line closer than this
 EXACT_HIT_RADIUS = 1e-13
+
+# the lattice starts this many cells (plus eps) below the surface's bounding
+# box and ends as many above it; the J stencil needs at least BAND_CELLS
+MARGIN_CELLS = 4
+# reach of the J stencil along each axis, in cells: the band around the tube
+# that holds every stencil node when the difference step is h
+BAND_CELLS = max(abs(s) for s in JACOBIAN_STENCIL)
+# lattice nodes per block in the distance scan and the projection passes
+CHUNK = 400_000
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +195,8 @@ def _surface_reach(surface) -> float | None:
 
 
 def build_tube(surface, h: float, eps: float, *, rho: Callable | None = None,
-               origin: Sequence[float] | None = None,
                origin_shift: Sequence[float] = (0.0, 0.0, 0.0),
-               margin_cells: int = 4, jacobian: str = "fd",
-               jacobian_step: float | None = None,
-               chunk: int = 400_000) -> TubeGrid:
+               jacobian: str = "fd") -> TubeGrid:
     """Scan an axis-aligned lattice and keep the nodes with |d| <= eps.
 
     The kept nodes carry everything the quadratures need: signed distance,
@@ -193,14 +204,26 @@ def build_tube(surface, h: float, eps: float, *, rho: Callable | None = None,
     assembled smooth factor v = rho * delta_eps(d) * J.
 
     jacobian="fd" (default) differentiates the projection map with 4th-order
-    centered differences and sums the 2x2 principal minors; the step is the
-    grid spacing, capped so the difference points stay clear of the surface's
-    medial axis.  jacobian="analytic" uses the surface's own level_jacobian
-    (exact curvature transfer) and is intended for debugging.
+    centered differences (nodes +-1, +-2 steps along each axis) and sums the
+    2x2 principal minors.  The step is the grid spacing h, capped at
+    0.45 * (reach - eps) so the difference points stay clear of the
+    surface's medial axis.  The feet it differences come one of two ways:
 
-    origin places lattice index (0,0,0) explicitly; otherwise the lattice
-    starts one margin below the surface bounding box, displaced by
-    origin_shift (in units of h) so grid/surface alignment is configurable.
+    * step == h: the difference points are lattice nodes.  The scan keeps
+      the band |d| <= eps + 2h (a hair more, against rounding), which holds
+      every stencil node of every tube node because d is 1-Lipschitz; each
+      band node is projected once, and the stencil feet are gathered from
+      the band through a dense lattice-to-row map.  A stencil node missing
+      from the band raises ValueError naming the tube node and h.
+    * step < h (the cap binds, only on coarse grids): the 12 displaced
+      points of every tube node are projected (geometry.displaced_feet).
+
+    jacobian="analytic" uses the surface's own level_jacobian (exact
+    curvature transfer) and is intended for debugging.
+
+    The lattice starts MARGIN_CELLS cells (plus eps) below the surface's
+    bounding box, displaced by origin_shift (in units of h) so grid/surface
+    alignment is configurable.
     """
     if h <= 0:
         raise ValueError(f"grid spacing must be positive, got {h}")
@@ -212,14 +235,21 @@ def build_tube(surface, h: float, eps: float, *, rho: Callable | None = None,
                          f"surface reach {reach}")
     if jacobian not in ("fd", "analytic"):
         raise ValueError(f"jacobian must be 'fd' or 'analytic', got {jacobian!r}")
+    if jacobian == "analytic" and not hasattr(surface, "level_jacobian"):
+        raise ValueError("surface does not provide level_jacobian; "
+                         "use jacobian='fd'")
+    step = None
+    if jacobian == "fd":
+        step = h if reach is None else min(h, 0.45 * (reach - eps))
+    from_lattice = step == h
+    # a hair past eps + 2h, so that rounding in d cannot drop a stencil node
+    width = eps + (BAND_CELLS + 1e-6) * h if from_lattice else eps
 
     lo, hi = surface.bounding_box
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    pad = eps + margin_cells * h
-    if origin is None:
-        origin = lo - pad + np.asarray(origin_shift, dtype=float) * h
-    origin = np.asarray(origin, dtype=float)
+    pad = eps + MARGIN_CELLS * h
+    origin = lo - pad + np.asarray(origin_shift, dtype=float) * h
     counts = np.ceil((hi + pad - origin) / h).astype(int) + 1
     if np.any(counts <= 0):
         raise ValueError("lattice origin lies beyond the padded bounding box")
@@ -227,7 +257,7 @@ def build_tube(surface, h: float, eps: float, *, rho: Callable | None = None,
 
     ys = origin[1] + h * np.arange(ny)
     zs = origin[2] + h * np.arange(nz)
-    block = max(1, int(chunk // max(ny * nz, 1)))
+    block = max(1, int(CHUNK // max(ny * nz, 1)))
 
     idx_parts, pts_parts, d_parts = [], [], []
     for i0 in range(0, nx, block):
@@ -236,7 +266,7 @@ def build_tube(surface, h: float, eps: float, *, rho: Callable | None = None,
         pts = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1)
         pts = pts.reshape(-1, 3)
         d = np.asarray(surface.distance(pts), dtype=float)
-        keep = np.abs(d) <= eps
+        keep = np.abs(d) <= width
         if not np.any(keep):
             continue
         flat = np.nonzero(keep)[0]
@@ -247,33 +277,43 @@ def build_tube(surface, h: float, eps: float, *, rho: Callable | None = None,
         pts_parts.append(pts[keep])
         d_parts.append(d[keep])
 
-    if not idx_parts:
+    band_d = np.concatenate(d_parts) if d_parts else np.empty(0)
+    inner = np.abs(band_d) <= eps
+    if not np.any(inner):
         raise ValueError("tube is empty: the lattice does not meet {|d| <= eps}")
-    index = np.concatenate(idx_parts)
-    points = np.concatenate(pts_parts)
-    d = np.concatenate(d_parts)
-
+    band_index = np.concatenate(idx_parts)
+    band_key = (band_index[:, 0] * ny + band_index[:, 1]) * nz + band_index[:, 2]
+    band_points = np.concatenate(pts_parts)
+    band_foot = np.empty_like(band_points)
+    for i0 in range(0, band_points.shape[0], CHUNK):
+        sl = slice(i0, i0 + CHUNK)
+        band_foot[sl] = surface.project(band_points[sl])
+    index, key, points, d = (band_index[inner], band_key[inner],
+                             band_points[inner], band_d[inner])
+    foot = band_foot[inner]
     n = points.shape[0]
-    foot = np.empty_like(points)
     normal = np.empty_like(points)
     jac = np.empty(n)
-    if jacobian == "analytic":
-        if not hasattr(surface, "level_jacobian"):
-            raise ValueError("surface does not provide level_jacobian; "
-                             "use jacobian='fd'")
-        step = None
-    else:
-        step = jacobian_step
-        if step is None:
-            step = h if reach is None else min(h, 0.45 * (reach - eps))
-    for i0 in range(0, n, chunk):
-        sl = slice(i0, min(i0 + chunk, n))
-        foot[sl] = surface.project(points[sl])
+    if from_lattice:
+        # band row of every lattice node, -1 off the band
+        row_of = np.full(nx * ny * nz, -1, dtype=np.int32)
+        row_of[band_key] = np.arange(band_key.size, dtype=np.int32)
+        _check_stencil_inside(index, (nx, ny, nz), h)
+        strides = np.array([ny * nz, nz, 1])
+        shifts = strides[:, None] * np.array(JACOBIAN_STENCIL)  # (axis, node)
+    for i0 in range(0, n, CHUNK):
+        sl = slice(i0, i0 + CHUNK)
         normal[sl] = surface.normal(points[sl])
         if jacobian == "analytic":
             jac[sl] = surface.level_jacobian(points[sl])
+        elif from_lattice:
+            rows = row_of[key[sl, None, None] + shifts]
+            if np.any(rows < 0):
+                _raise_missing_neighbour(index[sl], rows, h)
+            jac[sl] = projection_jacobian(band_foot[rows], h)
         else:
-            jac[sl] = projection_jacobian(surface.project, points[sl], step)
+            jac[sl] = projection_jacobian(
+                displaced_feet(surface.project, points[sl], step), step)
     if not np.all(jac > 0.0):
         bad = int(np.argmin(jac))
         raise ValueError(f"non-positive area ratio J={jac[bad]:.3e} at node "
@@ -285,12 +325,35 @@ def build_tube(surface, h: float, eps: float, *, rho: Callable | None = None,
                          f"got shape {density.shape}")
     v = density * delta_eps(d, eps) * jac
 
-    key = (index[:, 0] * ny + index[:, 1]) * nz + index[:, 2]
     if np.any(np.diff(key) <= 0):
         raise AssertionError("tube nodes are not in lexicographic order")
     return TubeGrid(h=h, eps=eps, origin=origin, shape=(nx, ny, nz),
                     index=index, points=points, d=d, foot=foot, normal=normal,
                     jacobian=jac, density=density, v=v, key=key)
+
+
+def _check_stencil_inside(index: np.ndarray, shape, h: float) -> None:
+    """Raise unless every J stencil node of every tube node is on the lattice.
+
+    Flattened keys of off-lattice nodes would wrap onto other nodes.
+    """
+    bounds = np.asarray(shape) - 1
+    outside = np.any((index < BAND_CELLS) | (index > bounds - BAND_CELLS),
+                     axis=1)
+    if np.any(outside):
+        node = tuple(int(i) for i in index[np.argmax(outside)])
+        raise ValueError(f"J stencil of tube node {node} leaves the lattice "
+                         f"{tuple(shape)} at h={h}")
+
+
+def _raise_missing_neighbour(index: np.ndarray, rows: np.ndarray, h: float):
+    """Name the first tube node whose J stencil reaches outside the band."""
+    i, a, k = (int(j[0]) for j in np.nonzero(rows < 0))
+    node = tuple(int(c) for c in index[i])
+    other = list(node)
+    other[a] += JACOBIAN_STENCIL[k]
+    raise ValueError(f"J stencil of tube node {node} at h={h} reaches lattice "
+                     f"node {tuple(other)}, which is outside the scanned band")
 
 
 # ---------------------------------------------------------------------------

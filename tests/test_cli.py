@@ -165,6 +165,21 @@ def test_version_mismatch_refused(tmp_path, table11):
         cli.load_table_checked(1, 1, cache_dir=str(tmp_path))
 
 
+def test_other_parameter_table_is_not_served(tmp_path, table11):
+    # a cache holding only a (1,1) table built at another tol must not serve
+    # it in place of the default one; the error lists it with the build command
+    other = dataclasses.replace(table11, tol=1e-6)
+    name = wt.table_filename(1, 1, tol=1e-6)
+    wt.save_weight_table(other, str(tmp_path / name))
+    assert cli.find_table_path(1, 1, cache_dir=str(tmp_path)) is None
+    with pytest.raises(cli.CliError) as exc:
+        cli.load_table_checked(1, 1, cache_dir=str(tmp_path))
+    assert name in str(exc.value)
+    assert "ctquad weights build --k 1 --p 1" in str(exc.value)
+    served = cli.load_table_checked(1, 1, cache_dir=str(tmp_path), tol=1e-6)
+    assert served.tol == 1e-6
+
+
 # --------------------------------------------------------------------------
 # output formats
 # --------------------------------------------------------------------------
@@ -268,7 +283,8 @@ def test_weights_verify_judges_off_node_entries_by_dual_route(
 
     monkeypatch.setattr(wt, "_table_point", biased)
     rc = run_cli("weights", "verify", "--k", "1", "--p", "1", "--entries", "9",
-                 "--seed", "3", "--cache-dir", str(tmp_path))
+                 "--seed", "3", "--n-modes", "2", "--grid-n", "3",
+                 "--cache-dir", str(tmp_path))
     lines = capsys.readouterr().out.splitlines()[1:-1]
     on_node = [ln for ln in lines if "(+0.00000, +0.00000)" in ln]
     off_node = [ln for ln in lines if ln not in on_node]

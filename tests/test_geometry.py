@@ -11,6 +11,7 @@ from ctquad.geometry import (
     SurfaceProbe,
     canonical_tangent_frame,
     curvature_transfer,
+    displaced_feet,
     fd_gradient,
     fd_hessian,
     hessian_eigenframe,
@@ -251,7 +252,7 @@ def test_projection_jacobian_sphere_exact():
     x = s.center + rng.uniform(-1, 1, size=(20, 3))
     x = s.project(x) + rng.uniform(-0.15, 0.15, size=(20, 1)) * s.normal(x)
     eta = s.distance(x)
-    J = projection_jacobian(s.project, x, step=1e-3)
+    J = projection_jacobian(displaced_feet(s.project, x, 1e-3), 1e-3)
     np.testing.assert_allclose(J, 0.8**2 / (0.8 + eta) ** 2, atol=1e-9)
 
 
@@ -268,7 +269,8 @@ def test_jacobian_routes_agree(torus):
         Jref = 1.0 / ((1 - eta * exact.kappa1) * (1 - eta * exact.kappa2))
         g1, g2, *_ = hessian_eigenframe(torus.distance, zbar, h=2e-3)
         Ja = jacobian_J(eta, 0.5 * (g1 + g2), g1 * g2)
-        Jp = projection_jacobian(torus.project, zbar[None], step=2e-3)[0]
+        Jp = projection_jacobian(
+            displaced_feet(torus.project, zbar[None], 2e-3), 2e-3)[0]
         assert Ja == pytest.approx(Jref, abs=1e-8)
         assert Jp == pytest.approx(Jref, abs=1e-7)
 

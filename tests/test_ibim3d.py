@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ctquad import ibim3d
 from ctquad.ibim3d import (
     PlaneProblem,
     build_tube,
@@ -20,7 +21,7 @@ from ctquad.ibim3d import (
     plane_problems,
     _kernel_values,
 )
-from ctquad.geometry import surface_probe
+from ctquad.geometry import displaced_feet, projection_jacobian, surface_probe
 from ctquad.kernels3d import AXIS_PERMUTATION, CurvatureLimitError
 from ctquad.surfaces import Sphere, tilted_torus
 
@@ -145,6 +146,59 @@ def test_tube_analytic_jacobian_matches_fd(sphere):
     assert np.max(np.abs(fd.jacobian - an.jacobian)) < 1e-4
     # the weighted field v differs as little, relative to its own scale
     assert np.max(np.abs(fd.v - an.v)) < 1e-4 * np.max(np.abs(fd.v))
+
+
+def _reference_scan(surface, tube):
+    """Tube node fields from one unchunked scan of the tube's whole lattice."""
+    nx, ny, nz = tube.shape
+    index = np.stack(np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
+                                 indexing="ij"), axis=-1).reshape(-1, 3)
+    points = tube.origin + tube.h * index
+    d = surface.distance(points)
+    keep = np.abs(d) <= tube.eps
+    points = points[keep]
+    return {"key": np.nonzero(keep)[0], "index": index[keep],
+            "points": points, "d": d[keep], "foot": surface.project(points),
+            "normal": surface.normal(points)}
+
+
+@pytest.mark.parametrize("h, from_lattice", [(0.025, True), (0.075, False)])
+def test_tube_jacobian_routes(torus, h, from_lattice):
+    """J from the lattice neighbours' feet matches the 12 displaced projections.
+
+    At h=0.025 the difference step is h, so the stencil nodes are lattice
+    nodes in the band |d| <= eps + 2h; at h=0.075 the step is capped below h
+    by the reach and J comes from the displaced projections themselves.
+    """
+    eps = 0.1
+    tube = build_tube(torus, h, eps)
+    for field, ref in _reference_scan(torus, tube).items():
+        assert np.array_equal(getattr(tube, field), ref), field
+    step = min(h, 0.45 * (torus.reach - eps))
+    assert (step == h) == from_lattice
+    J = projection_jacobian(displaced_feet(torus.project, tube.points, step),
+                            step)
+    if from_lattice:
+        np.testing.assert_allclose(tube.jacobian, J, rtol=1e-12, atol=0.0)
+    else:
+        assert np.array_equal(tube.jacobian, J)
+
+
+def test_tube_stencil_outside_band_is_named(sphere, monkeypatch):
+    # a band one cell wide cannot hold the +-2 stencil nodes: the build must
+    # name a tube node and h, never difference a missing neighbour's row
+    monkeypatch.setattr(ibim3d, "BAND_CELLS", 1)
+    with pytest.raises(ValueError, match=r"tube node \(\d+, \d+, \d+\) at "
+                                         r"h=0\.1 reaches lattice node"):
+        build_tube(sphere, 0.1, 0.1)
+
+
+def test_tube_stencil_off_lattice_is_named(sphere):
+    # a shift of 3.5 cells leaves less than the stencil's 2 cells below the
+    # tube, where flattened lattice keys would wrap onto other nodes
+    with pytest.raises(ValueError, match=r"tube node \(\d+, \d+, \d+\) "
+                                         r"leaves the lattice"):
+        build_tube(sphere, 0.1, 0.1, origin_shift=(3.5, 0.0, 0.0))
 
 
 def test_v_vanishes_at_tube_boundary(sphere_tube):
