@@ -492,8 +492,9 @@ def run_ibim3d(config: StudyConfig, cache_dir: str | None = None,
 
     Targets are drawn in (theta, phi) parameter space from the seeded
     generator and recorded in the output.  Errors are measured against the
-    same rule at half the finest spacing; "mean" rows average the
-    per-target errors at each level and carry the orders of those averages.
+    same rule at half the finest spacing; the per-target rows are followed
+    by the study's "mean" rows, and the summary gives each label's tail
+    order of the mean errors.
     """
     if config.study != "ibim3d":
         raise ValueError(f"not a 3D study: {config.study!r}")
@@ -510,35 +511,16 @@ def run_ibim3d(config: StudyConfig, cache_dir: str | None = None,
     res = ibim3d.convergence_study_3d(
         surface, targets, hs, tables, kinds=config.kernels, eps=config.eps,
         include_baseline=config.include_baseline, progress=progress)
-
-    rows = [dict(r) for r in res["rows"]]
-    labels = list(config.kernels)
-    if config.include_baseline:
-        labels += [f"{kind}:baseline" for kind in config.kernels]
-    summary = []
-    for label in labels:
-        errs_at = {}
-        for r in rows:
-            if r["kind"] == label:
-                errs_at.setdefault(r["h"], []).append(r["error"])
-        mean_errs = [float(np.mean(errs_at[h])) for h in hs]
-        for i, h in enumerate(hs):
-            order = None
-            if i + 1 < len(hs) and mean_errs[i] > 0 and mean_errs[i + 1] > 0:
-                order = (math.log(mean_errs[i] / mean_errs[i + 1])
-                         / math.log(hs[i] / hs[i + 1]))
-            rows.append({"kind": label, "target": "mean", "h": h,
-                         "value": None, "error": mean_errs[i], "order": order})
-        summary.append({
-            "kernel": label,
-            "mean_error_order": observed_order(mean_errs, config.ratio),
-            "pooled_mean_order": res["mean_orders"].get(label, math.nan),
-        })
+    summary = [{
+        "kernel": label,
+        "mean_error_order": observed_order(mean_errs, config.ratio),
+        "pooled_mean_order": res["mean_orders"].get(label, math.nan),
+    } for label, mean_errs in res["mean_errors"].items()]
 
     return {"config": config.as_dict(), "config_hash": config.config_hash(),
             "hs": hs, "reference_h": res["reference_h"],
             "targets": [list(map(float, t)) for t in targets],
-            "rows": rows, "summary": summary}
+            "rows": res["rows"] + res["mean_rows"], "summary": summary}
 
 
 # --------------------------------------------------------------------------

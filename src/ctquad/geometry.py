@@ -17,8 +17,8 @@ derivatives of the local height function.  Conventions:
   J = (1 + eta*g1)(1 + eta*g2) = 1 + 2*eta*H + eta^2*G.
 
 All derivatives are taken with fourth-order central finite differences of
-either the signed distance or the closest-point map, so any handle exposing
-``distance``/``project`` works — no parametrization is needed.
+either the signed distance or the closest-point map, so any handle with the
+interface documented in `surfaces` works — no parametrization is needed.
 """
 
 from __future__ import annotations
@@ -354,11 +354,7 @@ def surface_probe(surface, xstar: np.ndarray, *, h: float | None = None,
     if source != "fd":
         raise ValueError(f"unknown probe source {source!r}")
 
-    try:
-        n0 = np.asarray(surface.normal(xstar), dtype=float)
-    except AttributeError:
-        n0 = fd_gradient(surface.distance, xstar, h)
-        n0 = n0 / np.linalg.norm(n0)
+    n0 = np.asarray(surface.normal(xstar), dtype=float)
     zbar = xstar + probe_distance * n0
     eta = float(surface.distance(zbar))
     g1, g2, tau1, tau2, n = hessian_eigenframe(surface.distance, zbar, h)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad as _scipy_quad
@@ -47,6 +47,7 @@ from .kernels3d import (
     CurvatureLimitError,
     build_frame,
     expansion_at_plane,
+    kernel_values,
 )
 from .quad_core import GridOffset, stencil_for_order
 from .weights import WeightTable, interpolate_weights
@@ -63,10 +64,6 @@ __all__ = [
     "evaluate_punctured3",
     "plane_problems",
 ]
-
-# kernel values are zeroed (and the node dropped from every rule) when a
-# lattice node lands on the singular line closer than this
-EXACT_HIT_RADIUS = 1e-13
 
 # the lattice starts this many cells (plus eps) below the surface's bounding
 # box and ends as many above it; the J stencil needs at least BAND_CELLS
@@ -189,11 +186,6 @@ class TubeGrid:
         return rows, found
 
 
-def _surface_reach(surface) -> float | None:
-    reach = getattr(surface, "reach", None)
-    return float(reach) if reach is not None else None
-
-
 def build_tube(surface, h: float, eps: float, *, rho: Callable | None = None,
                origin_shift: Sequence[float] = (0.0, 0.0, 0.0),
                jacobian: str = "fd") -> TubeGrid:
@@ -229,8 +221,8 @@ def build_tube(surface, h: float, eps: float, *, rho: Callable | None = None,
         raise ValueError(f"grid spacing must be positive, got {h}")
     if eps <= 0:
         raise ValueError(f"tube half-width must be positive, got {eps}")
-    reach = _surface_reach(surface)
-    if reach is not None and eps >= reach:
+    reach = float(surface.reach)
+    if eps >= reach:
         raise ValueError(f"tube half-width eps={eps} must be below the "
                          f"surface reach {reach}")
     if jacobian not in ("fd", "analytic"):
@@ -238,9 +230,7 @@ def build_tube(surface, h: float, eps: float, *, rho: Callable | None = None,
     if jacobian == "analytic" and not hasattr(surface, "level_jacobian"):
         raise ValueError("surface does not provide level_jacobian; "
                          "use jacobian='fd'")
-    step = None
-    if jacobian == "fd":
-        step = h if reach is None else min(h, 0.45 * (reach - eps))
+    step = min(h, 0.45 * (reach - eps)) if jacobian == "fd" else None
     from_lattice = step == h
     # a hair past eps + 2h, so that rounding in d cannot drop a stencil node
     width = eps + (BAND_CELLS + 1e-6) * h if from_lattice else eps
@@ -357,27 +347,6 @@ def _raise_missing_neighbour(index: np.ndarray, rows: np.ndarray, h: float):
 
 
 # ---------------------------------------------------------------------------
-# kernel values on the tube
-# ---------------------------------------------------------------------------
-
-def _kernel_values(kind: str, xstar: np.ndarray, nstar: np.ndarray,
-                   foot: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """K(x*, P(y)) for every node, with exact hits zeroed (handled separately)."""
-    if kind not in KERNEL_KINDS:
-        raise ValueError(f"kind must be one of {KERNEL_KINDS}, got {kind!r}")
-    diff = foot - xstar
-    r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "SL":
-            val = 1.0 / (4.0 * np.pi * r)
-        elif kind == "DL":
-            val = -np.einsum("ij,ij->i", diff, normal) / (4.0 * np.pi * r ** 3)
-        else:  # DLC
-            val = diff @ nstar / (4.0 * np.pi * r ** 3)
-    return np.where(r < EXACT_HIT_RADIUS, 0.0, val)
-
-
-# ---------------------------------------------------------------------------
 # per-plane singular subproblems
 # ---------------------------------------------------------------------------
 
@@ -436,15 +405,8 @@ def plane_problems(probe, axis: str, tube: TubeGrid) -> list[PlaneProblem]:
 
 
 def _check_tables(tables) -> tuple[WeightTable, WeightTable]:
-    """Accept {0: table, 1: table} or (table_k0, table_k1); validate orders."""
-    if isinstance(tables, Mapping):
-        try:
-            t0, t1 = tables[0], tables[1]
-        except KeyError as e:
-            raise ValueError("tables mapping must provide entries for k=0 "
-                             "and k=1") from e
-    else:
-        t0, t1 = tables
+    """Validate the pair (table_k0, table_k1): the (0, 2) and (1, 1) rules."""
+    t0, t1 = tables
     if not (t0.k == 0 and t0.p == 2):
         raise ValueError(f"first table must be the (k=0, p=2) rule, got "
                          f"k={t0.k}, p={t0.p}")
@@ -454,11 +416,9 @@ def _check_tables(tables) -> tuple[WeightTable, WeightTable]:
     return t0, t1
 
 
-def _default_probe(surface, xstar, h: float, probe_source: str):
-    reach = _surface_reach(surface)
-    probe_distance = 0.5 * reach if reach is not None else None
-    return surface_probe(surface, xstar, h=h, source=probe_source,
-                         probe_distance=probe_distance)
+def _default_probe(surface, xstar, h: float):
+    return surface_probe(surface, xstar, h=h,
+                         probe_distance=0.5 * float(surface.reach))
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +427,7 @@ def _default_probe(surface, xstar, h: float, probe_source: str):
 
 def evaluate_V3(kind: str, surface, rho: Callable | None, xstar, h: float,
                 eps: float, tables, *, tube: TubeGrid | None = None,
-                probe=None, probe_source: str = "fd", jacobian: str = "fd",
-                origin_shift: Sequence[float] = (0.0, 0.0, 0.0),
-                corrections: bool = True, return_details: bool = False):
+                probe=None, return_details: bool = False):
     """Third-order plane-by-plane corrected value of I_eps[rho](x*).
 
     The full lattice sum of K*v runs once over the tube; each plane within
@@ -482,28 +440,23 @@ def evaluate_V3(kind: str, surface, rho: Callable | None, xstar, h: float,
 
     ``tube`` and ``probe`` may be precomputed and shared across kernels and
     targets; they must match (surface, h, eps) and xstar respectively.
+    With ``return_details`` the result is a dict of the total and its parts:
+    the uncorrected lattice sum ``product`` (h^3 * product is the
+    `evaluate_punctured3` value), the ``excluded`` 4-node cells, the
+    corrections ``q2``, ``q1`` and ``remainder``, and the ``planes``.
     """
     table0, table1 = _check_tables(tables)
     if tube is None:
-        tube = build_tube(surface, h, eps, rho=rho, origin_shift=origin_shift,
-                          jacobian=jacobian)
+        tube = build_tube(surface, h, eps, rho=rho)
     if not (math.isclose(tube.h, h, rel_tol=1e-12)
             and math.isclose(tube.eps, eps, rel_tol=1e-12)):
         raise ValueError(f"tube grid was built for (h={tube.h}, eps={tube.eps}), "
                          f"not (h={h}, eps={eps})")
     if probe is None:
-        probe = _default_probe(surface, xstar, h, probe_source)
+        probe = _default_probe(surface, xstar, h)
 
-    xs = probe.xstar
-    kv = _kernel_values(kind, xs, probe.n, tube.foot, tube.normal)
+    kv = kernel_values(kind, probe.xstar, probe.n, tube.foot, tube.normal)
     product = float(kv @ tube.v)
-
-    if not corrections:
-        total = h ** 3 * product
-        if return_details:
-            return {"total": total, "product": product, "excluded": 0.0,
-                    "q2": 0.0, "q1": 0.0, "remainder": 0.0, "planes": []}
-        return total
 
     axis = dominant_direction(probe.n)
     frame = build_frame(probe, axis)
@@ -562,33 +515,19 @@ def evaluate_V3(kind: str, surface, rho: Callable | None, xstar, h: float,
 
 
 def evaluate_punctured3(kind: str, surface, rho: Callable | None, xstar,
-                        h: float, eps: float, *, tube: TubeGrid | None = None,
-                        jacobian: str = "fd",
-                        origin_shift: Sequence[float] = (0.0, 0.0, 0.0),
-                        axis: str | None = None) -> float:
+                        h: float, eps: float, *,
+                        tube: TubeGrid | None = None) -> float:
     """Uncorrected baseline: the plain punctured lattice sum h^3 sum K*v.
 
     Nodes on the singular line itself (closer than the exact-hit radius) are
     skipped; nothing else is corrected, so the error decays at first order.
-    With ``axis`` given, the sum is grouped into lattice planes along that
-    axis and accumulated plane by plane, which is the decomposition the
-    corrected rule refines; the total is the same up to roundoff.
     """
     if tube is None:
-        tube = build_tube(surface, h, eps, rho=rho, origin_shift=origin_shift,
-                          jacobian=jacobian)
+        tube = build_tube(surface, h, eps, rho=rho)
     xs = np.asarray(surface.project(np.asarray(xstar, dtype=float)), dtype=float)
     nstar = np.asarray(surface.normal(xs), dtype=float)
-    kv = _kernel_values(kind, xs, nstar, tube.foot, tube.normal)
-    if axis is None:
-        return h ** 3 * float(kv @ tube.v)
-    try:
-        ax = "xyz".index(axis)
-    except ValueError:
-        raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
-    per_plane = np.bincount(tube.index[:, ax], weights=kv * tube.v,
-                            minlength=tube.shape[ax])
-    return h ** 3 * float(np.sum(per_plane))
+    kv = kernel_values(kind, xs, nstar, tube.foot, tube.normal)
+    return h ** 3 * float(kv @ tube.v)
 
 
 # ---------------------------------------------------------------------------
@@ -607,48 +546,61 @@ def _study_targets(surface, targets) -> np.ndarray:
     return np.stack([surface.project(p) for p in arr])
 
 
+def _level_orders(errors: Sequence[float],
+                  hs: Sequence[float]) -> list[float | None]:
+    """Observed orders log(e_i/e_{i+1}) / log(h_i/h_{i+1}) per level.
+
+    None at the finest level and wherever either error is zero.
+    """
+    out: list[float | None] = []
+    for i in range(len(hs)):
+        order = None
+        if i + 1 < len(hs) and errors[i] > 0 and errors[i + 1] > 0:
+            order = (math.log(errors[i] / errors[i + 1])
+                     / math.log(hs[i] / hs[i + 1]))
+        out.append(order)
+    return out
+
+
 def convergence_study_3d(surface, targets, levels: Sequence[float], tables, *,
                          kinds: Sequence[str] = KERNEL_KINDS, eps: float = 0.1,
-                         rho: Callable | None = None, probe_source: str = "fd",
-                         jacobian: str = "fd",
-                         origin_shift: Sequence[float] = (0.0, 0.0, 0.0),
-                         reference_h: float | None = None,
+                         rho: Callable | None = None,
                          include_baseline: bool = False,
                          progress: Callable | None = None) -> dict:
     """Self-convergence study of the corrected rule over grid spacings.
 
     Evaluates every (kernel, target) pair at each spacing plus a reference
-    spacing (half the finest by default), reports E(h) = |V(h) - V(h_ref)|
-    and the observed orders log(E_i/E_{i+1}) / log(h_i/h_{i+1}).  The tube
-    and the per-target probes are rebuilt per level from the grid alone, so
-    frames, curvatures, third derivatives and J all carry the resolution
-    being measured.
+    spacing at half the finest, reports E(h) = |V(h) - V(h_ref)| and the
+    observed orders log(E_i/E_{i+1}) / log(h_i/h_{i+1}).  The tube and the
+    per-target probes are rebuilt per level from the grid alone, so frames,
+    curvatures, third derivatives and J all carry the resolution being
+    measured.
 
-    Returns a dict with the raw values, per-row records ready for tabulation,
-    and the mean observed order per kernel (baseline rows, when requested,
-    are keyed "<kind>:baseline" and excluded from the means).
+    Returns a dict with the raw values; per-target ``rows`` ready for
+    tabulation; ``mean_rows``, which average the per-target errors at each
+    level and carry the orders of those averages; the averaged errors per
+    label in ``mean_errors``; and the mean of the per-target orders per
+    kernel in ``mean_orders``.  Baseline rows, when requested, are labelled
+    "<kind>:baseline" and follow the corrected ones; they have no
+    ``mean_orders`` entry.
     """
     hs = [float(h) for h in levels]
-    if len(hs) < 2 or any(b >= a for a, b in zip(hs, hs[1:])):
+    if len(hs) < 2 or hs[-1] <= 0 or any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("levels must be a strictly decreasing list of at "
-                         "least two spacings")
-    h_ref = float(reference_h) if reference_h is not None else hs[-1] / 2.0
-    if h_ref >= hs[-1]:
-        raise ValueError("reference spacing must be finer than every level")
+                         "least two positive spacings")
+    h_ref = hs[-1] / 2.0
     pts = _study_targets(surface, targets)
     for kind in kinds:
         if kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {kind!r}")
 
-    all_h = hs + [h_ref]
     values: dict[tuple[str, int, float], float] = {}
-    for h in all_h:
-        tube = build_tube(surface, h, eps, rho=rho, origin_shift=origin_shift,
-                          jacobian=jacobian)
+    for h in hs + [h_ref]:
+        tube = build_tube(surface, h, eps, rho=rho)
         if progress is not None:
             progress(f"h={h:.6g}: tube has {tube.n_nodes} nodes")
         for ti, x in enumerate(pts):
-            probe = _default_probe(surface, x, h, probe_source)
+            probe = _default_probe(surface, x, h)
             for kind in kinds:
                 values[(kind, ti, h)] = evaluate_V3(
                     kind, surface, rho, x, h, eps, tables,
@@ -657,33 +609,34 @@ def convergence_study_3d(surface, targets, levels: Sequence[float], tables, *,
                     values[(f"{kind}:baseline", ti, h)] = evaluate_punctured3(
                         kind, surface, rho, x, h, eps, tube=tube)
 
-    def order_rows(label: str, kind_key: str, ti: int) -> list[dict]:
-        errs = [abs(values[(kind_key, ti, h)] - values[(kind_key, ti, h_ref)])
-                for h in hs]
-        rows = []
-        for i, h in enumerate(hs):
-            order = None
-            if i + 1 < len(hs) and errs[i] > 0 and errs[i + 1] > 0:
-                order = math.log(errs[i] / errs[i + 1]) / math.log(hs[i] / hs[i + 1])
-            rows.append({"kind": label, "target": ti, "h": h,
-                         "value": values[(kind_key, ti, h)],
-                         "error": errs[i], "order": order})
-        return rows
-
-    rows: list[dict] = []
-    mean_orders: dict[str, float] = {}
-    for kind in kinds:
-        kind_orders = []
-        for ti in range(len(pts)):
-            rws = order_rows(kind, kind, ti)
-            rows.extend(rws)
-            kind_orders.extend(r["order"] for r in rws if r["order"] is not None)
-        mean_orders[kind] = float(np.mean(kind_orders)) if kind_orders else math.nan
+    labels = list(kinds)
     if include_baseline:
-        for kind in kinds:
-            for ti in range(len(pts)):
-                rows.extend(order_rows(f"{kind}:baseline", f"{kind}:baseline", ti))
+        labels += [f"{kind}:baseline" for kind in kinds]
+    rows: list[dict] = []
+    mean_rows: list[dict] = []
+    mean_errors: dict[str, list[float]] = {}
+    mean_orders: dict[str, float] = {}
+    for label in labels:
+        errs = [[abs(values[(label, ti, h)] - values[(label, ti, h_ref)])
+                 for h in hs] for ti in range(len(pts))]
+        label_rows = [{"kind": label, "target": ti, "h": h,
+                       "value": values[(label, ti, h)], "error": e,
+                       "order": order}
+                      for ti in range(len(pts))
+                      for h, e, order in zip(hs, errs[ti],
+                                             _level_orders(errs[ti], hs))]
+        rows.extend(label_rows)
+        means = [float(np.mean([e[i] for e in errs])) for i in range(len(hs))]
+        mean_errors[label] = means
+        mean_rows.extend({"kind": label, "target": "mean", "h": h,
+                          "value": None, "error": e, "order": order}
+                         for h, e, order in zip(hs, means,
+                                                _level_orders(means, hs)))
+        if label in kinds:
+            orders = [r["order"] for r in label_rows if r["order"] is not None]
+            mean_orders[label] = float(np.mean(orders)) if orders else math.nan
 
     return {"levels": hs, "reference_h": h_ref, "eps": eps,
             "targets": pts, "values": values, "rows": rows,
+            "mean_rows": mean_rows, "mean_errors": mean_errors,
             "mean_orders": mean_orders}

@@ -38,7 +38,7 @@ __all__ = [
     "PrincipalFrame",
     "CubicSurfaceModel",
     "KernelExpansion",
-    "kernel_eval",
+    "kernel_values",
     "build_frame",
     "expansion_at_plane",
     "projection_expansion_report",
@@ -46,10 +46,13 @@ __all__ = [
     "KERNEL_KINDS",
     "FrameAxisError",
     "CurvatureLimitError",
-    "SingularEvaluationError",
 ]
 
 KERNEL_KINDS = ("SL", "DL", "DLC")
+
+# kernel values are zeroed (and the node dropped from every rule) when a
+# lattice node lands on the singular line closer than this
+EXACT_HIT_RADIUS = 1e-13
 
 # permutation of world coordinates that puts the dominant axis last; all
 # three are cyclic, so a right-handed frame stays right-handed
@@ -64,35 +67,29 @@ class CurvatureLimitError(ValueError):
     """A plane offset eta reaches 1/kappa, where the expansion breaks down."""
 
 
-class SingularEvaluationError(ZeroDivisionError):
-    """Direct kernel evaluation requested at (numerically) zero distance."""
-
-
-def kernel_eval(kind: str, xstar: np.ndarray, y: np.ndarray, surface) -> np.ndarray:
-    """Evaluate a layer kernel at (x*, P(y)) with normals from the surface.
+def kernel_values(kind: str, xstar: np.ndarray, nstar: np.ndarray,
+                  foot: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """Layer kernel K(x*, P(y)) at surface points P(y), vectorized over rows.
 
     kind 'SL': 1/(4 pi r); 'DL': -(P(y)-x*).n_y / (4 pi r^3); 'DLC':
-    +(P(y)-x*).n_x / (4 pi r^3), where r = |P(y) - x*|, n_y is the outward
-    normal at P(y) and n_x the outward normal at x*.  Vectorized over the
-    leading axes of y.  Raises SingularEvaluationError if any r < 1e-14.
+    +(P(y)-x*).n_x / (4 pi r^3), where r = |P(y) - x*|, ``foot`` holds the
+    (N, 3) points P(y), ``normal`` the (N, 3) outward normals n_y there and
+    ``nstar`` the outward normal n_x at x*.  Points closer to x* than
+    EXACT_HIT_RADIUS (exact hits of the singular line) get the value 0; the
+    quadratures handle them separately.
     """
     if kind not in KERNEL_KINDS:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    xstar = np.asarray(xstar, dtype=float)
-    y = np.asarray(y, dtype=float)
-    p = surface.project(y)
-    diff = p - xstar
-    r = np.linalg.norm(diff, axis=-1)
-    if np.any(r < 1e-14):
-        raise SingularEvaluationError(
-            "kernel evaluated on the normal line of the target")
-    if kind == "SL":
-        return 1.0 / (4.0 * np.pi * r)
-    if kind == "DL":
-        ny = surface.normal(y)
-        return -np.sum(diff * ny, axis=-1) / (4.0 * np.pi * r**3)
-    nx = surface.normal(xstar)
-    return np.sum(diff * nx, axis=-1) / (4.0 * np.pi * r**3)
+        raise ValueError(f"kind must be one of {KERNEL_KINDS}, got {kind!r}")
+    diff = foot - xstar
+    r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "SL":
+            val = 1.0 / (4.0 * np.pi * r)
+        elif kind == "DL":
+            val = -np.einsum("ij,ij->i", diff, normal) / (4.0 * np.pi * r ** 3)
+        else:  # DLC
+            val = diff @ nstar / (4.0 * np.pi * r ** 3)
+    return np.where(r < EXACT_HIT_RADIUS, 0.0, val)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -33,14 +33,12 @@ __all__ = [
     "PTILDE",
     "STENCIL_OFFSETS",
     "correction_monomials",
-    "build_stencil",
     "stencil_for_order",
     "trapezoidal",
     "punctured_trapezoidal",
     "locate_singularity",
     "corrected_Qp",
     "composite_Up",
-    "symmetric_grid",
     "grid_with_offset",
 ]
 
@@ -271,8 +269,8 @@ class Stencil:
 # number of correction nodes used per order (at least p(p+1)/2)
 PTILDE = {1: 1, 2: 4, 3: 6, 4: 12}
 
-# frozen output of build_stencil(); kept literal so tables and tests can rely
-# on the node ordering
+# frozen correction stencils; kept literal so tables and tests can rely on
+# the node ordering
 STENCIL_OFFSETS: dict[int, tuple[tuple[int, int], ...]] = {
     1: ((0, 0),),
     2: ((0, 0), (1, 0), (1, 1), (0, 1)),
@@ -301,49 +299,6 @@ def correction_monomials(p: int) -> list[tuple[int, int]]:
     elif p == 4:
         monos.extend([(3, 1), (1, 3)])
     return monos
-
-
-def _unisolvent(offsets: Sequence[tuple[int, int]], monos: Sequence[tuple[int, int]],
-                probe: tuple[float, float] = (0.37, 0.21)) -> bool:
-    """Check the monomial/node matrix is invertible at a generic cell offset."""
-    u = np.array([(di - probe[0], dj - probe[1]) for (di, dj) in offsets])
-    m = np.array([[x ** a * y ** b for (x, y) in u] for (a, b) in monos])
-    if m.shape[0] != m.shape[1]:
-        return False
-    return np.linalg.cond(m) < 1e8
-
-
-def build_stencil(p: int) -> Stencil:
-    """Construct the order-p stencil around the anchor cell.
-
-    Nodes are taken nearest the center of the unit cell [0,1]^2, tie-broken by
-    angle from the anchor; a candidate that would make the monomial system
-    singular is skipped in favor of the next one.  The result matches
-    STENCIL_OFFSETS, which is the frozen form used everywhere else.
-    """
-    if p == 1:
-        return Stencil(1, ((0, 0),))
-    monos = correction_monomials(p)
-    want = PTILDE[p]
-    # candidates ordered by distance to cell center, then angle from anchor
-    cand = []
-    for di in range(-3, 5):
-        for dj in range(-3, 5):
-            d2 = (di - 0.5) ** 2 + (dj - 0.5) ** 2
-            ang = math.atan2(dj, di) % (2.0 * math.pi) if (di, dj) != (0, 0) else -1.0
-            cand.append((round(d2, 9), ang, (di, dj)))
-    cand.sort()
-    chosen: list[tuple[int, int]] = []
-    for _, _, od in cand:
-        if len(chosen) == want:
-            break
-        trial = chosen + [od]
-        if len(trial) == want and not _unisolvent(trial, monos):
-            continue
-        chosen.append(od)
-    if len(chosen) != want or not _unisolvent(chosen, monos):
-        raise RuntimeError(f"could not build a unisolvent {want}-node stencil for p={p}")
-    return Stencil(p, tuple(chosen))
 
 
 def stencil_for_order(p: int) -> Stencil:
@@ -593,12 +548,6 @@ def composite_Up(s: SingularFunction, v: Callable, x0: Sequence[float], grid: Gr
 # --------------------------------------------------------------------------
 # grid helpers for convergence studies
 # --------------------------------------------------------------------------
-
-def symmetric_grid(h: float, half_width: float, origin: tuple[float, float] = (0.0, 0.0)) -> Grid2:
-    """Grid covering [-half_width, half_width]^2 around origin."""
-    n = int(math.ceil(half_width / h))
-    return Grid2(h=h, origin=origin, extent=((-n, n), (-n, n)))
-
 
 def grid_with_offset(h: float, half_width: float, x0: Sequence[float],
                      alpha: float, beta: float) -> Grid2:

@@ -36,7 +36,6 @@ import dataclasses
 import json
 import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -59,7 +58,6 @@ __all__ = [
     "WeightTable",
     "IllConditionedStencilError",
     "WeightConvergenceError",
-    "TailTruncationWarning",
     "singular_moment",
     "weights_at_h",
     "weights_limit",
@@ -98,10 +96,6 @@ class WeightConvergenceError(RuntimeError):
         self.best_j = best_j
         self.best_diff = best_diff
         self.best_weights = best_weights
-
-
-class TailTruncationWarning(UserWarning):
-    """phi has Fourier content beyond what a weight table resolves."""
 
 
 # --------------------------------------------------------------------------
@@ -1015,20 +1009,12 @@ def interpolate_weights(table: WeightTable, term: SingularTerm,
     Combines the tabulated per-mode weights linearly with phi's Fourier
     coefficients, then interpolates over the offset cell with tensor cubic
     Lagrange polynomials on the surrounding 4x4 lattice patch.  At lattice
-    points the interpolation reproduces table entries exactly.
-
-    Emits TailTruncationWarning if phi has Fourier content beyond the
-    table's mode range (more than 1e-10 of its norm).
+    points the interpolation reproduces table entries exactly.  Modes
+    beyond the table's range are dropped.
     """
     if term.k != table.k:
         raise ValueError(f"table is for k={table.k}, term has k={term.k}")
     coeffs = _term_coefficients(term, cutoff=1e-12)
-    first = table.n_modes + 1
-    tail = float(np.sum(np.abs(term.a[first:]) + np.abs(term.b[first:])))
-    if tail > 1e-10 * term.norm:
-        warnings.warn(
-            f"phi has Fourier mass {tail:.2e} beyond mode {table.n_modes}; "
-            f"the interpolated weights ignore it", TailTruncationWarning)
     grid_n, step, lo = table.grid_n, table.step, table.domain_lo
     hi = lo + 1.0
     a_off, b_off = offset.alpha, offset.beta

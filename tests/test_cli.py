@@ -19,7 +19,6 @@ from ctquad import weights as wt
 
 
 pytestmark = [
-    pytest.mark.filterwarnings("ignore::ctquad.weights.TailTruncationWarning"),
     pytest.mark.filterwarnings("ignore::ctquad.geometry.GeometryAsymmetryWarning"),
 ]
 
@@ -341,12 +340,22 @@ def test_ibim3d_smoke_rows_and_mean(tmp_path):
 
 @pytest.mark.usefixtures("table02", "table11")
 def test_ibim3d_determinism(tmp_path):
-    args = ("ibim3d", "run", "--h0", "0.09", "--count", "3", "--targets", "1",
-            "--kernel", "DL", "--seed", "4")
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli(*args, "--out", str(a)) == 0
-    assert run_cli(*args, "--out", str(b)) == 0
-    assert a.read_bytes() == b.read_bytes()
+    # with and without the uncorrected baseline rows; reruns are
+    # byte-identical, and the baseline adds its own mean rows
+    for extra in ((), ("--baseline",)):
+        args = ("ibim3d", "run", "--h0", "0.09", "--count", "3", "--targets",
+                "1", "--kernel", "DL", "--seed", "4", *extra)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(*args, "--out", str(a)) == 0
+        assert run_cli(*args, "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert ((tmp_path / "a.json").read_bytes()
+                == (tmp_path / "b.json").read_bytes())
+        body = "\n".join(ln for ln in a.read_bytes().decode().split("\r\n")
+                         if ln and not ln.startswith("# "))
+        mean = [r["kernel"] for r in csv.DictReader(io.StringIO(body))
+                if r["target"] == "mean"]
+        assert mean == ["DL"] * 3 + ["DL:baseline"] * 3 * len(extra)
 
 
 # --------------------------------------------------------------------------

@@ -12,10 +12,9 @@ from ctquad.kernels3d import (
     CurvatureLimitError,
     FrameAxisError,
     KernelExpansion,
-    SingularEvaluationError,
     build_frame,
     expansion_at_plane,
-    kernel_eval,
+    kernel_values,
     projection_expansion_report,
 )
 from ctquad.surfaces import Sphere, tilted_torus
@@ -56,6 +55,12 @@ def world_from_plane(origin, axis, y):
     return (np.asarray(origin)[perm] + padded)[..., inv]
 
 
+def direct_kernel(kind, xstar, y, surface):
+    """K(x*, P(y)) for (N, 3) points y, with the surface's own normals."""
+    return kernel_values(kind, xstar, surface.normal(xstar),
+                         surface.project(y), surface.normal(y))
+
+
 # ---------------------------------------------------------------------------
 # direct kernel evaluation
 # ---------------------------------------------------------------------------
@@ -63,9 +68,9 @@ def world_from_plane(origin, axis, y):
 def test_kernel_eval_unit_distance():
     s = Sphere(1.0)
     xstar = np.array([1.0, 0.0, 0.0])
-    y = np.array([0.0, 0.0, 1.2])  # projects to (0, 0, 1), distance sqrt(2)
-    val = kernel_eval("SL", xstar, y, s)
-    assert val == pytest.approx(1.0 / (4 * np.pi * np.sqrt(2)))
+    y = np.array([[0.0, 0.0, 1.2]])  # projects to (0, 0, 1), distance sqrt(2)
+    val = direct_kernel("SL", xstar, y, s)
+    assert val[0] == pytest.approx(1.0 / (4 * np.pi * np.sqrt(2)))
 
 
 def test_kernel_eval_dl_dlc_identity(torus):
@@ -80,8 +85,9 @@ def test_kernel_eval_dl_dlc_identity(torus):
     r = np.linalg.norm(p - xstar)
     nx, ny = torus.normal(xstar), torus.normal(y)
     expect = (p - xstar) @ (nx - ny) / (4 * np.pi * r**3)
-    total = kernel_eval("DL", xstar, y, torus) + kernel_eval("DLC", xstar, y, torus)
-    assert total == pytest.approx(expect, rel=1e-12)
+    total = (direct_kernel("DL", xstar, y[None], torus)
+             + direct_kernel("DLC", xstar, y[None], torus))
+    assert total[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_kernel_eval_sphere_pointwise():
@@ -92,23 +98,29 @@ def test_kernel_eval_sphere_pointwise():
     y = s.project(s.center + rng.standard_normal((20, 3)))
     r = np.linalg.norm(y - xstar, axis=-1)
     expect = -1.0 / (8 * np.pi * 0.8 * r)
-    np.testing.assert_allclose(kernel_eval("DL", xstar, y, s), expect,
+    np.testing.assert_allclose(direct_kernel("DL", xstar, y, s), expect,
                                rtol=1e-10)
-    np.testing.assert_allclose(kernel_eval("DLC", xstar, y, s), expect,
+    np.testing.assert_allclose(direct_kernel("DLC", xstar, y, s), expect,
                                rtol=1e-10)
 
 
 def test_kernel_eval_singular_guard(torus):
+    # a point on the target's normal line projects onto the target: that
+    # exact hit reads 0 (the quadratures treat it separately), its
+    # neighbours stay finite and nonzero
     xstar = torus.param_point(0.4, 0.9)
     n = torus.normal(xstar)
-    with pytest.raises(SingularEvaluationError):
-        kernel_eval("SL", xstar, xstar + 0.03 * n, torus)
+    y = np.array([xstar + 0.03 * n, torus.param_point(0.5, 0.9)])
+    for kind in ("SL", "DL", "DLC"):
+        vals = direct_kernel(kind, xstar, y, torus)
+        assert vals[0] == 0.0
+        assert np.isfinite(vals[1]) and vals[1] != 0.0
 
 
 def test_kernel_eval_vectorized(torus):
     xstar = torus.param_point(0.4, 0.9)
     pts = torus.param_point(np.linspace(1, 5, 7), np.linspace(0, 3, 7))
-    vals = kernel_eval("SL", xstar, pts, torus)
+    vals = direct_kernel("SL", xstar, pts, torus)
     assert vals.shape == (7,)
     assert np.all(vals > 0)
 
@@ -306,7 +318,7 @@ def test_taylor_consistency_torus(torus, torus_probe, kind):
         res = []
         for r in radii:
             pts = world_from_plane(origin, axis, r * dirs)
-            s = kernel_eval(kind, probe.xstar, pts, torus)
+            s = direct_kernel(kind, probe.xstar, pts, torus)
             approx = ex.s0_eval(kind, r * dirs) + ex.s1_eval(kind, r * dirs)
             res.append(np.max(np.abs(s - approx)))
         res = np.array(res)
@@ -331,7 +343,7 @@ def test_taylor_consistency_sphere():
                      np.sin(2 * np.pi * np.arange(8) / 8)], axis=-1)
     for r in (1e-2, 1e-3):
         pts = world_from_plane(xstar, axis, r * dirs)
-        exact = kernel_eval("DL", xstar, pts, s)
+        exact = direct_kernel("DL", xstar, pts, s)
         approx = ex.s0_eval("DL", r * dirs) + ex.s1_eval("DL", r * dirs)
         assert np.max(np.abs(exact - approx)) < 0.2 * r
 

@@ -8,8 +8,6 @@ same coefficients and the same dict order, because every downstream sum
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -17,14 +15,9 @@ from ctquad import cli
 from ctquad.geometry import surface_probe
 from ctquad.ibim3d import dominant_direction
 from ctquad.kernels3d import CubicSurfaceModel, build_frame, expansion_at_plane
-from ctquad.quad_core import GridOffset, SingularTerm
+from ctquad.quad_core import SingularTerm
 from ctquad.surfaces import tilted_torus
-from ctquad.weights import (
-    TailTruncationWarning,
-    WeightTable,
-    _term_coefficients,
-    interpolate_weights,
-)
+from ctquad.weights import _term_coefficients
 
 
 def active_modes_loop(term: SingularTerm, cutoff: float = 1e-15) -> list[int]:
@@ -100,28 +93,3 @@ def test_coefficient_arrays_are_read_only(term):
     with pytest.raises(ValueError):
         term.b[1] = 1.0
 
-
-OFFSET = GridOffset(0.1, -0.2, (0, 0))
-
-
-def _zero_table(k: int) -> WeightTable:
-    """A 16-mode table of zeros: the tail check depends only on its mode count."""
-    n_modes, grid_n = 16, 5
-    return WeightTable(k=k, p=1, tol=1e-8, n_modes=n_modes, grid_n=grid_n,
-                       domain_lo=-0.5, stencil_offsets=((0, 0),),
-                       bump_r0=0.0, bump_R=1.0,
-                       data=np.zeros((2 * n_modes + 1, grid_n, grid_n, 1)),
-                       m_levels=np.zeros((2 * n_modes + 1, grid_n, grid_n), dtype=np.int8))
-
-
-def test_interpolation_warns_on_mass_beyond_mode_16():
-    spiky = SingularTerm.from_coefficients(0, 1.0, a=[0.0] * 16 + [0.5])
-    with pytest.warns(TailTruncationWarning, match="beyond mode 16"):
-        interpolate_weights(_zero_table(0), spiky, OFFSET)
-
-
-def test_interpolation_silent_within_mode_16():
-    term = SingularTerm.from_callable(0, cli.angular_phi0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", TailTruncationWarning)
-        interpolate_weights(_zero_table(0), term, OFFSET)

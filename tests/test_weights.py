@@ -25,7 +25,6 @@ from ctquad.weights import (
     DEFAULT_BUMP,
     IllConditionedStencilError,
     MomentCache,
-    TailTruncationWarning,
     WeightConvergenceError,
     _dual_coefficient,
     _dual_lattice_sums,
@@ -340,14 +339,6 @@ def test_interpolation_reproduces_lattice_points():
         direct = (tab.data[0, 1, 3] + 0.5 * tab.data[1, 1, 3]
                   + 0.25 * tab.data[2, 1, 3])
         assert float(w[0]) == float(direct[0])
-
-
-def test_interpolation_warns_on_unresolved_modes():
-    with tempfile.TemporaryDirectory() as td:
-        tab = _tiny_table(td)
-        spiky = SingularTerm.from_coefficients(1, 1.0, a=[0, 0, 0, 0.5])
-        with pytest.warns(TailTruncationWarning):
-            interpolate_weights(tab, spiky, GridOffset(0.1, 0.2, (0, 0)))
 
 
 def test_interpolation_rejects_wrong_k():
