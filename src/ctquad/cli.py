@@ -380,11 +380,15 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
                progress: Callable[[str], None] | None = None) -> dict:
     """Run one 2D study; returns per-level rows and per-method summaries.
 
-    Correction weights are resolved once per method at the study's fixed
-    cell offset and reused across levels (the offset is h-independent by
-    construction).  In "table" mode they are interpolated from the cached
-    tables instead, which caps the achievable accuracy at the table
-    tolerance; "exact" is the default for exactly that reason.
+    The single-term study runs once per k, correcting s_k at order p; the
+    general study corrects each expansion term s_k of its one function at
+    order p-1-k.  Every correction resolves its weights by the study's mode:
+
+    * "exact": `study_weights` once, at the first level's cell offset, reused
+      across levels (the offset is h-independent by construction);
+    * "table": `weights.interpolate_weights` at each level's own offset,
+      which caps the achievable accuracy at the table tolerance; "exact" is
+      the default for exactly that reason.
     """
     if config.study not in ("quad2d-sk", "quad2d-general"):
         raise ValueError(f"not a 2D study: {config.study!r}")
@@ -415,69 +419,62 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
                 "observed_order": observed_order(errs, config.ratio),
             })
 
+    def grid_at(h):
+        return grid_with_offset(h, config.half_width, x0, config.alpha, config.beta)
+
     if config.study == "quad2d-sk":
-        for k in config.k_values:
-            term = singular_benchmark_term(k)
-            g0 = grid_with_offset(hs[0], config.half_width, x0,
-                                  config.alpha, config.beta)
-            per_p: dict[int, dict] = {}
-            for p in config.p_values:
-                stencil, off = locate_singularity(x0, g0, p)
-                if config.weights_mode == "table":
-                    per_p[p] = {"table": load_table_checked(k, p, cache_dir)}
-                else:
-                    per_p[p] = {"weights": study_weights(term, off, stencil)}
-            values: dict[str, list[float]] = {"punctured": []}
-            for p in config.p_values:
-                values[f"corrected-{p}"] = []
-            for h in hs:
-                grid = grid_with_offset(h, config.half_width, x0,
-                                        config.alpha, config.beta)
-
-                def f(x, y):
-                    return term.evaluate(x - x0[0], y - x0[1]) * smooth_factor(x, y)
-
-                values["punctured"].append(punctured_trapezoidal(
-                    f, grid, skip_indices=[_nearest_node(grid, x0)]))
-                for p in config.p_values:
-                    values[f"corrected-{p}"].append(
-                        corrected_Qp(term, smooth_factor, x0, grid, p, **per_p[p]))
-                if progress:
-                    progress(f"quad2d-sk k={k}: h={h:.6g} done")
-            emit(config.study, k, values)
-        return {"config": config.as_dict(), "config_hash": config.config_hash(),
-                "hs": hs, "rows": rows, "summary": summary}
-
-    s = general_benchmark_function()
-    g0 = grid_with_offset(hs[0], config.half_width, x0, config.alpha, config.beta)
-    per_p = {}
-    for p in config.p_values:
+        cases = [(k, singular_benchmark_term(k)) for k in config.k_values]
+    else:
+        cases = [(None, general_benchmark_function())]
+    for k, s in cases:
+        single = k is not None
+        label = f"{config.study} k={k}" if single else config.study
+        method = "corrected" if single else "composite"
+        singular = s.evaluate if single else s.full
+        # the (term, correction order) pairs each order-p rule corrects
+        parts = {p: [(s, p)] if single
+                 else [(s.terms[kk], p - 1 - kk) for kk in range(p - 1)]
+                 for p in config.p_values}
         if config.weights_mode == "table":
-            per_p[p] = {"tables": {kk: load_table_checked(kk, p - 1 - kk, cache_dir)
-                                   for kk in range(p - 1)}}
+            tables = {p: [load_table_checked(t.k, q, cache_dir) for t, q in parts[p]]
+                      for p in config.p_values}
+
+            # the offset moves by an ulp between levels: each level looks up
+            # its own
+            def weights_at(p, grid):
+                return [wt.interpolate_weights(
+                            table, t, locate_singularity(x0, grid, q)[1])
+                        for (t, q), table in zip(parts[p], tables[p])]
         else:
-            wbk = {}
-            for kk in range(p - 1):
-                stencil, off = locate_singularity(x0, g0, p - 1 - kk)
-                wbk[kk] = study_weights(s.terms[kk], off, stencil)
-            per_p[p] = {"weights_by_k": wbk}
-    values = {"punctured": []}
-    for p in config.p_values:
-        values[f"composite-{p}"] = []
-    for h in hs:
-        grid = grid_with_offset(h, config.half_width, x0, config.alpha, config.beta)
+            g0 = grid_at(hs[0])
+            fixed: dict[int, list[np.ndarray]] = {}
+            for p in config.p_values:
+                fixed[p] = []
+                for t, q in parts[p]:
+                    stencil, off = locate_singularity(x0, g0, q)
+                    fixed[p].append(study_weights(t, off, stencil))
+
+            def weights_at(p, grid):
+                return fixed[p]
 
         def f(x, y):
-            return np.asarray(s.full(x - x0[0], y - x0[1])) * smooth_factor(x, y)
+            return np.asarray(singular(x - x0[0], y - x0[1])) * smooth_factor(x, y)
 
-        values["punctured"].append(punctured_trapezoidal(
-            f, grid, skip_indices=[_nearest_node(grid, x0)]))
+        values: dict[str, list[float]] = {"punctured": []}
         for p in config.p_values:
-            values[f"composite-{p}"].append(
-                composite_Up(s, smooth_factor, x0, grid, p, **per_p[p]))
-        if progress:
-            progress(f"quad2d-general: h={h:.6g} done")
-    emit(config.study, None, values)
+            values[f"{method}-{p}"] = []
+        for h in hs:
+            grid = grid_at(h)
+            values["punctured"].append(punctured_trapezoidal(
+                f, grid, [_nearest_node(grid, x0)]))
+            for p in config.p_values:
+                ws = weights_at(p, grid)
+                values[f"{method}-{p}"].append(
+                    corrected_Qp(s, smooth_factor, x0, grid, p, ws[0]) if single
+                    else composite_Up(s, smooth_factor, x0, grid, p, ws))
+            if progress:
+                progress(f"{label}: h={h:.6g} done")
+        emit(config.study, k, values)
     return {"config": config.as_dict(), "config_hash": config.config_hash(),
             "hs": hs, "rows": rows, "summary": summary}
 

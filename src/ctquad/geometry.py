@@ -37,7 +37,6 @@ __all__ = [
     "JACOBIAN_STENCIL",
     "displaced_feet",
     "projection_jacobian",
-    "jacobian_J",
     "canonical_tangent_frame",
     "fd_gradient",
     "fd_hessian",
@@ -289,19 +288,6 @@ def projection_jacobian(feet: np.ndarray, step: float) -> np.ndarray:
     return (S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] ** 2
             + S[..., 0, 0] * S[..., 2, 2] - S[..., 0, 2] ** 2
             + S[..., 1, 1] * S[..., 2, 2] - S[..., 1, 2] ** 2)
-
-
-def jacobian_J(eta, H, G):
-    """Area-element ratio from level-set mean and Gaussian curvature.
-
-    J = 1 + 2*eta*H + eta^2*G with H = (g1 + g2)/2 and G = g1*g2 of the level
-    set through the point, equal to (1 + eta*g1)(1 + eta*g2).  Vectorized;
-    rejects non-positive values, which mean the tube is wider than the reach.
-    """
-    J = 1.0 + 2.0 * np.asarray(eta) * np.asarray(H) + np.asarray(eta) ** 2 * np.asarray(G)
-    if np.any(J <= 0.0):
-        raise ValueError("non-positive area ratio: tube extends past the reach")
-    return J
 
 
 @dataclasses.dataclass(frozen=True)

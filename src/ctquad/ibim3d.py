@@ -186,18 +186,17 @@ class TubeGrid:
         return rows, found
 
 
-def build_tube(surface, h: float, eps: float, *, rho: Callable | None = None,
-               origin_shift: Sequence[float] = (0.0, 0.0, 0.0),
-               jacobian: str = "fd") -> TubeGrid:
+def build_tube(surface, h: float, eps: float, *,
+               rho: Callable | None = None) -> TubeGrid:
     """Scan an axis-aligned lattice and keep the nodes with |d| <= eps.
 
     The kept nodes carry everything the quadratures need: signed distance,
     projection, normal, area ratio J, surface density rho(P), and the
     assembled smooth factor v = rho * delta_eps(d) * J.
 
-    jacobian="fd" (default) differentiates the projection map with 4th-order
-    centered differences (nodes +-1, +-2 steps along each axis) and sums the
-    2x2 principal minors.  The step is the grid spacing h, capped at
+    J is the sum of the 2x2 principal minors of the projection map's
+    Jacobian, taken with 4th-order centered differences (nodes +-1, +-2
+    steps along each axis).  The step is the grid spacing h, capped at
     0.45 * (reach - eps) so the difference points stay clear of the
     surface's medial axis.  The feet it differences come one of two ways:
 
@@ -210,12 +209,8 @@ def build_tube(surface, h: float, eps: float, *, rho: Callable | None = None,
     * step < h (the cap binds, only on coarse grids): the 12 displaced
       points of every tube node are projected (geometry.displaced_feet).
 
-    jacobian="analytic" uses the surface's own level_jacobian (exact
-    curvature transfer) and is intended for debugging.
-
     The lattice starts MARGIN_CELLS cells (plus eps) below the surface's
-    bounding box, displaced by origin_shift (in units of h) so grid/surface
-    alignment is configurable.
+    bounding box.
     """
     if h <= 0:
         raise ValueError(f"grid spacing must be positive, got {h}")
@@ -225,12 +220,7 @@ def build_tube(surface, h: float, eps: float, *, rho: Callable | None = None,
     if eps >= reach:
         raise ValueError(f"tube half-width eps={eps} must be below the "
                          f"surface reach {reach}")
-    if jacobian not in ("fd", "analytic"):
-        raise ValueError(f"jacobian must be 'fd' or 'analytic', got {jacobian!r}")
-    if jacobian == "analytic" and not hasattr(surface, "level_jacobian"):
-        raise ValueError("surface does not provide level_jacobian; "
-                         "use jacobian='fd'")
-    step = min(h, 0.45 * (reach - eps)) if jacobian == "fd" else None
+    step = min(h, 0.45 * (reach - eps))
     from_lattice = step == h
     # a hair past eps + 2h, so that rounding in d cannot drop a stencil node
     width = eps + (BAND_CELLS + 1e-6) * h if from_lattice else eps
@@ -239,11 +229,8 @@ def build_tube(surface, h: float, eps: float, *, rho: Callable | None = None,
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     pad = eps + MARGIN_CELLS * h
-    origin = lo - pad + np.asarray(origin_shift, dtype=float) * h
-    counts = np.ceil((hi + pad - origin) / h).astype(int) + 1
-    if np.any(counts <= 0):
-        raise ValueError("lattice origin lies beyond the padded bounding box")
-    nx, ny, nz = (int(c) for c in counts)
+    origin = lo - pad
+    nx, ny, nz = (int(c) for c in np.ceil((hi + pad - origin) / h) + 1)
 
     ys = origin[1] + h * np.arange(ny)
     zs = origin[2] + h * np.arange(nz)
@@ -294,9 +281,7 @@ def build_tube(surface, h: float, eps: float, *, rho: Callable | None = None,
     for i0 in range(0, n, CHUNK):
         sl = slice(i0, i0 + CHUNK)
         normal[sl] = surface.normal(points[sl])
-        if jacobian == "analytic":
-            jac[sl] = surface.level_jacobian(points[sl])
-        elif from_lattice:
+        if from_lattice:
             rows = row_of[key[sl, None, None] + shifts]
             if np.any(rows < 0):
                 _raise_missing_neighbour(index[sl], rows, h)

@@ -4,8 +4,8 @@ Everything here integrates functions of the form s(x - x0) * v(x), where v is
 smooth and s blows up (or merely loses smoothness) at a single point x0.  The
 plain trapezoidal rule drops to low order on such integrands.  The corrected
 rules repair the accuracy order by order: they puncture the sum at a few nodes
-near x0 and add back weighted values of v at those nodes, with weights supplied
-by the `weights` module.
+near x0 and add back weighted values of v at those nodes.  The rules take
+their weights as arguments; the `weights` module computes them.
 
 Conventions used throughout:
 
@@ -376,26 +376,18 @@ def trapezoidal(f, grid: Grid2) -> float:
     return _eval_rows(f, grid)
 
 
-def punctured_trapezoidal(f, grid: Grid2, stencil: Stencil | None = None,
-                          offset: GridOffset | None = None,
-                          skip_indices: Sequence[tuple[int, int]] | None = None) -> float:
-    """Trapezoidal rule with the stencil nodes (or an explicit index list) left out.
+def punctured_trapezoidal(f, grid: Grid2,
+                          skip_indices: Sequence[tuple[int, int]]) -> float:
+    """Trapezoidal rule with the listed nodes left out.
 
-    The excluded nodes are never evaluated, so f may be singular there.
+    The excluded nodes are never evaluated, so f may be singular there.  The
+    corrected rules pass ``stencil.node_indices(offset.anchor)``.
     """
     skip: set[tuple[int, int]] = set()
-    if stencil is not None:
-        if offset is None:
-            raise ValueError("stencil given without its GridOffset")
-        for idx in stencil.node_indices(offset.anchor):
-            if not grid.contains_index(*idx):
-                raise ValueError(f"excluded node {idx} lies outside the grid extent")
-            skip.add(idx)
-    if skip_indices is not None:
-        for idx in skip_indices:
-            if not grid.contains_index(*idx):
-                raise ValueError(f"excluded node {idx} lies outside the grid extent")
-            skip.add(tuple(idx))
+    for idx in skip_indices:
+        if not grid.contains_index(*idx):
+            raise ValueError(f"excluded node {idx} lies outside the grid extent")
+        skip.add(tuple(idx))
     return _eval_rows(f, grid, skip)
 
 
@@ -435,45 +427,43 @@ def locate_singularity(x0: Sequence[float], grid: Grid2, p: int) -> tuple[Stenci
 # corrected rules
 # --------------------------------------------------------------------------
 
-def _correction_weights(term: SingularTerm, offset: GridOffset, stencil: Stencil,
-                        table=None, weights=None) -> np.ndarray:
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.size != stencil.p_tilde:
-            raise ValueError(f"expected {stencil.p_tilde} weights, got {w.size}")
-        return w
-    if table is not None:
-        from . import weights as _weights
-        return _weights.interpolate_weights(table, term, offset)
-    from . import weights as _weights
-    w, _hstar = _weights.weights_limit(term, offset, stencil)
+def _node_values(f, grid: Grid2, indices) -> np.ndarray:
+    """f at each listed node, called on one node's 0-d coordinates at a time."""
+    return np.array([float(f(*map(np.asarray, grid.node_xy(i, j))))
+                     for (i, j) in indices])
+
+
+def _checked_weights(weights, stencil: Stencil) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if w.size != stencil.p_tilde:
+        raise ValueError(f"the order-{stencil.p} stencil expects {stencil.p_tilde} "
+                         f"weights, got {w.size}")
     return w
 
 
 def corrected_Qp(term: SingularTerm, v: Callable, x0: Sequence[float], grid: Grid2,
-                 p: int, table=None, weights=None) -> float:
+                 p: int, weights) -> float:
     """Order-p corrected trapezoidal rule for s_k(x - x0) * v(x).
 
     The punctured sum runs over every grid node outside the stencil; the
     correction adds h**(k+1) * sum_i w_i * v(node_i) over the stencil nodes.
-    Weights come from an explicit array, a weight table, or (by default) a
-    direct limit computation.
+    ``weights`` are the p_tilde weights of this term at this grid's offset of
+    x0 (see the `weights` module).
     """
     stencil, offset = locate_singularity(x0, grid, p)
+    w = _checked_weights(weights, stencil)
+    nodes = stencil.node_indices(offset.anchor)
 
     def f(x, y):
         return term.evaluate(x - x0[0], y - x0[1]) * v(x, y)
 
-    t0 = punctured_trapezoidal(f, grid, stencil, offset)
-    w = _correction_weights(term, offset, stencil, table=table, weights=weights)
-    nodes = stencil.node_indices(offset.anchor)
-    vx = np.array([float(v(*map(np.asarray, grid.node_xy(i, j)))) for (i, j) in nodes])
-    corr = grid.h ** (term.k + 1) * float(np.dot(w, vx))
-    return t0 + corr
+    t0 = punctured_trapezoidal(f, grid, nodes)
+    vx = _node_values(v, grid, nodes)
+    return t0 + grid.h ** (term.k + 1) * float(np.dot(w, vx))
 
 
 def composite_Up(s: SingularFunction, v: Callable, x0: Sequence[float], grid: Grid2,
-                 p: int, tables=None, weights_by_k=None) -> float:
+                 p: int, weights_by_k) -> float:
     """Composite corrected rule of order p for s(x - x0) * v(x), 2 <= p <= 5.
 
     Applies the order-(p-1-k) correction to each expansion term s_k,
@@ -487,8 +477,8 @@ def composite_Up(s: SingularFunction, v: Callable, x0: Sequence[float], grid: Gr
       minus the anchor (where only the k=p-2 correction, a bare one-node rule,
       is active).
 
-    ``tables`` may map k to a WeightTable; ``weights_by_k`` may map k to an
-    explicit weight array (used in tests).
+    ``weights_by_k[k]`` are the weights of s_k's correction at this grid's
+    offset of x0, for k = 0..p-2.
     """
     if not 2 <= p <= 5:
         raise ValueError(f"composite rule supports p = 2..5, got {p}")
@@ -498,51 +488,43 @@ def composite_Up(s: SingularFunction, v: Callable, x0: Sequence[float], grid: Gr
     h = grid.h
     # stencil and offset per correction order q = p-1-k
     located = {q: locate_singularity(x0, grid, q) for q in range(1, p)}
+    weights = [_checked_weights(weights_by_k[k], located[p - 1 - k][0])
+               for k in range(p - 1)]
     big_stencil, big_off = located[p - 1]
     big_nodes = big_stencil.node_indices(big_off.anchor)
-    big_set = set(big_nodes)
+    # the largest stencil holds every smaller one, so v is needed only there
+    vx = dict(zip(big_nodes, _node_values(v, grid, big_nodes)))
+
+    def times_v(g, nodes) -> np.ndarray:
+        """g(x - x0) * v(x) at each of the given nodes."""
+        gx = _node_values(lambda x, y: g(x - x0[0], y - x0[1]), grid, nodes)
+        return gx * np.array([vx[idx] for idx in nodes])
 
     def fv(x, y):
         return np.asarray(s.full(x - x0[0], y - x0[1])) * v(x, y)
 
-    total = punctured_trapezoidal(fv, grid, skip_indices=list(big_set))
-
-    def node_vals(term: SingularTerm, indices):
-        out = 0.0
-        for (i, j) in indices:
-            x, y = grid.node_xy(i, j)
-            out += float(term.evaluate(np.asarray(x - x0[0]), np.asarray(y - x0[1]))
-                         * v(np.asarray(x), np.asarray(y)))
-        return out
+    total = punctured_trapezoidal(fv, grid, big_nodes)
 
     # per-term corrections + ring re-additions
-    for k in range(0, p - 1):
-        q = p - 1 - k
-        stencil, off = located[q]
-        term = s.terms[k]
+    for k in range(p - 1):
+        stencil, off = located[p - 1 - k]
+        nodes = stencil.node_indices(off.anchor)
         if 1 <= k <= p - 3:
-            ring = [idx for idx in big_nodes
-                    if idx not in set(stencil.node_indices(off.anchor))]
-            total += h * h * node_vals(term, ring)
-        table = tables.get(k) if tables else None
-        wexp = weights_by_k.get(k) if weights_by_k else None
-        w = _correction_weights(term, off, stencil, table=table, weights=wexp)
-        vx = np.array([float(v(*map(np.asarray, grid.node_xy(i, j))))
-                       for (i, j) in stencil.node_indices(off.anchor)])
-        total += h ** (k + 1) * float(np.dot(w, vx))
+            # a left-to-right sum, which keeps the study outputs' bits
+            ring = 0.0
+            for val in times_v(s.terms[k].evaluate,
+                               [idx for idx in big_nodes if idx not in nodes]):
+                ring += val
+            total += h * h * ring
+        vk = np.array([vx[idx] for idx in nodes])
+        total += h ** (k + 1) * float(np.dot(weights[k], vk))
 
-    # remainder on the largest stencil minus the anchor
-    anchor_idx = located[1][0].node_indices(located[1][1].anchor)[0]
-    rest = [idx for idx in big_nodes if idx != anchor_idx]
-    qrem = p - 3
-    for (i, j) in rest:
-        x, y = grid.node_xy(i, j)
-        dx, dy = np.asarray(x - x0[0]), np.asarray(y - x0[1])
-        val = np.asarray(s.full(dx, dy))
-        if qrem >= 0:
-            val = val - s.partial(qrem, dx, dy)
-        total += h * h * float(val * v(np.asarray(x), np.asarray(y)))
-    return total
+    # remainder on the largest stencil minus the anchor (all of s when p = 2)
+    anchor = located[1][1].anchor
+    rest = [idx for idx in big_nodes if idx != anchor]
+    for val in times_v(lambda dx, dy: s.remainder(p - 3, dx, dy), rest):
+        total += h * h * val
+    return float(total)
 
 
 # --------------------------------------------------------------------------

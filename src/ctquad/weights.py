@@ -58,7 +58,6 @@ __all__ = [
     "WeightTable",
     "IllConditionedStencilError",
     "WeightConvergenceError",
-    "singular_moment",
     "weights_at_h",
     "weights_limit",
     "weights_dual",
@@ -280,21 +279,6 @@ def _term_coefficients(term: SingularTerm, cutoff: float = 1e-14
         if big_b[m]:
             out[("s", m)] = float(term.b[m])
     return out
-
-
-def singular_moment(term: SingularTerm, monomial: tuple[int, int]) -> float:
-    """Exact integral of s_k(x) * g(|x|) * x^a y^b over the plane.
-
-    Separates into (radial moment of order k+a+b) x (angular moment per
-    Fourier mode of phi).
-    """
-    a, b = monomial
-    coeffs = _term_coefficients(term)
-    rad = _MOMENTS.radial_moment(term.k + a + b)
-    tot = _LD(0)
-    for mode, c in coeffs.items():
-        tot += _LD(c) * rad * _MOMENTS.angular_moment(mode, a, b)
-    return float(tot)
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,85 @@
+"""Reference computations that only the tests use.
+
+* `singular_moment`: the exact plane moments of a singular term, which the
+  weights layer folds into its moment equations without forming one alone;
+* `projection_expansion_report`: residuals of the closest-point map's local
+  expansion, the structure the kernel expansions rest on.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from ctquad.kernels3d import CubicSurfaceModel
+from ctquad.quad_core import SingularTerm
+from ctquad.weights import _LD, _MOMENTS, _term_coefficients
+
+
+def singular_moment(term: SingularTerm, monomial: tuple[int, int]) -> float:
+    """Exact integral of s_k(x) * g(|x|) * x^a y^b over the plane.
+
+    Separates into (radial moment of order k+a+b) x (angular moment per
+    Fourier mode of phi).
+    """
+    a, b = monomial
+    coeffs = _term_coefficients(term)
+    rad = _MOMENTS.radial_moment(term.k + a + b)
+    tot = _LD(0)
+    for mode, c in coeffs.items():
+        tot += _LD(c) * rad * _MOMENTS.angular_moment(mode, a, b)
+    return float(tot)
+
+
+def projection_expansion_report(surface, probe, zprime: float, *,
+                                fd_step: float = 2e-4,
+                                radius: float = 1e-3,
+                                n_directions: int = 8) -> dict:
+    """Diagnostics for the closest-point map's local expansion.
+
+    For the probe point x* + z'*n, writes the tangential frame coordinates of
+    the projection of nearby points x* + y1'*tau1 + y2'*tau2 + z'*n as
+    h(y', z') and checks, by central differences, the structure
+
+        h(0, z') = 0,
+        dh/dy'(0, z') = D(z') = (I - z' M)^{-1},
+        h(y', z') = D y' + z' D C(D y', D y') + O(|y'|^3).
+
+    Returns a dict with the three residuals (origin, jacobian, quadratic)
+    plus the inputs; purely diagnostic, raises nothing on large residuals.
+    """
+    model = CubicSurfaceModel.from_probe(probe)
+    xstar = np.asarray(probe.xstar, dtype=float)
+    tau = np.stack([probe.tau1, probe.tau2])  # (2, 3)
+    base = xstar + zprime * probe.n
+
+    def h(yp: np.ndarray) -> np.ndarray:
+        """Tangential projection coordinates; yp has shape (..., 2)."""
+        pts = base + np.asarray(yp, dtype=float) @ tau
+        return (surface.project(pts) - xstar) @ tau.T
+
+    origin_residual = float(np.linalg.norm(h(np.zeros(2))))
+
+    coef = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+    ks = np.array([-2.0, -1.0, 1.0, 2.0])
+    disp = np.zeros((2, 4, 2))
+    for a in range(2):
+        disp[a, :, a] = ks * fd_step
+    vals = h(disp.reshape(-1, 2)).reshape(2, 4, 2)
+    dh = np.einsum("akc,k->ca", vals, coef) / fd_step
+    kap = np.array([model.kappa1, model.kappa2])
+    D = np.diag(1.0 / (1.0 - zprime * kap))
+    jacobian_residual = float(np.max(np.abs(dh - D)))
+
+    ang = 2.0 * np.pi * np.arange(n_directions) / n_directions
+    yp = radius * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    dy = yp @ D.T
+    predicted = dy + zprime * (model.C(dy) @ D.T)
+    quadratic_residual = float(np.max(np.linalg.norm(h(yp) - predicted, axis=-1)))
+
+    return {
+        "zprime": float(zprime),
+        "origin_residual": origin_residual,
+        "jacobian_residual": jacobian_residual,
+        "quadratic_residual": quadratic_residual,
+        "fd_step": fd_step,
+        "radius": radius,
+    }

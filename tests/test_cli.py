@@ -149,6 +149,23 @@ def test_sk_table_mode_matches_exact_for_tight_tables(table02):
     assert np.allclose(ve, vt, atol=2e-6)
 
 
+def test_general_table_mode_matches_exact_for_tight_tables(table02, table11):
+    # composite-3 corrects s_0 with the (0,2) table and s_1 with the (1,1)
+    # one, looked up at each level's offset; both have tol 1e-8, so the
+    # values sit within ~4e-8 of the exact-weight ones (but are not equal)
+    kw = dict(study="quad2d-general", h0=0.3, count=5, p_values=(3,))
+    exact = cli.run_quad2d(cli.StudyConfig(weights_mode="exact", **kw))
+    table = cli.run_quad2d(cli.StudyConfig(weights_mode="table", **kw))
+    ve = [r["value"] for r in exact["rows"] if r["method"] == "composite-3"]
+    vt = [r["value"] for r in table["rows"] if r["method"] == "composite-3"]
+    assert ve != vt
+    assert np.allclose(ve, vt, rtol=0.0, atol=1e-6)
+    orders = [{s["method"]: s["observed_order"] for s in res["summary"]}
+              for res in (exact, table)]
+    assert orders[0]["composite-3"] == pytest.approx(orders[1]["composite-3"],
+                                                     abs=1e-3)
+
+
 def test_missing_table_error_names_build_command(tmp_path):
     cfg = cli.StudyConfig(study="quad2d-sk", h0=0.3, count=3, k_values=(0,),
                           p_values=(3,), weights_mode="table")

@@ -15,7 +15,6 @@ from ctquad.geometry import (
     fd_gradient,
     fd_hessian,
     hessian_eigenframe,
-    jacobian_J,
     projection_jacobian,
     surface_probe,
     third_derivatives,
@@ -268,19 +267,12 @@ def test_jacobian_routes_agree(torus):
         # exact reference from foot-point curvatures
         Jref = 1.0 / ((1 - eta * exact.kappa1) * (1 - eta * exact.kappa2))
         g1, g2, *_ = hessian_eigenframe(torus.distance, zbar, h=2e-3)
-        Ja = jacobian_J(eta, 0.5 * (g1 + g2), g1 * g2)
+        H, G = 0.5 * (g1 + g2), g1 * g2  # level-set mean and Gaussian curvature
+        Ja = 1.0 + 2.0 * eta * H + eta ** 2 * G
         Jp = projection_jacobian(
             displaced_feet(torus.project, zbar[None], 2e-3), 2e-3)[0]
         assert Ja == pytest.approx(Jref, abs=1e-8)
         assert Jp == pytest.approx(Jref, abs=1e-7)
-
-
-def test_jacobian_J_basics():
-    assert jacobian_J(0.0, 3.0, -1.0) == pytest.approx(1.0)
-    # cylinder-like: G = 0, linear in eta
-    assert jacobian_J(0.1, -0.5, 0.0) == pytest.approx(0.9)
-    with pytest.raises(ValueError):
-        jacobian_J(1.0, -1.0, 0.9)  # J = 1 - 2 + 0.9 < 0
 
 
 # ---------------------------------------------------------------------------

@@ -130,17 +130,22 @@ def test_tube_fields_and_lookup(sphere, sphere_tube):
 def test_tube_validation(sphere):
     with pytest.raises(ValueError, match="reach"):
         build_tube(sphere, 0.1, 1.5)
-    with pytest.raises(ValueError, match="jacobian"):
-        build_tube(sphere, 0.1, 0.1, jacobian="exact")
     with pytest.raises(ValueError, match="positive"):
         build_tube(sphere, -0.1, 0.1)
     with pytest.raises(ValueError, match="rho"):
         build_tube(sphere, 0.1, 0.1, rho=lambda p: np.zeros((3, 3)))
 
 
+def _analytic_jacobian_tube(surface, tube):
+    """The tube with J (and so v) from the surface's exact level_jacobian."""
+    J = surface.level_jacobian(tube.points)
+    return dataclasses.replace(
+        tube, jacobian=J, v=tube.density * delta_eps(tube.d, tube.eps) * J)
+
+
 def test_tube_analytic_jacobian_matches_fd(sphere):
     fd = build_tube(sphere, 0.05, 0.1)
-    an = build_tube(sphere, 0.05, 0.1, jacobian="analytic")
+    an = _analytic_jacobian_tube(sphere, fd)
     assert np.max(np.abs(fd.jacobian - an.jacobian)) < 1e-4
     # the weighted field v differs as little, relative to its own scale
     assert np.max(np.abs(fd.v - an.v)) < 1e-4 * np.max(np.abs(fd.v))
@@ -191,12 +196,21 @@ def test_tube_stencil_outside_band_is_named(sphere, monkeypatch):
         build_tube(sphere, 0.1, 0.1)
 
 
-def test_tube_stencil_off_lattice_is_named(sphere):
-    # a shift of 3.5 cells leaves less than the stencil's 2 cells below the
+class _ShrunkBoxSphere(Sphere):
+    """A sphere whose bounding box misses its lowest 0.35 along x."""
+
+    @property
+    def bounding_box(self):
+        lo, hi = super().bounding_box
+        return lo + np.array([0.35, 0.0, 0.0]), hi
+
+
+def test_tube_stencil_off_lattice_is_named():
+    # a box 3.5 cells short leaves less than the stencil's 2 cells below the
     # tube, where flattened lattice keys would wrap onto other nodes
     with pytest.raises(ValueError, match=r"tube node \(\d+, \d+, \d+\) "
                                          r"leaves the lattice"):
-        build_tube(sphere, 0.1, 0.1, origin_shift=(3.5, 0.0, 0.0))
+        build_tube(_ShrunkBoxSphere(1.0), 0.1, 0.1)
 
 
 def test_v_vanishes_at_tube_boundary(sphere_tube):
@@ -205,13 +219,6 @@ def test_v_vanishes_at_tube_boundary(sphere_tube):
     assert np.any(band)
     assert np.max(np.abs(tube.v[band])) < 1e-4 * np.max(np.abs(tube.v))
     assert float(delta_eps(tube.eps, tube.eps)) == 0.0
-
-
-def test_configurable_origin_shift(sphere):
-    a = build_tube(sphere, 0.1, 0.1)
-    b = build_tube(sphere, 0.1, 0.1, origin_shift=(0.5, 0.25, 0.0))
-    assert np.allclose(b.origin - a.origin, np.array([0.05, 0.025, 0.0]),
-                       atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +374,10 @@ def test_eps_independence(sphere, sphere_target, table02, table11):
 
 @pytest.mark.filterwarnings(*GEO_FILTERS)
 def test_analytic_jacobian_value_agrees(torus, torus_tube, table02, table11):
-    """Debug-flag J (exact curvature transfer) changes the value negligibly."""
+    """J from the exact level_jacobian changes the value negligibly."""
     xstar = torus.param_point(-0.7, 0.4)
     h, eps = torus_tube.h, torus_tube.eps
-    tube_an = build_tube(torus, h, eps, jacobian="analytic")
+    tube_an = _analytic_jacobian_tube(torus, torus_tube)
     probe = surface_probe(torus, xstar, h=h, source="fd",
                           probe_distance=0.5 * torus.reach)
     a = evaluate_V3("SL", torus, None, xstar, h, eps, (table02, table11),

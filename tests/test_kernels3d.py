@@ -15,9 +15,10 @@ from ctquad.kernels3d import (
     build_frame,
     expansion_at_plane,
     kernel_values,
-    projection_expansion_report,
 )
 from ctquad.surfaces import Sphere, tilted_torus
+
+from helpers import projection_expansion_report
 
 
 @pytest.fixture(scope="module")

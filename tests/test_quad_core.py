@@ -66,7 +66,7 @@ def test_punctured_skips_without_evaluating():
 
     stencil = stencil_for_order(1)
     off = GridOffset(0.0, 0.0, (0, 0))
-    val = punctured_trapezoidal(f, g, stencil, off)
+    val = punctured_trapezoidal(f, g, stencil.node_indices(off.anchor))
     assert val == pytest.approx(49.0 - 1.0)
 
 
@@ -76,7 +76,7 @@ def test_punctured_equals_full_minus_skipped():
     vals = rng.standard_normal(g.shape)
     full = trapezoidal(vals, g)
     skip = [(0, 0), (1, 0), (0, 1)]
-    part = punctured_trapezoidal(vals, g, skip_indices=skip)
+    part = punctured_trapezoidal(vals, g, skip)
     (i0, _), (j0, _) = g.extent
     removed = g.h ** 2 * sum(vals[i - i0, j - j0] for i, j in skip)
     assert part == pytest.approx(full - removed, abs=1e-14)
@@ -225,7 +225,7 @@ def test_corrected_reduces_to_punctured_when_v_vanishes_on_stencil():
     def f(x, y):
         return term.evaluate(x, y) * v(x, y)
 
-    base = punctured_trapezoidal(f, g, stencil, off)
+    base = punctured_trapezoidal(f, g, stencil.node_indices(off.anchor))
     got = corrected_Qp(term, v, (0.0, 0.0), g, 2, weights=np.array([3.0, -1.0, 2.0, 0.5]))
     assert got == base
 
@@ -297,7 +297,7 @@ def test_composite_matches_hand_assembly_p3():
     def rem_v(x, y):
         return s.remainder(1, x - x0[0], y - x0[1]) * v(x, y)
 
-    t0 = punctured_trapezoidal(rem_v, g, st1, off1)
+    t0 = punctured_trapezoidal(rem_v, g, st1.node_indices(off1.anchor))
     want = q2 + q1 + t0
     assert got == pytest.approx(want, abs=1e-13 * max(1.0, abs(want)))
 
@@ -307,4 +307,19 @@ def test_composite_requires_enough_terms():
                          lambda dx, dy: 1.0 / np.hypot(dx, dy))
     g = grid_with_offset(0.25, 2.0, (0.0, 0.0), alpha=0.5, beta=0.5)
     with pytest.raises(ValueError, match="expansion terms"):
-        composite_Up(s, _smooth_bump, (0.0, 0.0), g, 4)
+        composite_Up(s, _smooth_bump, (0.0, 0.0), g, 4, {})
+
+
+@pytest.mark.parametrize("rule", ["corrected", "composite"])
+def test_rules_reject_wrong_weight_count(rule):
+    # the order-2 stencil has 4 nodes; 3 weights must be refused, naming 4
+    g = grid_with_offset(0.25, 2.0, (0.0, 0.0), alpha=0.81, beta=0.46)
+    s0 = SingularTerm.from_coefficients(0, 1.0)
+    w = np.ones(3)
+    with pytest.raises(ValueError, match="expects 4 weights, got 3"):
+        if rule == "corrected":
+            corrected_Qp(s0, _smooth_bump, (0.0, 0.0), g, 2, w)
+        else:
+            s = SingularFunction([s0, SingularTerm.from_coefficients(1, 1.0)],
+                                 lambda dx, dy: 1.0 / np.hypot(dx, dy))
+            composite_Up(s, _smooth_bump, (0.0, 0.0), g, 3, [w, np.ones(1)])

@@ -32,11 +32,12 @@ from ctquad.weights import (
     interpolate_weights,
     load_weight_table,
     moment_residual,
-    singular_moment,
     weights_at_h,
     weights_dual,
     weights_limit,
 )
+
+from helpers import singular_moment
 
 OFF = GridOffset(0.81, 0.46, (0, 0))
 
