@@ -44,6 +44,7 @@ from .quad_core import (
     corrected_Qp,
     grid_with_offset,
     locate_singularity,
+    pair_orders,
     punctured_trapezoidal,
     stencil_for_order,
 )
@@ -251,30 +252,24 @@ def successive_differences(values) -> list[float]:
     return [abs(values[i] - values[i + 1]) for i in range(len(values) - 1)]
 
 
-def running_orders(errors, ratio: float) -> list[float | None]:
-    """log(e_{i-1}/e_i)/log(ratio) aligned with the error list (None first)."""
-    out: list[float | None] = [None]
-    for a, b in zip(errors, errors[1:]):
-        if a > 0.0 and b > 0.0:
-            out.append(math.log(a / b) / math.log(ratio))
-        else:
-            out.append(None)
-    return out
+# pairs with either error at or below this are taken as summation roundoff
+ORDER_FLOOR = 1e-13
 
 
-def observed_order(errors, ratio: float, floor: float = 1e-13) -> float:
-    """Tail order estimate: median of the last three usable running orders.
+def observed_order(errors, hs) -> float:
+    """Tail order estimate: median of the last three usable pair orders.
 
-    The coarsest pairs are routinely preasymptotic and the finest can sink
-    into summation roundoff; pairs with either error at or below ``floor``
-    are excluded, and the median of the last three surviving estimates
-    reports the established slope without hand-picking a single pair.
+    errors[i] belongs to spacing hs[i].  The coarsest pairs are routinely
+    preasymptotic and the finest can sink into summation roundoff; pairs
+    with either error at or below ORDER_FLOOR are excluded, and the median
+    of the last three surviving estimates reports the established slope
+    without hand-picking a single pair.
     """
-    all_orders = running_orders(errors, ratio)
-    orders = [o for i, o in enumerate(all_orders)
-              if o is not None and errors[i - 1] > floor and errors[i] > floor]
+    pairs = list(zip(pair_orders(errors, hs), errors, errors[1:]))
+    orders = [o for o, a, b in pairs
+              if o is not None and a > ORDER_FLOOR and b > ORDER_FLOOR]
     if not orders:
-        orders = [o for o in all_orders if o is not None]
+        orders = [o for o, _, _ in pairs if o is not None]
     if not orders:
         return math.nan
     return float(np.median(orders[-3:]))
@@ -331,7 +326,8 @@ def load_table_checked(k: int, p: int, cache_dir: str | None = None,
     """Load the (k, p) table or fail with the command that would create it.
 
     When the cache holds (k, p) tables built for other parameters only, the
-    error lists them.
+    error lists them.  A file the loader refuses (truncated, foreign) or one
+    built by another library version fails with the command that rebuilds it.
     """
     path = find_table_path(k, p, cache_dir, tol, n_modes, grid_n)
     where = cache_dir or wt.default_cache_dir()
@@ -347,7 +343,10 @@ def load_table_checked(k: int, p: int, cache_dir: str | None = None,
                 f"parameters only: {', '.join(others)}" if others else "")
         raise CliError(f"no weight table {name} in {where}{held}; "
                        f"build it with: {build}")
-    table = wt.load_weight_table(path)
+    try:
+        table = wt.load_weight_table(path)
+    except ValueError as exc:
+        raise CliError(f"{exc}; rebuild it with: {build} --force") from None
     if table.version != wt.LIBRARY_VERSION:
         raise CliError(
             f"{path} was built by library version {table.version}, this is "
@@ -369,11 +368,6 @@ def expected_order(study: str, k: int | None, method: str) -> int:
         return (k + 1) if study == "quad2d-sk" else 1
     p = int(method.rsplit("-", 1)[1])
     return (k + p + 1) if study == "quad2d-sk" else p
-
-
-def _nearest_node(grid, x0) -> tuple[int, int]:
-    _stencil, off = locate_singularity(x0, grid, 1)
-    return off.anchor
 
 
 def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
@@ -400,7 +394,8 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
     def emit(study: str, k: int | None, values: dict[str, list[float]]) -> None:
         for method, vals in values.items():
             errs = successive_differences(vals)
-            orders = running_orders(errs, config.ratio)
+            # the order of the pair (h_{i-1}, h_i) sits on the finer row
+            orders = [None] + pair_orders(errs, hs)
             for i, h in enumerate(hs):
                 rows.append({
                     "study": study.removeprefix("quad2d-"),
@@ -416,7 +411,7 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
                 "k": k,
                 "method": method,
                 "expected_order": expected_order(study, k, method),
-                "observed_order": observed_order(errs, config.ratio),
+                "observed_order": observed_order(errs, hs),
             })
 
     def grid_at(h):
@@ -466,7 +461,7 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
         for h in hs:
             grid = grid_at(h)
             values["punctured"].append(punctured_trapezoidal(
-                f, grid, [_nearest_node(grid, x0)]))
+                f, grid, [locate_singularity(x0, grid, 1)[1].anchor]))
             for p in config.p_values:
                 ws = weights_at(p, grid)
                 values[f"{method}-{p}"].append(
@@ -510,7 +505,7 @@ def run_ibim3d(config: StudyConfig, cache_dir: str | None = None,
         include_baseline=config.include_baseline, progress=progress)
     summary = [{
         "kernel": label,
-        "mean_error_order": observed_order(mean_errs, config.ratio),
+        "mean_error_order": observed_order(mean_errs, hs),
         "pooled_mean_order": res["mean_orders"].get(label, math.nan),
     } for label, mean_errs in res["mean_errors"].items()]
 
@@ -626,7 +621,11 @@ def cmd_weights_info(args) -> int:
             print(f"no weight tables in {cache_dir}")
             return 0
         for name in names:
-            table = wt.load_weight_table(os.path.join(cache_dir, name))
+            try:
+                table = wt.load_weight_table(os.path.join(cache_dir, name))
+            except ValueError as exc:
+                print(f"{name}: refused: {exc}")
+                continue
             hstar = 2.0 ** -int(table.m_levels.max())
             print(f"{name}: k={table.k} p={table.p} N={table.n_modes} "
                   f"lattice {table.grid_n}x{table.grid_n} tol={table.tol:.1e} "

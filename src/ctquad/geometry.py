@@ -308,18 +308,15 @@ class SurfaceProbe:
     kappa1: float
     kappa2: float
     f3: tuple[float, float, float, float] | None
-    source: str
 
 
 def surface_probe(surface, xstar: np.ndarray, *, h: float | None = None,
-                  source: str = "fd", probe_distance: float | None = None) -> SurfaceProbe:
+                  probe_distance: float | None = None) -> SurfaceProbe:
     """Build the full local geometry probe at the surface point nearest xstar.
 
-    source 'fd' derives everything from finite differences of the handle's
-    distance and projection (step h, offset probe_distance along the normal);
-    source 'analytic' asks the handle for its exact_probe and only falls back
-    to finite differences for the third derivatives if the handle leaves them
-    unset.  Defaults: probe_distance = reach/4, h = reach/100.
+    Everything comes from finite differences of the handle's distance and
+    projection (step h, offset probe_distance along the normal).  Defaults:
+    probe_distance = reach/4, h = reach/100.
     """
     reach = surface.reach
     if probe_distance is None:
@@ -327,19 +324,6 @@ def surface_probe(surface, xstar: np.ndarray, *, h: float | None = None,
     if h is None:
         h = 0.01 * reach
     xstar = surface.project(np.asarray(xstar, dtype=float))
-
-    if source == "analytic":
-        probe = surface.exact_probe(xstar)
-        if probe.f3 is None:
-            zbar = probe.xstar + probe_distance * probe.n
-            f3 = third_derivatives(surface.project, zbar, probe.xstar,
-                                   probe.tau1, probe.tau2, probe.n,
-                                   probe.kappa1, probe.kappa2, h)
-            probe = dataclasses.replace(probe, f3=f3)
-        return probe
-    if source != "fd":
-        raise ValueError(f"unknown probe source {source!r}")
-
     n0 = np.asarray(surface.normal(xstar), dtype=float)
     zbar = xstar + probe_distance * n0
     eta = float(surface.distance(zbar))
@@ -348,4 +332,4 @@ def surface_probe(surface, xstar: np.ndarray, *, h: float | None = None,
     f3 = third_derivatives(surface.project, zbar, xstar, tau1, tau2, n,
                            kappa1, kappa2, h)
     return SurfaceProbe(xstar=xstar, tau1=tau1, tau2=tau2, n=n,
-                        kappa1=kappa1, kappa2=kappa2, f3=f3, source="fd")
+                        kappa1=kappa1, kappa2=kappa2, f3=f3)

@@ -49,7 +49,7 @@ from .kernels3d import (
     expansion_at_plane,
     kernel_values,
 )
-from .quad_core import GridOffset, stencil_for_order
+from .quad_core import GridOffset, pair_orders, stencil_for_order
 from .weights import WeightTable, interpolate_weights
 
 __all__ = [
@@ -531,22 +531,6 @@ def _study_targets(surface, targets) -> np.ndarray:
     return np.stack([surface.project(p) for p in arr])
 
 
-def _level_orders(errors: Sequence[float],
-                  hs: Sequence[float]) -> list[float | None]:
-    """Observed orders log(e_i/e_{i+1}) / log(h_i/h_{i+1}) per level.
-
-    None at the finest level and wherever either error is zero.
-    """
-    out: list[float | None] = []
-    for i in range(len(hs)):
-        order = None
-        if i + 1 < len(hs) and errors[i] > 0 and errors[i + 1] > 0:
-            order = (math.log(errors[i] / errors[i + 1])
-                     / math.log(hs[i] / hs[i + 1]))
-        out.append(order)
-    return out
-
-
 def convergence_study_3d(surface, targets, levels: Sequence[float], tables, *,
                          kinds: Sequence[str] = KERNEL_KINDS, eps: float = 0.1,
                          rho: Callable | None = None,
@@ -556,10 +540,10 @@ def convergence_study_3d(surface, targets, levels: Sequence[float], tables, *,
 
     Evaluates every (kernel, target) pair at each spacing plus a reference
     spacing at half the finest, reports E(h) = |V(h) - V(h_ref)| and the
-    observed orders log(E_i/E_{i+1}) / log(h_i/h_{i+1}).  The tube and the
-    per-target probes are rebuilt per level from the grid alone, so frames,
-    curvatures, third derivatives and J all carry the resolution being
-    measured.
+    observed orders log(E_i/E_{i+1}) / log(h_i/h_{i+1}), each on the
+    coarser row of its pair.  The tube and the per-target probes are
+    rebuilt per level from the grid alone, so frames, curvatures, third
+    derivatives and J all carry the resolution being measured.
 
     Returns a dict with the raw values; per-target ``rows`` ready for
     tabulation; ``mean_rows``, which average the per-target errors at each
@@ -608,15 +592,15 @@ def convergence_study_3d(surface, targets, levels: Sequence[float], tables, *,
                        "value": values[(label, ti, h)], "error": e,
                        "order": order}
                       for ti in range(len(pts))
-                      for h, e, order in zip(hs, errs[ti],
-                                             _level_orders(errs[ti], hs))]
+                      for h, e, order in zip(
+                          hs, errs[ti], pair_orders(errs[ti], hs) + [None])]
         rows.extend(label_rows)
         means = [float(np.mean([e[i] for e in errs])) for i in range(len(hs))]
         mean_errors[label] = means
         mean_rows.extend({"kind": label, "target": "mean", "h": h,
                           "value": None, "error": e, "order": order}
-                         for h, e, order in zip(hs, means,
-                                                _level_orders(means, hs)))
+                         for h, e, order in zip(
+                             hs, means, pair_orders(means, hs) + [None]))
         if label in kinds:
             orders = [r["order"] for r in label_rows if r["order"] is not None]
             mean_orders[label] = float(np.mean(orders)) if orders else math.nan

@@ -162,8 +162,7 @@ class CubicSurfaceModel:
     @classmethod
     def from_probe(cls, probe) -> CubicSurfaceModel:
         if probe.f3 is None:
-            raise ValueError("probe has no third derivatives; build it with "
-                             "a source that fills f3")
+            raise ValueError("probe has no third derivatives (f3 is None)")
         return cls(kappa1=float(probe.kappa1), kappa2=float(probe.kappa2),
                    f3=tuple(float(v) for v in probe.f3))
 
@@ -321,20 +320,20 @@ class KernelExpansion:
         """Angular profile of s1: s1(y) = s1_phi(theta(y))."""
         return self.s1_eval(kind, self._unit(theta))
 
-    def s0_term(self, kind: str, n: int = 4096) -> SingularTerm:
+    def s0_term(self, kind: str) -> SingularTerm:
         """s0 packaged for the corrected trapezoidal machinery (cached)."""
         key = (kind, 0)
         if key not in self._term_cache:
             self._term_cache[key] = SingularTerm.from_callable(
-                0, lambda th: self.s0_phi(kind, th), n=n)
+                0, lambda th: self.s0_phi(kind, th))
         return self._term_cache[key]
 
-    def s1_term(self, kind: str, n: int = 4096) -> SingularTerm:
+    def s1_term(self, kind: str) -> SingularTerm:
         """s1 packaged for the corrected trapezoidal machinery (cached)."""
         key = (kind, 1)
         if key not in self._term_cache:
             self._term_cache[key] = SingularTerm.from_callable(
-                1, lambda th: self.s1_phi(kind, th), n=n)
+                1, lambda th: self.s1_phi(kind, th))
         return self._term_cache[key]
 
 

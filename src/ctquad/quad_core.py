@@ -34,12 +34,12 @@ __all__ = [
     "STENCIL_OFFSETS",
     "correction_monomials",
     "stencil_for_order",
-    "trapezoidal",
     "punctured_trapezoidal",
     "locate_singularity",
     "corrected_Qp",
     "composite_Up",
     "grid_with_offset",
+    "pair_orders",
 ]
 
 
@@ -309,7 +309,7 @@ def stencil_for_order(p: int) -> Stencil:
 
 
 # --------------------------------------------------------------------------
-# plain and punctured sums
+# punctured sums
 # --------------------------------------------------------------------------
 
 def _kahan_rows(row_sums: np.ndarray) -> float:
@@ -330,22 +330,26 @@ def _kahan_rows(row_sums: np.ndarray) -> float:
     return total
 
 
-def _eval_rows(f, grid: Grid2, skip: set[tuple[int, int]] | None = None) -> float:
-    """h^2 * sum of f over grid nodes, skipping the given index set.
+def punctured_trapezoidal(f, grid: Grid2,
+                          skip_indices: Sequence[tuple[int, int]]) -> float:
+    """Trapezoidal rule h^2 * sum f(node) with the listed nodes left out.
 
     f may be a callable f(x, y) accepting 1D arrays, or an ndarray of node
-    values shaped like grid.shape.  Skipped nodes are never evaluated.
+    values shaped like grid.shape.  The excluded nodes are never evaluated,
+    so f may be singular there; with none excluded this is the plain rule.
+    The corrected rules pass ``stencil.node_indices(offset.anchor)``.
     """
     (i0, i1), (j0, j1) = grid.extent
+    # skipped columns per row; a row with none takes the unmasked path
+    skip_cols: dict[int, list[int]] = {}
+    for idx in skip_indices:
+        if not grid.contains_index(*idx):
+            raise ValueError(f"excluded node {idx} lies outside the grid extent")
+        skip_cols.setdefault(idx[0], []).append(idx[1] - j0)
     xs, ys = grid.axis_nodes()
     is_arr = isinstance(f, np.ndarray)
     if is_arr and f.shape != grid.shape:
         raise ValueError(f"value array shape {f.shape} does not match grid {grid.shape}")
-    # skipped columns per row; a row with none takes the unmasked path
-    skip_cols: dict[int, list[int]] = {}
-    for (i, j) in skip or ():
-        if j0 <= j <= j1:
-            skip_cols.setdefault(i, []).append(j - j0)
     row_sums = np.zeros(i1 - i0 + 1)
     for row, i in enumerate(range(i0, i1 + 1)):
         keep = None
@@ -365,30 +369,6 @@ def _eval_rows(f, grid: Grid2, skip: set[tuple[int, int]] | None = None) -> floa
                              f"x={grid.node_xy(i, jbad)}")
         row_sums[row] = np.sum(vals)
     return grid.h * grid.h * _kahan_rows(row_sums)
-
-
-def trapezoidal(f, grid: Grid2) -> float:
-    """Trapezoidal rule h^2 * sum f(node) over the whole grid.
-
-    On smooth compactly supported integrands this is spectrally accurate; it
-    is the baseline everything else corrects.
-    """
-    return _eval_rows(f, grid)
-
-
-def punctured_trapezoidal(f, grid: Grid2,
-                          skip_indices: Sequence[tuple[int, int]]) -> float:
-    """Trapezoidal rule with the listed nodes left out.
-
-    The excluded nodes are never evaluated, so f may be singular there.  The
-    corrected rules pass ``stencil.node_indices(offset.anchor)``.
-    """
-    skip: set[tuple[int, int]] = set()
-    for idx in skip_indices:
-        if not grid.contains_index(*idx):
-            raise ValueError(f"excluded node {idx} lies outside the grid extent")
-        skip.add(tuple(idx))
-    return _eval_rows(f, grid, skip)
 
 
 # --------------------------------------------------------------------------
@@ -541,3 +521,14 @@ def grid_with_offset(h: float, half_width: float, x0: Sequence[float],
     origin = (x0[0] - h * alpha, x0[1] - h * beta)
     n = int(math.ceil(half_width / h)) + 4
     return Grid2(h=h, origin=origin, extent=((-n, n), (-n, n)))
+
+
+def pair_orders(errors: Sequence[float],
+                hs: Sequence[float]) -> list[float | None]:
+    """Observed orders log(e_i/e_{i+1}) / log(h_i/h_{i+1}) of successive levels.
+
+    errors[i] belongs to spacing hs[i]; one order per pair of neighbouring
+    errors, None where either error is zero.
+    """
+    return [math.log(a / b) / math.log(g / h) if a > 0 and b > 0 else None
+            for a, b, g, h in zip(errors, errors[1:], hs, hs[1:])]

@@ -32,6 +32,7 @@ from importlib import resources
 
 import numpy as np
 
+from .kernels3d import kernel_values
 from .weights import BumpFunction
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "tilted_torus",
     "torus_density",
     "random_targets",
-    "surface_kernel",
     "layer_potential_oracle",
     "NonUniqueProjectionError",
 ]
@@ -224,25 +224,12 @@ class TiltedTorus:
         (k1, t1), (k2, _) = pairs
         tau1, tau2, n = canonical_tangent_frame(t1, fr["normal"])
         return SurfaceProbe(xstar=p, tau1=tau1, tau2=tau2, n=n,
-                            kappa1=k1, kappa2=k2, f3=None, source="analytic")
+                            kappa1=k1, kappa2=k2, f3=None)
 
     def density_at(self, x: np.ndarray, coefficients=None) -> np.ndarray:
         """Sample the parametric test density at the closest surface point."""
         theta, phi = self.parameters(x)
         return torus_density(theta, phi, coefficients)
-
-    def level_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Exact area ratio dsigma_surface / dsigma_level at offset points.
-
-        For a point at signed distance eta whose foot has principal curvatures
-        kappa_i (height-function convention, negative when convex outward) the
-        ratio is 1 / ((1 - eta*kappa1) * (1 - eta*kappa2)).
-        """
-        eta = self.distance(x)
-        theta, _ = self.parameters(x)
-        k_tube = -1.0 / self.spec.R2
-        k_ring = -np.cos(theta) / (self.spec.R1 + self.spec.R2 * np.cos(theta))
-        return 1.0 / ((1.0 - eta * k_tube) * (1.0 - eta * k_ring))
 
 
 _DEFAULT_DENSITY = (1.38, 2.196, -0.29837, 1.128)
@@ -323,13 +310,7 @@ class Sphere:
         tau1, tau2, n = canonical_tangent_frame(t1, n)
         k = -1.0 / self.radius
         return SurfaceProbe(xstar=p, tau1=tau1, tau2=tau2, n=n,
-                            kappa1=k, kappa2=k, f3=(0.0, 0.0, 0.0, 0.0),
-                            source="analytic")
-
-    def level_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Exact area ratio dsigma_surface / dsigma_level at offset points."""
-        eta = self.distance(x)
-        return (self.radius / (self.radius + eta)) ** 2
+                            kappa1=k, kappa2=k, f3=(0.0, 0.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -417,27 +398,8 @@ class CubicGraph:
 
 
 # ---------------------------------------------------------------------------
-# direct surface kernels and the parametric reference quadrature
+# the parametric reference quadrature
 # ---------------------------------------------------------------------------
-
-def surface_kernel(kind: str, xstar: np.ndarray, nx: np.ndarray,
-                   y: np.ndarray, ny: np.ndarray) -> np.ndarray:
-    """Laplace layer kernel between on-surface points.
-
-    kind 'SL' is the free-space Green's function 1/(4*pi*|x*-y|); 'DL' is its
-    derivative along the normal at y, (x*-y).ny / (4*pi*|x*-y|^3); 'DLC' the
-    derivative along the normal at x*, -(x*-y).nx / (4*pi*|x*-y|^3).
-    """
-    diff = np.asarray(xstar, dtype=float) - np.asarray(y, dtype=float)
-    r = np.linalg.norm(diff, axis=-1)
-    if kind == "SL":
-        return 1.0 / (4.0 * np.pi * r)
-    if kind == "DL":
-        return np.sum(diff * ny, axis=-1) / (4.0 * np.pi * r**3)
-    if kind == "DLC":
-        return -np.sum(diff * nx, axis=-1) / (4.0 * np.pi * r**3)
-    raise ValueError(f"unknown kernel kind {kind!r}")
-
 
 def layer_potential_oracle(torus: TiltedTorus, kind: str, theta0: float,
                            phi0: float, rho=None, *, n_far: int = 1024,
@@ -478,7 +440,7 @@ def layer_potential_oracle(torus: TiltedTorus, kind: str, theta0: float,
             weight[mask] = 1.0 - window(chord[mask] / cutoff)
         if not np.any(mask):
             return vals
-        ker = surface_kernel(kind, xstar, nx, y[mask], fr["normal"][mask])
+        ker = kernel_values(kind, xstar, nx, y[mask], fr["normal"][mask])
         vals[mask] = weight[mask] * ker * rho(theta[mask], phi[mask]) * fr["dsigma"][mask]
         return vals
 

@@ -656,9 +656,13 @@ def _w_tail_integral(kappa: int, ell: int, beta: float, P: float) -> float:
     return part1 + float(t1.real)
 
 
+# the dual-lattice sums leave out Fourier images w + n farther out than this
+IMAGE_RADIUS = 1.6
+
+
 def _dual_lattice_sums(kappa_ells: Iterable[tuple[int, int]],
-                       w: tuple[float, float], P: float = 40.0,
-                       image_cut: float = 1.6) -> dict[tuple[int, int], complex]:
+                       w: tuple[float, float],
+                       P: float = 40.0) -> dict[tuple[int, int], complex]:
     """Z(kappa, ell; w) = sum over nonzero lattice nu of
     rho**(-kappa) e**(i ell theta) e**(-2 pi i nu . w),
 
@@ -691,7 +695,7 @@ def _dual_lattice_sums(kappa_ells: Iterable[tuple[int, int]],
         for ny in range(cy - 2, cy + 3):
             rx, ry = w[0] + nx, w[1] + ny
             dist = math.hypot(rx, ry)
-            if dist == 0.0 or dist > image_cut:
+            if dist == 0.0 or dist > IMAGE_RADIUS:
                 continue
             beta = 2.0 * math.pi * dist
             arg = math.atan2(ry, rx)
@@ -965,8 +969,12 @@ def load_weight_table(path: str) -> WeightTable:
             raise ValueError(f"{path}: not a weight table (bad magic {magic!r}); "
                              f"this build reads format {TABLE_FORMAT_MAGIC.decode()} "
                              f"-- rebuild the table with the current version")
-        hlen = int(np.frombuffer(f.read(4), dtype=np.uint32)[0])
-        meta = json.loads(f.read(hlen).decode())
+        hlen = int.from_bytes(f.read(4), "little")
+        try:
+            meta = json.loads(f.read(hlen).decode())
+        except ValueError:
+            raise ValueError(f"{path}: truncated or corrupt table header "
+                             f"-- rebuild the table") from None
         body = f.read()
     shape = tuple(meta["shape"])
     count = int(np.prod(shape))
@@ -998,6 +1006,9 @@ def interpolate_weights(table: WeightTable, term: SingularTerm,
     """
     if term.k != table.k:
         raise ValueError(f"table is for k={table.k}, term has k={term.k}")
+    if table.grid_n < 4:
+        raise ValueError(f"cubic interpolation needs a lattice of at least "
+                         f"4x4 offsets; this table has grid_n={table.grid_n}")
     coeffs = _term_coefficients(term, cutoff=1e-12)
     grid_n, step, lo = table.grid_n, table.step, table.domain_lo
     hi = lo + 1.0

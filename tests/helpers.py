@@ -3,12 +3,19 @@
 * `singular_moment`: the exact plane moments of a singular term, which the
   weights layer folds into its moment equations without forming one alone;
 * `projection_expansion_report`: residuals of the closest-point map's local
-  expansion, the structure the kernel expansions rest on.
+  expansion, the structure the kernel expansions rest on;
+* `analytic_probe`: a surface's exact frame and curvatures, the reference
+  the finite-difference probe is checked against;
+* `sphere_level_jacobian`, `torus_level_jacobian`: exact area ratios J at
+  offset points, the reference for the tube's finite-difference J.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
+from ctquad.geometry import third_derivatives
 from ctquad.kernels3d import CubicSurfaceModel
 from ctquad.quad_core import SingularTerm
 from ctquad.weights import _LD, _MOMENTS, _term_coefficients
@@ -83,3 +90,42 @@ def projection_expansion_report(surface, probe, zprime: float, *,
         "fd_step": fd_step,
         "radius": radius,
     }
+
+
+def analytic_probe(surface, xstar, h=None):
+    """The surface's exact_probe at the point nearest xstar, with f3 filled.
+
+    A handle that leaves f3 unset gets it from `third_derivatives` at
+    probe_distance = reach/4 with step h (default reach/100), the defaults
+    of `surface_probe`.
+    """
+    reach = surface.reach
+    h = 0.01 * reach if h is None else h
+    probe = surface.exact_probe(surface.project(np.asarray(xstar, dtype=float)))
+    if probe.f3 is None:
+        zbar = probe.xstar + 0.25 * reach * probe.n
+        f3 = third_derivatives(surface.project, zbar, probe.xstar,
+                               probe.tau1, probe.tau2, probe.n,
+                               probe.kappa1, probe.kappa2, h)
+        probe = dataclasses.replace(probe, f3=f3)
+    return probe
+
+
+def sphere_level_jacobian(sphere, x: np.ndarray) -> np.ndarray:
+    """Exact area ratio dsigma_surface / dsigma_level at offset points."""
+    eta = sphere.distance(x)
+    return (sphere.radius / (sphere.radius + eta)) ** 2
+
+
+def torus_level_jacobian(torus, x: np.ndarray) -> np.ndarray:
+    """Exact area ratio dsigma_surface / dsigma_level at offset points.
+
+    For a point at signed distance eta whose foot has principal curvatures
+    kappa_i (height-function convention, negative when convex outward) the
+    ratio is 1 / ((1 - eta*kappa1) * (1 - eta*kappa2)).
+    """
+    eta = torus.distance(x)
+    theta, _ = torus.parameters(x)
+    k_tube = -1.0 / torus.spec.R2
+    k_ring = -np.cos(theta) / (torus.spec.R1 + torus.spec.R2 * np.cos(theta))
+    return 1.0 / ((1.0 - eta * k_tube) * (1.0 - eta * k_ring))

@@ -16,13 +16,11 @@ from scipy.integrate import quad
 
 from ctquad.cli import (
     StudyConfig,
-    _nearest_node,
     general_benchmark_function,
     h_sequence,
     observed_order,
     run_ibim3d,
     run_quad2d,
-    singular_benchmark_term,
     smooth_factor,
     study_weights,
     successive_differences,
@@ -56,8 +54,11 @@ from ctquad.weights import (
     default_cache_dir,
     load_weight_table,
     moment_residual,
+    row_term,
 )
 from ctquad.quad_core import GridOffset
+
+from helpers import analytic_probe
 
 pytestmark = [
     pytest.mark.filterwarnings(
@@ -88,24 +89,6 @@ def world_from_plane(origin, axis, y):
     y = np.asarray(y, dtype=float)
     padded = np.concatenate([y, np.zeros(y.shape[:-1] + (1,))], axis=-1)
     return (np.asarray(origin)[perm] + padded)[..., inv]
-
-
-def mode_term(k: int, kind: str, m: int) -> SingularTerm:
-    """The tabulated angular mode (constant, cos m*psi, or sin m*psi)."""
-    if m == 0:
-        return SingularTerm.from_coefficients(k, 1.0)
-    coef = [0.0] * m
-    coef[m - 1] = 1.0
-    if kind == "c":
-        return SingularTerm.from_coefficients(k, 0.0, a=coef)
-    return SingularTerm.from_coefficients(k, 0.0, b=coef)
-
-
-def row_mode(row: int) -> tuple[str, int]:
-    if row == 0:
-        return ("c", 0)
-    m = (row + 1) // 2
-    return ("c", m) if row % 2 == 1 else ("s", m)
 
 
 # --------------------------------------------------------------------------
@@ -165,8 +148,7 @@ def test_a03_tabulated_weights_satisfy_moment_equations():
             off = GridOffset(t.domain_lo + mi * t.step,
                              t.domain_lo + ni * t.step, (0, 0))
             for row in range(t.n_rows):
-                kind, m = row_mode(row)
-                term = mode_term(t.k, kind, m)
+                term = row_term(t.k, row)
                 hstar = 2.0 ** -int(t.m_levels[row, mi, ni])
                 res = moment_residual(term, off, stencil,
                                       t.data[row, mi, ni], hstar)
@@ -202,9 +184,9 @@ def test_a04_punctured_rule_power_family_and_remainders():
         for h in hs:
             grid = grid_with_offset(h, 1.2, (0.0, 0.0), 0.81, 0.46)
             val = punctured_trapezoidal(
-                f, grid, skip_indices=[_nearest_node(grid, (0.0, 0.0))])
+                f, grid, [locate_singularity((0.0, 0.0), grid, 1)[1].anchor])
             errs.append(abs(val - exact))
-        got = observed_order(errs, 1.5)
+        got = observed_order(errs, hs)
         lines.append(f"|x|^{j} window: observed {got:.3f} expected {j + 2}")
         assert abs(got - (j + 2)) <= ORDER_TOL, lines[-1]
 
@@ -220,9 +202,9 @@ def test_a04_punctured_rule_power_family_and_remainders():
         for h in hs:
             grid = grid_with_offset(h, 1.7, (0.0, 0.0), 0.81, 0.46)
             vals.append(punctured_trapezoidal(
-                f, grid, skip_indices=[_nearest_node(grid, (0.0, 0.0))]))
+                f, grid, [locate_singularity((0.0, 0.0), grid, 1)[1].anchor]))
         errs = successive_differences(vals)
-        got = observed_order(errs, 1.5)
+        got = observed_order(errs, hs)
         lines.append(f"remainder q={q}: observed {got:.3f} expected {q + 2}")
         assert abs(got - (q + 2)) <= ORDER_TOL, lines[-1]
 
@@ -245,7 +227,7 @@ def test_a05_on_grid_symmetry_gains_an_order():
                          grid_with_offset(h, 1.7, x0, 0.0, 0.0), 1, weights=w)
             for h in hs]
     errs = successive_differences(vals)
-    got = observed_order(errs, 1.5)
+    got = observed_order(errs, hs)
     assert abs(got - 3.0) <= ORDER_TOL, f"observed {got:.3f}, expected 3"
     print(f"[criterion 5] PASS one-node rule on-grid: observed order "
           f"{got:.3f} (naive estimate 2, symmetry gives 3)")
@@ -261,8 +243,7 @@ def test_a06_kernel_expansion_consistency_on_torus(torus):
     radii = np.array([1e-1 * 2.0 ** -j for j in range(8)])
     worst = math.inf
     for theta, phi in random_targets(5, seed=21):
-        probe = surface_probe(torus, torus.param_point(theta, phi),
-                              source="analytic")
+        probe = analytic_probe(torus, torus.param_point(theta, phi))
         axis = dominant_axis(probe.n)
         frame = build_frame(probe, axis)
         model = CubicSurfaceModel.from_probe(probe)
@@ -305,7 +286,7 @@ def test_a07_grid_sampled_geometry_orders(torus):
     hs = [8e-3, 4e-3, 2e-3]
     kerrs, ferrs = [], []
     for h in hs:
-        p = surface_probe(torus, x0, h=h, source="fd")
+        p = surface_probe(torus, x0, h=h)
         kerrs.append(max(abs(p.kappa1 - exact.kappa1),
                          abs(p.kappa2 - exact.kappa2)))
         ferrs.append(max(abs(a - b) for a, b in zip(p.f3, f3_exact)))

@@ -16,6 +16,7 @@ import pytest
 
 from ctquad import cli
 from ctquad import weights as wt
+from ctquad.quad_core import pair_orders
 
 
 pytestmark = [
@@ -85,18 +86,19 @@ def test_config_hash_stable_and_sensitive():
 
 
 def test_running_orders_and_observed_order():
-    ratio = 2.0
+    hs = cli.h_sequence(0.5, 2.0, 6)
     errors = [2.0 ** -(3 * i) for i in range(6)]  # exact order 3
-    orders = cli.running_orders(errors, ratio)
-    assert orders[0] is None
-    assert all(o == pytest.approx(3.0) for o in orders[1:])
-    assert cli.observed_order(errors, ratio) == pytest.approx(3.0)
+    orders = pair_orders(errors, hs)
+    assert len(orders) == 5
+    assert all(o == pytest.approx(3.0) for o in orders)
+    assert pair_orders([1e-3, 0.0, 1e-5], hs) == [None, None]
+    assert cli.observed_order(errors, hs) == pytest.approx(3.0)
 
 
 def test_observed_order_ignores_roundoff_floor():
-    ratio = 2.0
+    hs = cli.h_sequence(0.5, 2.0, 5)
     errors = [1e-3, 1.25e-4, 1.5625e-5, 3e-14, 2e-14]  # tail sinks into noise
-    est = cli.observed_order(errors, ratio)
+    est = cli.observed_order(errors, hs)
     assert est == pytest.approx(3.0)
 
 
@@ -194,6 +196,30 @@ def test_other_parameter_table_is_not_served(tmp_path, table11):
     assert "ctquad weights build --k 1 --p 1" in str(exc.value)
     served = cli.load_table_checked(1, 1, cache_dir=str(tmp_path), tol=1e-6)
     assert served.tol == 1e-6
+
+
+def test_refused_table_file_is_a_cli_error(tmp_path, table11, capsys):
+    # a truncated or foreign cache file ends the command with exit status 2,
+    # its path and the rebuild command; the cache listing reports it
+    path11 = tmp_path / wt.table_filename(1, 1)
+    wt.save_weight_table(table11, str(path11))
+    blob = path11.read_bytes()
+    path11.write_bytes(blob[:len(blob) // 2])
+    path02 = tmp_path / wt.table_filename(0, 2)
+    path02.write_bytes(b"NOTATBLE" + b"\x00" * 64)
+    for k, p, path, why in ((1, 1, path11, "truncated"),
+                            (0, 2, path02, "bad magic")):
+        rc = run_cli("weights", "info", "--k", str(k), "--p", str(p),
+                     "--cache-dir", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert why in err and str(path) in err
+        assert f"ctquad weights build --k {k} --p {p} --force" in err
+    rc = run_cli("weights", "info", "--cache-dir", str(tmp_path))
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert f"{path11.name}: refused" in out and "truncated" in out
+    assert f"{path02.name}: refused" in out and "bad magic" in out
 
 
 # --------------------------------------------------------------------------

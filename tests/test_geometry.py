@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from ctquad.geometry import (
-    GeometryAsymmetryWarning,
-    SurfaceProbe,
     canonical_tangent_frame,
     curvature_transfer,
     displaced_feet,
@@ -20,6 +18,8 @@ from ctquad.geometry import (
     third_derivatives,
 )
 from ctquad.surfaces import CubicGraph, Sphere, tilted_torus
+
+from helpers import analytic_probe
 
 
 @pytest.fixture(scope="module")
@@ -220,10 +220,9 @@ def torus_f3_oracle(torus, theta, phi, dps=60, step=1e-3):
 def test_third_derivatives_torus_oracle(torus):
     theta, phi = 1.234, 4.567
     oracle = torus_f3_oracle(torus, theta, phi)
-    probe = surface_probe(torus, torus.param_point(theta, phi),
-                          source="analytic")
+    probe = analytic_probe(torus, torus.param_point(theta, phi))
     np.testing.assert_allclose(probe.f3, oracle, atol=2e-5)
-    probe_fd = surface_probe(torus, torus.param_point(theta, phi), source="fd")
+    probe_fd = surface_probe(torus, torus.param_point(theta, phi))
     np.testing.assert_allclose(probe_fd.f3, oracle, atol=2e-5)
 
 
@@ -235,7 +234,7 @@ def test_f3_fd_order_on_torus(torus):
     hs = np.array([2e-3 * 2.0**j for j in range(3)])
     errs = []
     for h in hs:
-        probe = surface_probe(torus, x0, h=h, source="analytic")
+        probe = analytic_probe(torus, x0, h=h)
         errs.append(max(abs(a - b) for a, b in zip(probe.f3, oracle)))
     orders = np.log2(np.array(errs[1:]) / np.array(errs[:-1]))
     assert np.all(orders >= 3.0)
@@ -281,9 +280,8 @@ def test_jacobian_routes_agree(torus):
 
 def test_surface_probe_fd_matches_analytic(torus):
     x = torus.param_point(2.7, 0.4)
-    fd = surface_probe(torus, x, source="fd")
-    an = surface_probe(torus, x, source="analytic")
-    assert fd.source == "fd" and an.source == "analytic"
+    fd = surface_probe(torus, x)
+    an = analytic_probe(torus, x)
     assert fd.kappa1 == pytest.approx(an.kappa1, abs=1e-6)
     assert fd.kappa2 == pytest.approx(an.kappa2, abs=1e-6)
     np.testing.assert_allclose(fd.tau1, an.tau1, atol=1e-6)
@@ -293,6 +291,6 @@ def test_surface_probe_fd_matches_analytic(torus):
 
 
 def test_surface_probe_orthonormal(torus):
-    probe = surface_probe(torus, torus.param_point(0.1, 0.2), source="fd")
+    probe = surface_probe(torus, torus.param_point(0.1, 0.2))
     Q = np.column_stack([probe.tau1, probe.tau2, probe.n])
     np.testing.assert_allclose(Q.T @ Q, np.eye(3), atol=1e-10)

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 
 from ctquad import ibim3d
 from ctquad.ibim3d import (
-    PlaneProblem,
     build_tube,
     convergence_study_3d,
     delta_eps,
@@ -23,6 +22,8 @@ from ctquad.ibim3d import (
 from ctquad.geometry import displaced_feet, projection_jacobian, surface_probe
 from ctquad.kernels3d import AXIS_PERMUTATION, CurvatureLimitError, kernel_values
 from ctquad.surfaces import Sphere, tilted_torus
+
+from helpers import sphere_level_jacobian, torus_level_jacobian
 
 GEO_FILTERS = [
     "ignore::ctquad.geometry.GeometryAsymmetryWarning",
@@ -136,16 +137,16 @@ def test_tube_validation(sphere):
         build_tube(sphere, 0.1, 0.1, rho=lambda p: np.zeros((3, 3)))
 
 
-def _analytic_jacobian_tube(surface, tube):
+def _analytic_jacobian_tube(level_jacobian, surface, tube):
     """The tube with J (and so v) from the surface's exact level_jacobian."""
-    J = surface.level_jacobian(tube.points)
+    J = level_jacobian(surface, tube.points)
     return dataclasses.replace(
         tube, jacobian=J, v=tube.density * delta_eps(tube.d, tube.eps) * J)
 
 
 def test_tube_analytic_jacobian_matches_fd(sphere):
     fd = build_tube(sphere, 0.05, 0.1)
-    an = _analytic_jacobian_tube(sphere, fd)
+    an = _analytic_jacobian_tube(sphere_level_jacobian, sphere, fd)
     assert np.max(np.abs(fd.jacobian - an.jacobian)) < 1e-4
     # the weighted field v differs as little, relative to its own scale
     assert np.max(np.abs(fd.v - an.v)) < 1e-4 * np.max(np.abs(fd.v))
@@ -228,7 +229,7 @@ def test_v_vanishes_at_tube_boundary(sphere_tube):
 @pytest.mark.filterwarnings(*GEO_FILTERS)
 def test_plane_problems_geometry(torus, torus_tube):
     xstar = torus.param_point(1.1, 2.3)
-    probe = surface_probe(torus, xstar, h=torus_tube.h, source="fd",
+    probe = surface_probe(torus, xstar, h=torus_tube.h,
                           probe_distance=0.5 * torus.reach)
     axis = dominant_direction(probe.n)
     planes = plane_problems(probe, axis, torus_tube)
@@ -377,8 +378,8 @@ def test_analytic_jacobian_value_agrees(torus, torus_tube, table02, table11):
     """J from the exact level_jacobian changes the value negligibly."""
     xstar = torus.param_point(-0.7, 0.4)
     h, eps = torus_tube.h, torus_tube.eps
-    tube_an = _analytic_jacobian_tube(torus, torus_tube)
-    probe = surface_probe(torus, xstar, h=h, source="fd",
+    tube_an = _analytic_jacobian_tube(torus_level_jacobian, torus, torus_tube)
+    probe = surface_probe(torus, xstar, h=h,
                           probe_distance=0.5 * torus.reach)
     a = evaluate_V3("SL", torus, None, xstar, h, eps, (table02, table11),
                     tube=torus_tube, probe=probe)

@@ -5,20 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ctquad.geometry import SurfaceProbe, surface_probe
+from ctquad.geometry import SurfaceProbe
 from ctquad.kernels3d import (
     AXIS_PERMUTATION,
     CubicSurfaceModel,
     CurvatureLimitError,
     FrameAxisError,
-    KernelExpansion,
     build_frame,
     expansion_at_plane,
     kernel_values,
 )
 from ctquad.surfaces import Sphere, tilted_torus
 
-from helpers import projection_expansion_report
+from helpers import analytic_probe, projection_expansion_report
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +27,7 @@ def torus():
 
 @pytest.fixture(scope="module")
 def torus_probe(torus):
-    return surface_probe(torus, torus.param_point(1.234, 4.567),
-                         source="analytic")
+    return analytic_probe(torus, torus.param_point(1.234, 4.567))
 
 
 def aligned_probe(kappa1=0.0, kappa2=0.0, f3=(0.0, 0.0, 0.0, 0.0)):
@@ -37,8 +35,7 @@ def aligned_probe(kappa1=0.0, kappa2=0.0, f3=(0.0, 0.0, 0.0, 0.0)):
                         tau1=np.array([1.0, 0.0, 0.0]),
                         tau2=np.array([0.0, 1.0, 0.0]),
                         n=np.array([0.0, 0.0, 1.0]),
-                        kappa1=kappa1, kappa2=kappa2, f3=f3,
-                        source="analytic")
+                        kappa1=kappa1, kappa2=kappa2, f3=f3)
 
 
 def dominant_axis(n):
@@ -200,7 +197,7 @@ def test_cubic_model_gradient_consistency():
 def test_cubic_model_from_probe_requires_f3():
     probe = SurfaceProbe(xstar=np.zeros(3), tau1=np.array([1.0, 0, 0]),
                          tau2=np.array([0.0, 1, 0]), n=np.array([0.0, 0, 1]),
-                         kappa1=0.0, kappa2=0.0, f3=None, source="analytic")
+                         kappa1=0.0, kappa2=0.0, f3=None)
     with pytest.raises(ValueError):
         CubicSurfaceModel.from_probe(probe)
 
@@ -335,7 +332,7 @@ def test_taylor_consistency_sphere():
     # the assembled expansion against that closed form
     s = Sphere(0.8, center=(0.05, -0.1, 0.2))
     xstar = s.project(s.center + np.array([0.3, 0.4, 0.55]))
-    probe = surface_probe(s, xstar, source="analytic")
+    probe = analytic_probe(s, xstar)
     axis = dominant_axis(probe.n)
     frame = build_frame(probe, axis)
     model = CubicSurfaceModel.from_probe(probe)

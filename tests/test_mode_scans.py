@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from ctquad import cli
-from ctquad.geometry import surface_probe
 from ctquad.ibim3d import dominant_direction
 from ctquad.kernels3d import CubicSurfaceModel, build_frame, expansion_at_plane
 from ctquad.quad_core import SingularTerm
 from ctquad.surfaces import tilted_torus
 from ctquad.weights import _term_coefficients
+
+from helpers import analytic_probe
 
 
 def active_modes_loop(term: SingularTerm, cutoff: float = 1e-15) -> list[int]:
@@ -43,7 +44,7 @@ def term_coefficients_loop(term: SingularTerm, cutoff: float
 
 def _torus_sl_term() -> SingularTerm:
     torus = tilted_torus()
-    probe = surface_probe(torus, torus.param_point(1.234, 4.567), source="analytic")
+    probe = analytic_probe(torus, torus.param_point(1.234, 4.567))
     frame = build_frame(probe, dominant_direction(probe.n))
     model = CubicSurfaceModel.from_probe(probe)
     return expansion_at_plane(frame, model, 0.02).s0_term("SL")

@@ -19,7 +19,6 @@ from ctquad.quad_core import (
     locate_singularity,
     punctured_trapezoidal,
     stencil_for_order,
-    trapezoidal,
 )
 
 
@@ -29,13 +28,13 @@ from ctquad.quad_core import (
 
 def test_trapezoidal_counts_nodes():
     g = Grid2(h=0.5, origin=(1.0, -2.0), extent=((0, 3), (0, 2)))
-    total = trapezoidal(lambda x, y: np.ones_like(x), g)
+    total = punctured_trapezoidal(lambda x, y: np.ones_like(x), g, [])
     assert total == pytest.approx(0.25 * 12, abs=0.0)
 
 
 def test_trapezoidal_gaussian_hits_pi():
     g = Grid2(h=0.1, origin=(0.0, 0.0), extent=((-80, 80), (-80, 80)))
-    val = trapezoidal(lambda x, y: np.exp(-(x * x + y * y)), g)
+    val = punctured_trapezoidal(lambda x, y: np.exp(-(x * x + y * y)), g, [])
     assert abs(val - math.pi) < 1e-12
 
 
@@ -48,7 +47,7 @@ def test_trapezoidal_rejects_nonfinite_and_names_node():
         return out
 
     with pytest.raises(ValueError, match=r"i=1, j=2"):
-        trapezoidal(f, g)
+        punctured_trapezoidal(f, g, [])
 
 
 def test_empty_extent_rejected():
@@ -74,7 +73,7 @@ def test_punctured_equals_full_minus_skipped():
     g = Grid2(h=0.25, origin=(0.0, 0.0), extent=((-8, 8), (-8, 8)))
     rng = np.random.default_rng(7)
     vals = rng.standard_normal(g.shape)
-    full = trapezoidal(vals, g)
+    full = punctured_trapezoidal(vals, g, [])
     skip = [(0, 0), (1, 0), (0, 1)]
     part = punctured_trapezoidal(vals, g, skip)
     (i0, _), (j0, _) = g.extent

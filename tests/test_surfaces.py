@@ -5,15 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ctquad.kernels3d import kernel_values
 from ctquad.surfaces import (
     CubicGraph,
     NonUniqueProjectionError,
     Sphere,
-    TiltedTorus,
     TorusSpec,
     layer_potential_oracle,
     random_targets,
-    surface_kernel,
     tilted_torus,
     torus_density,
 )
@@ -184,14 +183,14 @@ def test_cubic_graph_projection():
 def test_surface_kernel_symmetry():
     # SL is symmetric in its arguments; DL(x,y) = DLC(y,x)
     rng = np.random.default_rng(9)
-    x, y = rng.standard_normal((2, 3))
-    nx, ny = rng.standard_normal((2, 3))
+    x, y = rng.standard_normal((2, 1, 3))
+    nx, ny = rng.standard_normal((2, 1, 3))
     nx /= np.linalg.norm(nx)
     ny /= np.linalg.norm(ny)
-    assert surface_kernel("SL", x, nx, y, ny) == pytest.approx(
-        surface_kernel("SL", y, ny, x, nx))
-    assert surface_kernel("DL", x, nx, y, ny) == pytest.approx(
-        surface_kernel("DLC", y, ny, x, nx))
+    assert kernel_values("SL", x[0], nx[0], y, ny) == pytest.approx(
+        kernel_values("SL", y[0], ny[0], x, nx))
+    assert kernel_values("DL", x[0], nx[0], y, ny) == pytest.approx(
+        kernel_values("DLC", y[0], ny[0], x, nx))
 
 
 def test_oracle_gauss_identity(torus):

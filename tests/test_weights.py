@@ -21,11 +21,11 @@ from ctquad.quad_core import (
     stencil_for_order,
 )
 from ctquad.weights import (
-    BumpFunction,
     DEFAULT_BUMP,
     IllConditionedStencilError,
     MomentCache,
     WeightConvergenceError,
+    WeightTable,
     _dual_coefficient,
     _dual_lattice_sums,
     build_weight_table,
@@ -310,6 +310,13 @@ def test_table_rejects_truncated_file():
         with pytest.raises(ValueError, match="truncated") as exc_info:
             load_weight_table(cut)
         assert cut in str(exc_info.value)
+        # a cut inside the header (or right after the magic) is refused too
+        for size in (8, 20):
+            with open(cut, "wb") as f:
+                f.write(blob[:size])
+            with pytest.raises(ValueError, match="truncated") as exc_info:
+                load_weight_table(cut)
+            assert cut in str(exc_info.value)
         # the save leaves no temporary files behind
         assert sorted(os.listdir(td)) == sorted(
             [os.path.basename(path), os.path.basename(path) + ".json", "cut.ctwt"])
@@ -347,6 +354,20 @@ def test_interpolation_rejects_wrong_k():
         tab = _tiny_table(td)
         with pytest.raises(ValueError, match="k="):
             interpolate_weights(tab, T_CONST_K0, GridOffset(0.1, 0.2, (0, 0)))
+
+
+def test_interpolation_rejects_lattice_below_4x4():
+    # a 3x3 lattice has no 4x4 patch for the cubic rule; it must refuse, not
+    # broadcast one corner entry over the patch
+    data = np.arange(9.0).reshape(1, 3, 3, 1)
+    tab = WeightTable(k=1, p=1, tol=1e-8, n_modes=0, grid_n=3,
+                      domain_lo=-0.5, stencil_offsets=((0, 0),),
+                      bump_r0=DEFAULT_BUMP.r0, bump_R=DEFAULT_BUMP.R,
+                      data=data, m_levels=np.zeros((1, 3, 3), dtype=np.int8))
+    term = SingularTerm.from_coefficients(1, 1.0)
+    for alpha in (-0.5, 0.0, 0.5):
+        with pytest.raises(ValueError, match="grid_n=3"):
+            interpolate_weights(tab, term, GridOffset(alpha, 0.0, (0, 0)))
 
 
 def test_table_k1_constant_mode_is_identically_one():
