@@ -27,6 +27,7 @@ import io
 import json
 import math
 import os
+import shlex
 import sys
 from typing import Callable
 
@@ -309,7 +310,7 @@ def find_table_path(k: int, p: int, cache_dir: str | None = None,
 
 
 def _build_command(k: int, p: int, tol: float | None, n_modes: int,
-                   grid_n: int) -> str:
+                   grid_n: int, cache_dir: str | None) -> str:
     cmd = f"ctquad weights build --k {k} --p {p}"
     if tol is not None:
         cmd += f" --tol {tol:g}"
@@ -317,6 +318,8 @@ def _build_command(k: int, p: int, tol: float | None, n_modes: int,
         cmd += f" --n-modes {n_modes}"
     if grid_n != 33:
         cmd += f" --grid-n {grid_n}"
+    if cache_dir is not None:
+        cmd += f" --cache-dir {shlex.quote(cache_dir)}"
     return cmd
 
 
@@ -331,7 +334,7 @@ def load_table_checked(k: int, p: int, cache_dir: str | None = None,
     """
     path = find_table_path(k, p, cache_dir, tol, n_modes, grid_n)
     where = cache_dir or wt.default_cache_dir()
-    build = _build_command(k, p, tol, n_modes, grid_n)
+    build = _build_command(k, p, tol, n_modes, grid_n, cache_dir)
     if path is None:
         name = wt.table_filename(k, p, tol, n_modes, grid_n)
         others = []
@@ -600,9 +603,15 @@ def _print_table_info(table: wt.WeightTable, path: str | None) -> None:
 
 
 def cmd_weights_build(args) -> int:
-    table = wt.build_weight_table(
-        args.k, args.p, tol=args.tol, n_modes=args.n_modes, grid_n=args.grid_n,
-        processes=args.processes, cache_dir=args.cache_dir, force=args.force)
+    selection = _table_selection(args)
+    if not args.force and find_table_path(args.k, args.p, args.cache_dir,
+                                          **selection):
+        # a cache hit; a file the loader refuses fails with the rebuild command
+        table = load_table_checked(args.k, args.p, args.cache_dir, **selection)
+    else:
+        table = wt.build_weight_table(
+            args.k, args.p, processes=args.processes,
+            cache_dir=args.cache_dir, force=args.force, **selection)
     cache_dir = args.cache_dir or wt.default_cache_dir()
     name = wt.table_filename(args.k, args.p, table.tol, table.n_modes,
                              table.grid_n)

@@ -71,8 +71,10 @@ MARGIN_CELLS = 4
 # reach of the J stencil along each axis, in cells: the band around the tube
 # that holds every stencil node when the difference step is h
 BAND_CELLS = max(abs(s) for s in JACOBIAN_STENCIL)
-# lattice nodes per block in the distance scan and the projection passes
+# nodes per projection pass, and the most lattice nodes one J pass spans
 CHUNK = 400_000
+# nodes per side of the blocks that the tube scan keeps or skips whole
+BLOCK = 4
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +196,17 @@ def build_tube(surface, h: float, eps: float, *,
     projection, normal, area ratio J, surface density rho(P), and the
     assembled smooth factor v = rho * delta_eps(d) * J.
 
+    The scan is a narrow band.  The lattice, which starts MARGIN_CELLS cells
+    (plus eps) below the surface's bounding box, is cut into blocks of BLOCK
+    nodes per side, and d is evaluated at each block's centre.  A block whose
+    centre lies farther than the band width plus the half-diagonal
+    (sqrt(3)/2) * (BLOCK - 1) * h from the surface is skipped whole: d is
+    1-Lipschitz, so none of its nodes can be in the band, and the cull is
+    exact.  d is then evaluated node by node in the kept blocks, one slab of
+    BLOCK x-planes at a time, each slab's nodes taken in lexicographic order,
+    so the rows come out sorted without a global sort.  Each band node is
+    projected once, and the same pass gives its normal.
+
     J is the sum of the 2x2 principal minors of the projection map's
     Jacobian, taken with 4th-order centered differences (nodes +-1, +-2
     steps along each axis).  The step is the grid spacing h, capped at
@@ -202,15 +215,15 @@ def build_tube(surface, h: float, eps: float, *,
 
     * step == h: the difference points are lattice nodes.  The scan keeps
       the band |d| <= eps + 2h (a hair more, against rounding), which holds
-      every stencil node of every tube node because d is 1-Lipschitz; each
-      band node is projected once, and the stencil feet are gathered from
-      the band through a dense lattice-to-row map.  A stencil node missing
-      from the band raises ValueError naming the tube node and h.
-    * step < h (the cap binds, only on coarse grids): the 12 displaced
-      points of every tube node are projected (geometry.displaced_feet).
-
-    The lattice starts MARGIN_CELLS cells (plus eps) below the surface's
-    bounding box.
+      every stencil node of every tube node because d is 1-Lipschitz, and
+      the stencil feet are gathered from the band's feet.  The row map that
+      finds them covers CHUNK nodes' worth of x-planes plus the stencil's
+      reach on each side, and slides along x; it never spans the lattice.
+      A stencil node missing from the band raises ValueError naming the
+      tube node and h.
+    * step < h (the cap binds, only on coarse grids): the band is the tube,
+      and the 12 displaced points of every tube node are projected
+      (geometry.displaced_feet).
     """
     if h <= 0:
         raise ValueError(f"grid spacing must be positive, got {h}")
@@ -230,65 +243,55 @@ def build_tube(surface, h: float, eps: float, *,
     hi = np.asarray(hi, dtype=float)
     pad = eps + MARGIN_CELLS * h
     origin = lo - pad
-    nx, ny, nz = (int(c) for c in np.ceil((hi + pad - origin) / h) + 1)
+    shape = tuple(int(c) for c in np.ceil((hi + pad - origin) / h) + 1)
 
-    ys = origin[1] + h * np.arange(ny)
-    zs = origin[2] + h * np.arange(nz)
-    block = max(1, int(CHUNK // max(ny * nz, 1)))
-
-    idx_parts, pts_parts, d_parts = [], [], []
-    for i0 in range(0, nx, block):
-        ixs = np.arange(i0, min(i0 + block, nx))
-        xs = origin[0] + h * ixs
-        pts = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1)
-        pts = pts.reshape(-1, 3)
-        d = np.asarray(surface.distance(pts), dtype=float)
-        keep = np.abs(d) <= width
-        if not np.any(keep):
-            continue
-        flat = np.nonzero(keep)[0]
-        iz = flat % nz
-        iy = (flat // nz) % ny
-        ix = ixs[flat // (ny * nz)]
-        idx_parts.append(np.stack([ix, iy, iz], axis=1).astype(np.int64))
-        pts_parts.append(pts[keep])
-        d_parts.append(d[keep])
-
-    band_d = np.concatenate(d_parts) if d_parts else np.empty(0)
+    band_key, band_d = _scan_band(surface, origin, h, shape, width)
     inner = np.abs(band_d) <= eps
     if not np.any(inner):
         raise ValueError("tube is empty: the lattice does not meet {|d| <= eps}")
-    band_index = np.concatenate(idx_parts)
-    band_key = (band_index[:, 0] * ny + band_index[:, 1]) * nz + band_index[:, 2]
-    band_points = np.concatenate(pts_parts)
-    band_foot = np.empty_like(band_points)
-    for i0 in range(0, band_points.shape[0], CHUNK):
+    tube_rows = np.flatnonzero(inner)
+    n = tube_rows.size
+    band_foot = np.empty((band_key.size, 3))
+    normal = np.empty((n, 3))
+    for i0 in range(0, band_key.size, CHUNK):
         sl = slice(i0, i0 + CHUNK)
-        band_foot[sl] = surface.project(band_points[sl])
-    index, key, points, d = (band_index[inner], band_key[inner],
-                             band_points[inner], band_d[inner])
-    foot = band_foot[inner]
-    n = points.shape[0]
-    normal = np.empty_like(points)
+        t0, t1 = np.searchsorted(tube_rows, [i0, i0 + CHUNK])
+        band_foot[sl], band_normal = surface.foot_and_normal(
+            origin + h * _lattice_index(band_key[sl], shape))
+        normal[t0:t1] = band_normal[inner[sl]]
+    key, d, foot = band_key[inner], band_d[inner], band_foot[inner]
+    del band_d, inner, tube_rows
+    index = _lattice_index(key, shape)
+    points = origin + h * index
+
     jac = np.empty(n)
     if from_lattice:
-        # band row of every lattice node, -1 off the band
-        row_of = np.full(nx * ny * nz, -1, dtype=np.int32)
-        row_of[band_key] = np.arange(band_key.size, dtype=np.int32)
-        _check_stencil_inside(index, (nx, ny, nz), h)
-        strides = np.array([ny * nz, nz, 1])
-        shifts = strides[:, None] * np.array(JACOBIAN_STENCIL)  # (axis, node)
-    for i0 in range(0, n, CHUNK):
-        sl = slice(i0, i0 + CHUNK)
-        normal[sl] = surface.normal(points[sl])
-        if from_lattice:
-            rows = row_of[key[sl, None, None] + shifts]
+        _check_stencil_inside(index, shape, h)
+        _, ny, nz = shape
+        plane = ny * nz
+        shifts = np.array([plane, nz, 1])[:, None] * np.array(JACOBIAN_STENCIL)
+        lo_shift, hi_shift = int(shifts.min()), int(shifts.max())
+        planes = max(1, CHUNK // plane)  # x-planes of tube nodes per pass
+        # band row of each node the stencils of a pass reach; -1 off the band
+        row_of = np.empty(planes * plane + hi_shift - lo_shift, dtype=np.int32)
+        for x0 in range(int(index[0, 0]), int(index[-1, 0]) + 1, planes):
+            first, last = x0 * plane, (x0 + planes) * plane
+            t0, t1 = np.searchsorted(key, [first, last])
+            base = first + lo_shift
+            b0, b1 = np.searchsorted(band_key, [base, last + hi_shift])
+            row_of.fill(-1)
+            row_of[band_key[b0:b1] - base] = np.arange(b0, b1, dtype=np.int32)
+            rows = row_of[key[t0:t1, None, None] - base + shifts]
             if np.any(rows < 0):
-                _raise_missing_neighbour(index[sl], rows, h)
-            jac[sl] = projection_jacobian(band_foot[rows], h)
-        else:
+                _raise_missing_neighbour(index[t0:t1], rows, h)
+            feet = np.take(band_foot, rows, axis=0)
+            jac[t0:t1] = projection_jacobian(feet, h)
+    else:
+        for i0 in range(0, n, CHUNK):
+            sl = slice(i0, i0 + CHUNK)
             jac[sl] = projection_jacobian(
                 displaced_feet(surface.project, points[sl], step), step)
+    del band_key, band_foot
     if not np.all(jac > 0.0):
         bad = int(np.argmin(jac))
         raise ValueError(f"non-positive area ratio J={jac[bad]:.3e} at node "
@@ -302,9 +305,46 @@ def build_tube(surface, h: float, eps: float, *,
 
     if np.any(np.diff(key) <= 0):
         raise AssertionError("tube nodes are not in lexicographic order")
-    return TubeGrid(h=h, eps=eps, origin=origin, shape=(nx, ny, nz),
+    return TubeGrid(h=h, eps=eps, origin=origin, shape=shape,
                     index=index, points=points, d=d, foot=foot, normal=normal,
                     jacobian=jac, density=density, v=v, key=key)
+
+
+def _lattice_index(key: np.ndarray, shape) -> np.ndarray:
+    """(N, 3) lattice triples of flattened lattice keys."""
+    return np.stack(np.unravel_index(key, shape), axis=1)
+
+
+def _scan_band(surface, origin: np.ndarray, h: float, shape,
+               width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flattened keys (sorted) and signed distances of the nodes |d| <= width.
+
+    Blocks of BLOCK nodes per side whose centre is too far from the surface
+    for any node to be within width are never scanned; see build_tube.
+    """
+    nx, ny, nz = shape
+    blocks = [np.arange(0, c, BLOCK) for c in shape]
+    starts = np.stack(np.meshgrid(*blocks, indexing="ij"), axis=-1)
+    centres = origin + h * (starts + 0.5 * (BLOCK - 1))
+    # the relative hair keeps rounding in d from culling a block on the edge
+    cull = (width + 0.5 * math.sqrt(3.0) * (BLOCK - 1) * h) * (1.0 + 1e-9)
+    kept = np.abs(surface.distance(centres)) <= cull
+    key_parts, d_parts = [], []
+    for bx, x0 in enumerate(blocks[0]):
+        cols = np.repeat(np.repeat(kept[bx], BLOCK, axis=0), BLOCK, axis=1)
+        iy, iz = np.nonzero(cols[:ny, :nz])
+        if iy.size == 0:
+            continue
+        ix = np.arange(x0, min(x0 + BLOCK, nx))
+        index = np.stack([np.repeat(ix, iy.size), np.tile(iy, ix.size),
+                          np.tile(iz, ix.size)], axis=1)
+        d = np.asarray(surface.distance(origin + h * index), dtype=float)
+        keep = np.abs(d) <= width
+        key_parts.append(np.ravel_multi_index(index[keep].T, shape))
+        d_parts.append(d[keep])
+    if not key_parts:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    return np.concatenate(key_parts), np.concatenate(d_parts)
 
 
 def _check_stencil_inside(index: np.ndarray, shape, h: float) -> None:

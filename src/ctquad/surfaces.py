@@ -11,10 +11,16 @@ interface (duck-typed, no base class required):
     projection is not unique);
 ``normal(x)``
     unit gradient of the signed distance (points outward);
+``foot_and_normal(x)``
+    ``(project(x), normal(x))`` from one pass over the points;
 ``reach``
     largest tube half-width on which the projection is single valued;
 ``bounding_box``
     ``(lo, hi)`` corners of an axis-aligned box containing the surface.
+
+``distance`` must be the exact signed distance, so 1-Lipschitz:
+``ibim3d.build_tube`` skips a lattice block when the distance at its centre
+rules out every node of the block, which is exact only under that bound.
 
 The tilted torus is the standard convergence fixture: its pose is generic so
 an axis-aligned grid shares no symmetry with it, yet distance, projection,
@@ -122,8 +128,10 @@ class TiltedTorus:
         ring = np.hypot(u[..., 0], u[..., 1]) - self.spec.R1
         return np.hypot(ring, u[..., 2]) - self.spec.R2
 
-    def _tube_vector(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Local offset from the tube's center circle, and its length."""
+    def _tube_vector(self, u: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nearest center-circle point, the local offset from it, and the
+        offset's length (kept as a trailing axis of size 1)."""
         rho = np.hypot(u[..., 0], u[..., 1])
         if np.any(rho < 1e-12):
             raise NonUniqueProjectionError(
@@ -132,23 +140,24 @@ class TiltedTorus:
         ring = np.stack([u[..., 0] * scale, u[..., 1] * scale,
                          np.zeros_like(rho)], axis=-1)
         v = u - ring
-        vnorm = np.linalg.norm(v, axis=-1)
+        vnorm = np.linalg.norm(v, axis=-1, keepdims=True)
         if np.any(vnorm < 1e-12):
             raise NonUniqueProjectionError(
                 "point on the tube center circle has no unique closest point")
-        return ring, v
+        return ring, v, vnorm
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        u = self.to_local(x)
-        ring, v = self._tube_vector(u)
-        vnorm = np.linalg.norm(v, axis=-1, keepdims=True)
+        ring, v, vnorm = self._tube_vector(self.to_local(x))
         return self.to_world(ring + v * (self.spec.R2 / vnorm))
 
     def normal(self, x: np.ndarray) -> np.ndarray:
-        u = self.to_local(x)
-        _, v = self._tube_vector(u)
-        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-        return v @ self._rot.T
+        _, v, vnorm = self._tube_vector(self.to_local(x))
+        return (v / vnorm) @ self._rot.T
+
+    def foot_and_normal(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ring, v, vnorm = self._tube_vector(self.to_local(x))
+        return (self.to_world(ring + v * (self.spec.R2 / vnorm)),
+                (v / vnorm) @ self._rot.T)
 
     @property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -291,6 +300,11 @@ class Sphere:
     def normal(self, x: np.ndarray) -> np.ndarray:
         v, r = self._offset(x)
         return v / r[..., None]
+
+    def foot_and_normal(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v, r = self._offset(x)
+        return (self.center + v * (self.radius / r)[..., None],
+                v / r[..., None])
 
     @property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:

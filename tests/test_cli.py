@@ -214,12 +214,36 @@ def test_refused_table_file_is_a_cli_error(tmp_path, table11, capsys):
         assert rc == 2
         err = capsys.readouterr().err
         assert why in err and str(path) in err
-        assert f"ctquad weights build --k {k} --p {p} --force" in err
+        assert (f"ctquad weights build --k {k} --p {p} --cache-dir {tmp_path} "
+                f"--force") in err
     rc = run_cli("weights", "info", "--cache-dir", str(tmp_path))
     assert rc == 0
     out = capsys.readouterr().out
     assert f"{path11.name}: refused" in out and "truncated" in out
     assert f"{path02.name}: refused" in out and "bad magic" in out
+
+
+def test_weights_build_refuses_truncated_cache_hit(tmp_path, capsys):
+    # without --force an existing file is a cache hit: an intact one is
+    # served, a truncated one ends the build with exit status 2, its path and
+    # the rebuild command
+    name = wt.table_filename(1, 1)
+    fixture = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "tables", name)
+    with open(fixture, "rb") as f:
+        blob = f.read()
+    path = tmp_path / name
+    path.write_bytes(blob)
+    argv = ("weights", "build", "--k", "1", "--p", "1",
+            "--cache-dir", str(tmp_path))
+    assert run_cli(*argv) == 0
+    assert "k=1 p=1" in capsys.readouterr().out
+    path.write_bytes(blob[:len(blob) // 2])
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "truncated" in err and str(path) in err
+    assert (f"ctquad weights build --k 1 --p 1 --cache-dir {tmp_path} "
+            f"--force") in err
 
 
 # --------------------------------------------------------------------------

@@ -188,6 +188,59 @@ def test_tube_jacobian_routes(torus, h, from_lattice):
         assert np.array_equal(tube.jacobian, J)
 
 
+# an off-lattice sphere whose lattice extent is no multiple of the scan's
+# block side, and a small one whose whole tube spans a few blocks; each on
+# both J routes (the step is capped below h on the second of each pair)
+_CULL_CASES = {
+    "offset-lattice": (Sphere(1.0, center=(0.013, -0.021, 0.037)), 0.05, 0.1),
+    "offset-capped": (Sphere(1.0, center=(0.013, -0.021, 0.037)), 0.1, 0.9),
+    "small-lattice": (Sphere(0.1, center=(0.011, 0.007, -0.019)), 0.02, 0.05),
+    "small-capped": (Sphere(0.1, center=(0.011, 0.007, -0.019)), 0.05, 0.05),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CULL_CASES))
+def test_tube_block_cull_is_exact(case):
+    """The culled scan keeps exactly the nodes of the full-lattice scan."""
+    surface, h, eps = _CULL_CASES[case]
+    tube = build_tube(surface, h, eps)
+    step = min(h, 0.45 * (surface.reach - eps))
+    assert (step == h) == case.endswith("lattice")
+    if case.startswith("offset"):
+        assert any(n % ibim3d.BLOCK for n in tube.shape)
+    else:
+        extent = tube.index.max(axis=0) - tube.index.min(axis=0) + 1
+        assert np.all(extent <= 4 * ibim3d.BLOCK)
+    for field, ref in _reference_scan(surface, tube).items():
+        assert np.array_equal(getattr(tube, field), ref), field
+    assert np.all(tube.density == 1.0)
+    J = projection_jacobian(displaced_feet(surface.project, tube.points, step),
+                            step)
+    np.testing.assert_allclose(tube.jacobian, J, rtol=1e-12, atol=0.0)
+    assert np.array_equal(tube.v, delta_eps(tube.d, eps) * tube.jacobian)
+
+
+def test_tube_scan_skips_far_blocks(torus, monkeypatch):
+    # the distance is evaluated near the band only, not on the whole lattice
+    h, eps = 0.025, 0.1
+    calls = []
+    distance = type(torus).distance
+
+    def counted(self, x):
+        calls.append(int(np.prod(np.shape(x)[:-1])))
+        return distance(self, x)
+
+    monkeypatch.setattr(type(torus), "distance", counted)
+    tube = build_tube(torus, h, eps)
+    monkeypatch.undo()
+    nx, ny, nz = tube.shape
+    index = np.stack(np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
+                                 indexing="ij"), axis=-1).reshape(-1, 3)
+    d = torus.distance(tube.origin + h * index)
+    band = int(np.sum(np.abs(d) <= eps + ibim3d.BAND_CELLS * h))
+    assert sum(calls) <= 2 * band < math.prod(tube.shape) / 3
+
+
 def test_tube_stencil_outside_band_is_named(sphere, monkeypatch):
     # a band one cell wide cannot hold the +-2 stencil nodes: the build must
     # name a tube node and h, never difference a missing neighbour's row
