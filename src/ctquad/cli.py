@@ -43,6 +43,7 @@ from .quad_core import (
     SingularTerm,
     composite_Up,
     corrected_Qp,
+    grid_values,
     grid_with_offset,
     locate_singularity,
     pair_orders,
@@ -379,7 +380,10 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
 
     The single-term study runs once per k, correcting s_k at order p; the
     general study corrects each expansion term s_k of its one function at
-    order p-1-k.  Every correction resolves its weights by the study's mode:
+    order p-1-k.  Each level evaluates s(x - x0) * v(x) once on its grid,
+    row by row (`grid_values`), and every rule of that level reads those
+    node values; only one level's are held at a time.  Every correction
+    resolves its weights by the study's mode:
 
     * "exact": `study_weights` once, at the first level's cell offset, reused
       across levels (the offset is h-independent by construction);
@@ -463,13 +467,15 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
             values[f"{method}-{p}"] = []
         for h in hs:
             grid = grid_at(h)
+            fv = grid_values(f, grid)
             values["punctured"].append(punctured_trapezoidal(
-                f, grid, [locate_singularity(x0, grid, 1)[1].anchor]))
+                fv, grid, [locate_singularity(x0, grid, 1)[1].anchor]))
             for p in config.p_values:
                 ws = weights_at(p, grid)
                 values[f"{method}-{p}"].append(
-                    corrected_Qp(s, smooth_factor, x0, grid, p, ws[0]) if single
-                    else composite_Up(s, smooth_factor, x0, grid, p, ws))
+                    corrected_Qp(s, smooth_factor, x0, grid, p, ws[0], fv) if single
+                    else composite_Up(s, smooth_factor, x0, grid, p, ws, fv))
+            del fv  # before the next, larger level's values are built
             if progress:
                 progress(f"{label}: h={h:.6g} done")
         emit(config.study, k, values)

@@ -35,6 +35,7 @@ __all__ = [
     "correction_monomials",
     "stencil_for_order",
     "punctured_trapezoidal",
+    "grid_values",
     "locate_singularity",
     "corrected_Qp",
     "composite_Up",
@@ -371,6 +372,20 @@ def punctured_trapezoidal(f, grid: Grid2,
     return grid.h * grid.h * _kahan_rows(row_sums)
 
 
+def grid_values(f, grid: Grid2) -> np.ndarray:
+    """f(x, y) at every node of the grid, as an array shaped like grid.shape.
+
+    f is called on one row of nodes at a time (fixed x, every y), as
+    `punctured_trapezoidal` calls it, so temporaries stay one row long
+    however fine the grid.  Every node is evaluated, a singular one too.
+    """
+    xs, ys = grid.axis_nodes()
+    out = np.empty(grid.shape)
+    for row, x in enumerate(xs):
+        out[row] = f(np.full(ys.shape, x), ys)
+    return out
+
+
 # --------------------------------------------------------------------------
 # locating the singular point
 # --------------------------------------------------------------------------
@@ -422,10 +437,12 @@ def _checked_weights(weights, stencil: Stencil) -> np.ndarray:
 
 
 def corrected_Qp(term: SingularTerm, v: Callable, x0: Sequence[float], grid: Grid2,
-                 p: int, weights) -> float:
+                 p: int, weights, values) -> float:
     """Order-p corrected trapezoidal rule for s_k(x - x0) * v(x).
 
-    The punctured sum runs over every grid node outside the stencil; the
+    ``values`` holds s_k(x - x0) * v(x) at every node, shaped like
+    grid.shape (see `grid_values`); the punctured sum reads it outside the
+    stencil, so stencil entries may be non-finite (x0 on a node).  The
     correction adds h**(k+1) * sum_i w_i * v(node_i) over the stencil nodes.
     ``weights`` are the p_tilde weights of this term at this grid's offset of
     x0 (see the `weights` module).
@@ -433,17 +450,13 @@ def corrected_Qp(term: SingularTerm, v: Callable, x0: Sequence[float], grid: Gri
     stencil, offset = locate_singularity(x0, grid, p)
     w = _checked_weights(weights, stencil)
     nodes = stencil.node_indices(offset.anchor)
-
-    def f(x, y):
-        return term.evaluate(x - x0[0], y - x0[1]) * v(x, y)
-
-    t0 = punctured_trapezoidal(f, grid, nodes)
+    t0 = punctured_trapezoidal(np.asarray(values, dtype=float), grid, nodes)
     vx = _node_values(v, grid, nodes)
     return t0 + grid.h ** (term.k + 1) * float(np.dot(w, vx))
 
 
 def composite_Up(s: SingularFunction, v: Callable, x0: Sequence[float], grid: Grid2,
-                 p: int, weights_by_k) -> float:
+                 p: int, weights_by_k, values) -> float:
     """Composite corrected rule of order p for s(x - x0) * v(x), 2 <= p <= 5.
 
     Applies the order-(p-1-k) correction to each expansion term s_k,
@@ -457,8 +470,10 @@ def composite_Up(s: SingularFunction, v: Callable, x0: Sequence[float], grid: Gr
       minus the anchor (where only the k=p-2 correction, a bare one-node rule,
       is active).
 
-    ``weights_by_k[k]`` are the weights of s_k's correction at this grid's
-    offset of x0, for k = 0..p-2.
+    ``values`` holds s(x - x0) * v(x) at every node, shaped like grid.shape
+    (see `grid_values`); only entries outside the largest stencil are read,
+    so stencil entries may be non-finite.  ``weights_by_k[k]`` are the
+    weights of s_k's correction at this grid's offset of x0, for k = 0..p-2.
     """
     if not 2 <= p <= 5:
         raise ValueError(f"composite rule supports p = 2..5, got {p}")
@@ -480,10 +495,7 @@ def composite_Up(s: SingularFunction, v: Callable, x0: Sequence[float], grid: Gr
         gx = _node_values(lambda x, y: g(x - x0[0], y - x0[1]), grid, nodes)
         return gx * np.array([vx[idx] for idx in nodes])
 
-    def fv(x, y):
-        return np.asarray(s.full(x - x0[0], y - x0[1])) * v(x, y)
-
-    total = punctured_trapezoidal(fv, grid, big_nodes)
+    total = punctured_trapezoidal(np.asarray(values, dtype=float), grid, big_nodes)
 
     # per-term corrections + ring re-additions
     for k in range(p - 1):

@@ -621,8 +621,10 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _LAG_NODES, _LAG_WEIGHTS = np.polynomial.laguerre.laggauss(64)
 
 
-def _w_tail_integral(kappa: int, ell: int, beta: float, P: float) -> float:
-    """W = integral_P^inf rho**(1-kappa) eta((rho-P)/P) J_ell(beta*rho) drho.
+def _w_tail_integrals(kappas: Sequence[int], ell: int, beta: float,
+                      P: float) -> list[float]:
+    """W = integral_P^inf rho**(1-kappa) eta((rho-P)/P) J_ell(beta*rho) drho,
+    one value per kappa in ``kappas``.
 
     Split at 2P where eta saturates: Gauss-Legendre panels against scipy's
     Bessel J on [P, 2P], then the pure power tail via rotation of the Hankel
@@ -634,7 +636,9 @@ def _w_tail_integral(kappa: int, ell: int, beta: float, P: float) -> float:
                   * int_0^inf (2P + i tau/beta)**(1-kappa)
                     H1e_ell(2P beta + i tau) e**(-tau) dtau ],
 
-    with H1e the exponentially scaled first Hankel function.
+    with H1e the exponentially scaled first Hankel function.  The panel
+    nodes, the ramp and both Bessel evaluations depend on (ell, beta) only,
+    so every kappa shares them.
     """
     from scipy import special
 
@@ -646,14 +650,17 @@ def _w_tail_integral(kappa: int, ell: int, beta: float, P: float) -> float:
     half = 0.5 * (edges[1:] - edges[:-1])
     rho = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     wq = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    vals = rho ** (1.0 - kappa) * _smoothstep((rho - P) / P) * special.jv(ell, beta * rho)
-    part1 = float(np.dot(wq, vals))
+    ramp = _smoothstep((rho - P) / P)
+    jv = special.jv(ell, beta * rho)
 
     # pure power tail by Hankel rotation
     z = 2.0 * P * beta + 1j * _LAG_NODES
-    f = (2.0 * P + 1j * _LAG_NODES / beta) ** (1.0 - kappa) * special.hankel1e(ell, z)
-    t1 = 1j * np.exp(2j * P * beta) / beta * np.dot(_LAG_WEIGHTS, f)
-    return part1 + float(t1.real)
+    h1e = special.hankel1e(ell, z)
+    base = 2.0 * P + 1j * _LAG_NODES / beta
+    shift = 1j * np.exp(2j * P * beta) / beta
+    return [float(np.dot(wq, rho ** (1.0 - kappa) * ramp * jv))
+            + float((shift * np.dot(_LAG_WEIGHTS, base ** (1.0 - kappa) * h1e)).real)
+            for kappa in kappas]
 
 
 # the dual-lattice sums leave out Fourier images w + n farther out than this
@@ -689,7 +696,8 @@ def _dual_lattice_sums(kappa_ells: Iterable[tuple[int, int]],
             ell_phase[ell] = np.exp(1j * ell * theta)
         direct = complex(np.sum(rho ** float(-kappa) * ell_phase[ell] * base))
         out[(kappa, ell)] = direct
-    # image part
+    # image part: one tail integral per (ell, image) serves every kappa
+    kappas_by_ell = {ell: [kp for kp, el in pairs if el == ell] for _, ell in pairs}
     cx, cy = -round(w[0]), -round(w[1])
     for nx in range(cx - 2, cx + 3):
         for ny in range(cy - 2, cy + 3):
@@ -699,10 +707,10 @@ def _dual_lattice_sums(kappa_ells: Iterable[tuple[int, int]],
                 continue
             beta = 2.0 * math.pi * dist
             arg = math.atan2(ry, rx)
-            for kappa, ell in pairs:
-                wint = _w_tail_integral(kappa, ell, beta, P)
-                out[(kappa, ell)] += (2.0 * math.pi * (-1j) ** ell
-                                      * np.exp(1j * ell * arg) * wint)
+            for ell, kappas in kappas_by_ell.items():
+                c = 2.0 * math.pi * (-1j) ** ell * np.exp(1j * ell * arg)
+                for kappa, wint in zip(kappas, _w_tail_integrals(kappas, ell, beta, P)):
+                    out[(kappa, ell)] += c * wint
     return out
 
 

@@ -37,6 +37,7 @@ from ctquad.kernels3d import (
 from ctquad.quad_core import (
     SingularTerm,
     corrected_Qp,
+    grid_values,
     grid_with_offset,
     locate_singularity,
     punctured_trapezoidal,
@@ -223,9 +224,14 @@ def test_a05_on_grid_symmetry_gains_an_order():
     stencil, off = locate_singularity(x0, g0, 1)
     assert off.alpha == 0.0 and off.beta == 0.0
     w = study_weights(term, off, stencil)
-    vals = [corrected_Qp(term, smooth_factor, x0,
-                         grid_with_offset(h, 1.7, x0, 0.0, 0.0), 1, weights=w)
-            for h in hs]
+    vals = []
+    for h in hs:
+        grid = grid_with_offset(h, 1.7, x0, 0.0, 0.0)
+        # x0 is the anchor node, where the value input holds +inf; it is
+        # never summed
+        fv = grid_values(lambda x, y: term.evaluate(x - x0[0], y - x0[1])
+                         * smooth_factor(x, y), grid)
+        vals.append(corrected_Qp(term, smooth_factor, x0, grid, 1, w, fv))
     errs = successive_differences(vals)
     got = observed_order(errs, hs)
     assert abs(got - 3.0) <= ORDER_TOL, f"observed {got:.3f}, expected 3"

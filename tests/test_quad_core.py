@@ -15,6 +15,7 @@ from ctquad.quad_core import (
     composite_Up,
     correction_monomials,
     corrected_Qp,
+    grid_values,
     grid_with_offset,
     locate_singularity,
     punctured_trapezoidal,
@@ -208,6 +209,11 @@ def _smooth_bump(x, y):
     return np.exp(-3.0 * r2)
 
 
+def _node_integrand(s, v, x0, grid):
+    """s(x - x0) * v(x) at every node of the grid: the rules' value input."""
+    return grid_values(lambda x, y: s(x - x0[0], y - x0[1]) * v(x, y), grid)
+
+
 def test_corrected_reduces_to_punctured_when_v_vanishes_on_stencil():
     # if v is zero at every stencil node the correction adds exactly nothing
     g = grid_with_offset(0.2, 2.0, (0.0, 0.0), alpha=0.3, beta=0.4)
@@ -225,7 +231,8 @@ def test_corrected_reduces_to_punctured_when_v_vanishes_on_stencil():
         return term.evaluate(x, y) * v(x, y)
 
     base = punctured_trapezoidal(f, g, stencil.node_indices(off.anchor))
-    got = corrected_Qp(term, v, (0.0, 0.0), g, 2, weights=np.array([3.0, -1.0, 2.0, 0.5]))
+    got = corrected_Qp(term, v, (0.0, 0.0), g, 2, np.array([3.0, -1.0, 2.0, 0.5]),
+                       _node_integrand(term.evaluate, v, (0.0, 0.0), g))
     assert got == base
 
 
@@ -238,10 +245,15 @@ def test_corrected_is_linear_in_phi():
     t1 = SingularTerm.from_coefficients(0, 1.0, a=[0.3])
     t2 = SingularTerm.from_coefficients(0, -0.5, b=[0.0, 1.1])
     tsum = SingularTerm.from_coefficients(0, 0.5, a=[0.3], b=[0.0, 1.1])
-    args = (_smooth_bump, (0.0, 0.0), g, 2)
-    v1 = corrected_Qp(t1, *args, weights=w1)
-    v2 = corrected_Qp(t2, *args, weights=w2)
-    vs = corrected_Qp(tsum, *args, weights=w1 + w2)
+    x0 = (0.0, 0.0)
+
+    def rule(t, w):
+        return corrected_Qp(t, _smooth_bump, x0, g, 2, w,
+                            _node_integrand(t.evaluate, _smooth_bump, x0, g))
+
+    v1 = rule(t1, w1)
+    v2 = rule(t2, w2)
+    vs = rule(tsum, w1 + w2)
     assert vs == pytest.approx(v1 + v2, abs=1e-13)
 
 
@@ -253,11 +265,15 @@ def test_translation_invariance():
     g1 = grid_with_offset(0.2, 2.0, x0, alpha=0.31, beta=0.17)
     g2 = Grid2(h=g1.h, origin=(g1.origin[0] + shift[0], g1.origin[1] + shift[1]),
                extent=g1.extent)
-    v1 = corrected_Qp(term, _smooth_bump, x0, g1, 1, weights=w)
-    v2 = corrected_Qp(
-        term,
-        lambda x, y: _smooth_bump(x - shift[0], y - shift[1]),
-        (x0[0] + shift[0], x0[1] + shift[1]), g2, 1, weights=w)
+    v1 = corrected_Qp(term, _smooth_bump, x0, g1, 1, w,
+                      _node_integrand(term.evaluate, _smooth_bump, x0, g1))
+
+    def bump2(x, y):
+        return _smooth_bump(x - shift[0], y - shift[1])
+
+    x02 = (x0[0] + shift[0], x0[1] + shift[1])
+    v2 = corrected_Qp(term, bump2, x02, g2, 1, w,
+                      _node_integrand(term.evaluate, bump2, x02, g2))
     assert v2 == pytest.approx(v1, abs=1e-13 * max(1.0, abs(v1)))
 
 
@@ -287,10 +303,11 @@ def test_composite_matches_hand_assembly_p3():
     w1 = rng.standard_normal(1)
     v = _smooth_bump
 
-    got = composite_Up(s, v, x0, g, 3, weights_by_k={0: w0, 1: w1})
+    got = composite_Up(s, v, x0, g, 3, {0: w0, 1: w1},
+                       _node_integrand(s.full, v, x0, g))
 
-    q2 = corrected_Qp(s0, v, x0, g, 2, weights=w0)
-    q1 = corrected_Qp(s1, v, x0, g, 1, weights=w1)
+    q2 = corrected_Qp(s0, v, x0, g, 2, w0, _node_integrand(s0.evaluate, v, x0, g))
+    q1 = corrected_Qp(s1, v, x0, g, 1, w1, _node_integrand(s1.evaluate, v, x0, g))
     st1, off1 = locate_singularity(x0, g, 1)
 
     def rem_v(x, y):
@@ -306,7 +323,7 @@ def test_composite_requires_enough_terms():
                          lambda dx, dy: 1.0 / np.hypot(dx, dy))
     g = grid_with_offset(0.25, 2.0, (0.0, 0.0), alpha=0.5, beta=0.5)
     with pytest.raises(ValueError, match="expansion terms"):
-        composite_Up(s, _smooth_bump, (0.0, 0.0), g, 4, {})
+        composite_Up(s, _smooth_bump, (0.0, 0.0), g, 4, {}, np.zeros(g.shape))
 
 
 @pytest.mark.parametrize("rule", ["corrected", "composite"])
@@ -317,8 +334,34 @@ def test_rules_reject_wrong_weight_count(rule):
     w = np.ones(3)
     with pytest.raises(ValueError, match="expects 4 weights, got 3"):
         if rule == "corrected":
-            corrected_Qp(s0, _smooth_bump, (0.0, 0.0), g, 2, w)
+            corrected_Qp(s0, _smooth_bump, (0.0, 0.0), g, 2, w, np.zeros(g.shape))
         else:
             s = SingularFunction([s0, SingularTerm.from_coefficients(1, 1.0)],
                                  lambda dx, dy: 1.0 / np.hypot(dx, dy))
-            composite_Up(s, _smooth_bump, (0.0, 0.0), g, 3, [w, np.ones(1)])
+            composite_Up(s, _smooth_bump, (0.0, 0.0), g, 3, [w, np.ones(1)],
+                         np.zeros(g.shape))
+
+
+@pytest.mark.parametrize("rule", ["corrected", "composite"])
+def test_rules_reject_nonfinite_kept_node_and_ignore_stencil(rule):
+    # a non-finite value outside the stencil is named by its node; the same
+    # value on a stencil node is never read
+    x0 = (0.0, 0.0)
+    g = grid_with_offset(0.25, 2.0, x0, alpha=0.0, beta=0.0)
+    s0 = SingularTerm.from_coefficients(0, 1.0)
+    s = SingularFunction([s0, SingularTerm.from_coefficients(1, 1.0)],
+                         lambda dx, dy: 1.0 / np.hypot(dx, dy))
+    (i0, _), (j0, _) = g.extent
+
+    def run(values):
+        if rule == "corrected":
+            return corrected_Qp(s0, _smooth_bump, x0, g, 2, np.ones(4), values)
+        return composite_Up(s, _smooth_bump, x0, g, 3, [np.ones(4), np.ones(1)],
+                            values)
+
+    values = np.ones(g.shape)
+    values[1 - i0, 1 - j0] = np.inf  # a corner of the order-2 stencil
+    assert np.isfinite(run(values))
+    values[3 - i0, -2 - j0] = np.nan
+    with pytest.raises(ValueError, match=r"\(i=3, j=-2\)"):
+        run(values)
