@@ -277,26 +277,6 @@ def observed_order(errors, hs) -> float:
     return float(np.median(orders[-3:]))
 
 
-# --------------------------------------------------------------------------
-# weight sourcing for the 2D studies
-# --------------------------------------------------------------------------
-
-def study_weights(term: SingularTerm, offset, stencil) -> np.ndarray:
-    """High-precision correction weights at one fixed offset.
-
-    Off the lattice the dual-lattice solve is exact to ~1e-12 at any order;
-    on lattice points (where it is undefined) the halving sweep takes over,
-    accepting its cancellation floor when the tolerance is unreachable.
-    """
-    if not wt.on_stencil_node(stencil, offset.alpha, offset.beta):
-        return wt.weights_dual(term, offset, stencil)
-    try:
-        w, _hstar = wt.weights_limit(term, offset, stencil, tol=1e-9)
-    except wt.WeightConvergenceError as exc:
-        w = exc.best_weights
-    return w
-
-
 def find_table_path(k: int, p: int, cache_dir: str | None = None,
                     tol: float | None = None, n_modes: int = 16,
                     grid_n: int = 33) -> str | None:
@@ -385,8 +365,9 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
     node values; only one level's are held at a time.  Every correction
     resolves its weights by the study's mode:
 
-    * "exact": `study_weights` once, at the first level's cell offset, reused
-      across levels (the offset is h-independent by construction);
+    * "exact": `weights.weights_dual` once, at the first level's cell offset,
+      reused across levels (the offset is h-independent by construction);
+      it is exact on and off the lattice;
     * "table": `weights.interpolate_weights` at each level's own offset,
       which caps the achievable accuracy at the table tolerance; "exact" is
       the default for exactly that reason.
@@ -454,7 +435,7 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
                 fixed[p] = []
                 for t, q in parts[p]:
                     stencil, off = locate_singularity(x0, g0, q)
-                    fixed[p].append(study_weights(t, off, stencil))
+                    fixed[p].append(wt.weights_dual(t, off, stencil))
 
             def weights_at(p, grid):
                 return fixed[p]
@@ -658,9 +639,8 @@ def cmd_weights_info(args) -> int:
 def cmd_weights_verify(args) -> int:
     """Recompute random table entries by an independent route and compare.
 
-    Off the stencil nodes the entries are recomputed by the dual-lattice
-    limit, which shares no code with the halving sweep that built them; at
-    a stencil node, where that limit is undefined, the sweep is rerun.
+    Every entry, on a stencil node or off, is recomputed by the dual-lattice
+    limit, which shares no code with the halving sweep that built the table.
     """
     table = load_table_checked(args.k, args.p, args.cache_dir,
                                **_table_selection(args))
@@ -669,28 +649,22 @@ def cmd_weights_verify(args) -> int:
     failures = 0
     worst = 0.0
     print(f"verifying {args.entries} random offsets of the (k={table.k}, "
-          f"p={table.p}) table: dual-lattice limit off the stencil nodes, "
-          f"fresh sweep on them (tol={table.tol:.1e})")
+          f"p={table.p}) table against the dual-lattice limit "
+          f"(tol={table.tol:.1e})")
     for _ in range(args.entries):
         mi = int(rng.integers(0, table.grid_n))
         ni = int(rng.integers(0, table.grid_n))
         alpha = table.domain_lo + mi * table.step
         beta = table.domain_lo + ni * table.step
-        if wt.on_stencil_node(stencil, alpha, beta):
-            route = "sweep"
-            _mi, _ni, recomputed, _lev = wt._table_point(
-                (table.k, table.p, mi, ni, alpha, beta, table.tol, table.n_modes))
-        else:
-            route = "dual"
-            offset = GridOffset(alpha, beta, (0, 0))
-            recomputed = np.array([wt.weights_dual(wt.row_term(table.k, r),
-                                                   offset, stencil)
-                                   for r in range(table.n_rows)])
+        offset = GridOffset(alpha, beta, (0, 0))
+        recomputed = np.array([wt.weights_dual(wt.row_term(table.k, r),
+                                               offset, stencil)
+                               for r in range(table.n_rows)])
         dev = float(np.max(np.abs(recomputed - table.data[:, mi, ni, :])))
         worst = max(worst, dev)
         ok = dev <= 10.0 * table.tol
         failures += 0 if ok else 1
-        print(f"  (alpha, beta)=({alpha:+.5f}, {beta:+.5f})  {route:<5}  "
+        print(f"  (alpha, beta)=({alpha:+.5f}, {beta:+.5f})  dual  "
               f"max deviation {dev:.3e}  [{'ok' if ok else 'FAIL'}]")
     print(f"worst deviation {worst:.3e} vs allowance {10.0 * table.tol:.1e}: "
           f"{'all entries verified' if failures == 0 else f'{failures} FAILED'}")

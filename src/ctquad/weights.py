@@ -19,13 +19,12 @@ Two routes to the limit are provided and cross-checked against each other:
   tolerance.  The lattice sums are carried in extended precision, but the
   right-hand side still cancels ~kappa*j binary digits, so for large kappa
   the sweep bottoms out above very tight tolerances (the sweep detects and
-  reports that honestly).
-* `weights_dual` evaluates the h -> 0 limit directly: the deficit between the
-  integral and the punctured lattice sum of a homogeneous function has a
-  convergent dual-lattice representation (a smoothly windowed sum over the
-  lattice plus Fourier-image integrals).  No digits cancel, so it reaches
-  ~1e-12 at any kappa, but it needs the singular point strictly off the
-  lattice.  Everything in it is computed numerically from scratch.
+  reports that honestly).  Table builds use it.
+* `weights_dual` evaluates the h -> 0 limit exactly: the deficit between the
+  integral and the punctured lattice sum of a homogeneous function is a
+  dual-lattice sum, which an Ewald split gives in closed form.  No digits
+  cancel, so it reaches ~1e-12 at any kappa, on and off the lattice.  It is
+  the one route of the 2D studies and of `ctquad weights verify`.
 
 Weight tables for interpolation are built per Fourier mode of phi on a closed
 33x33 cell lattice and combined linearly at lookup time.
@@ -42,6 +41,7 @@ from typing import Iterable, Mapping, Sequence
 
 import mpmath as mp
 import numpy as np
+from scipy import special
 
 from .quad_core import (
     GridOffset,
@@ -87,6 +87,7 @@ class WeightConvergenceError(RuntimeError):
 
     Carries the best iterate, its successive difference and its level, so
     callers can decide whether the partially converged weights are usable.
+    `weights_dual` never raises it: it is exact on and off the lattice.
     """
 
     def __init__(self, msg: str, best_j: int, best_diff: float,
@@ -617,130 +618,105 @@ def _dual_coefficient(kappa: int, ell: int) -> complex:
     return (-1j) ** al * val
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_LAG_NODES, _LAG_WEIGHTS = np.polynomial.laguerre.laggauss(64)
+def _scaled_upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(a, x) * x**(-a) for x > 0, and its continued value -1/a at x = 0.
 
-
-def _w_tail_integrals(kappas: Sequence[int], ell: int, beta: float,
-                      P: float) -> list[float]:
-    """W = integral_P^inf rho**(1-kappa) eta((rho-P)/P) J_ell(beta*rho) drho,
-    one value per kappa in ``kappas``.
-
-    Split at 2P where eta saturates: Gauss-Legendre panels against scipy's
-    Bessel J on [P, 2P], then the pure power tail via rotation of the Hankel
-    functions into the complex plane, where the integrand decays like
-    exp(-beta*t) and Gauss-Laguerre applies:
-
-        integral_2P^inf rho**(1-kappa) J_ell(beta rho) drho
-            = Re[ i * e**(2i P beta)/beta
-                  * int_0^inf (2P + i tau/beta)**(1-kappa)
-                    H1e_ell(2P beta + i tau) e**(-tau) dtau ],
-
-    with H1e the exponentially scaled first Hankel function.  The panel
-    nodes, the ramp and both Bessel evaluations depend on (ell, beta) only,
-    so every kappa shares them.
+    For a <= 0 (a integer or half-integer) Gamma(a, x) comes by downward
+    recurrence, Gamma(b-1, x) = (Gamma(b, x) - x**(b-1) e**-x) / (b-1), from
+    Gamma(0, x) = E1(x) or Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)).
     """
-    from scipy import special
-
-    # oscillatory but smooth part against the ramp
-    width = min(math.pi / max(beta, 1e-8), P / 4.0)
-    nseg = max(4, int(math.ceil(P / width)))
-    edges = np.linspace(P, 2.0 * P, nseg + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    rho = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    wq = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    ramp = _smoothstep((rho - P) / P)
-    jv = special.jv(ell, beta * rho)
-
-    # pure power tail by Hankel rotation
-    z = 2.0 * P * beta + 1j * _LAG_NODES
-    h1e = special.hankel1e(ell, z)
-    base = 2.0 * P + 1j * _LAG_NODES / beta
-    shift = 1j * np.exp(2j * P * beta) / beta
-    return [float(np.dot(wq, rho ** (1.0 - kappa) * ramp * jv))
-            + float((shift * np.dot(_LAG_WEIGHTS, base ** (1.0 - kappa) * h1e)).real)
-            for kappa in kappas]
+    hit = x == 0.0
+    x = np.where(hit, 1.0, x)
+    if a > 0:
+        g = special.gamma(a) * special.gammaincc(a, x)
+    else:
+        b = a % 1.0
+        g = special.exp1(x) if b == 0.0 else math.sqrt(math.pi) * special.erfc(np.sqrt(x))
+        while b > a:
+            g = (g - x ** (b - 1.0) * np.exp(-x)) / (b - 1.0)
+            b -= 1.0
+    g = g * x ** -a
+    if hit.any():
+        g[hit] = -1.0 / a
+    return g
 
 
-# the dual-lattice sums leave out Fourier images w + n farther out than this
-IMAGE_RADIUS = 1.6
+# Both Ewald sums decay like exp(-pi r**2); radius 6 leaves exp(-36 pi) ~ 1e-49
+EWALD_RADIUS = 6
 
 
 def _dual_lattice_sums(kappa_ells: Iterable[tuple[int, int]],
-                       w: tuple[float, float],
-                       P: float = 40.0) -> dict[tuple[int, int], complex]:
+                       w: tuple[float, float]) -> dict[tuple[int, int], complex]:
     """Z(kappa, ell; w) = sum over nonzero lattice nu of
     rho**(-kappa) e**(i ell theta) e**(-2 pi i nu . w),
 
-    via a smooth split: the part with window 1 - eta summed directly, the
-    rest converted to Fourier images of w, which decay super-algebraically
-    in P * |w + n| (verified by varying P).
+    continued analytically in kappa, in closed form.  With L = |ell|,
+    s = kappa + L, a = (L - kappa + 2)/2 and Y(x) = (x1 + i sgn(ell) x2)**L,
+    splitting the Mellin integral of rho**(-s) at t = 1 and applying Poisson
+    summation with Hecke's identity to the small-t half gives
+
+        Z = pi**(s/2) / Gamma(s/2) * [
+              sum_{nu != 0} Y(nu) e**(-2 pi i nu.w) Gamma(s/2, pi|nu|**2) (pi|nu|**2)**(-s/2)
+            + (-i)**L sum_n Y(n+w) Gamma(a, pi|n+w|**2) (pi|n+w|**2)**(-a)
+            - [L = 0] * 2/s ].
+
+    For w on the lattice the image n = -w takes its continued value -1/a,
+    so only L = 0 sees it.
     """
-    pairs = sorted(set(kappa_ells))
-    # direct part, shared geometry
-    K = int(math.ceil(2.0 * P)) + 1
-    n = np.arange(-K, K + 1)
-    N1, N2 = np.meshgrid(n, n, indexing="ij")
-    rho = np.hypot(N1, N2).ravel()
-    keep = (rho > 0) & (rho < 2.0 * P)
-    N1, N2, rho = N1.ravel()[keep], N2.ravel()[keep], rho[keep]
-    theta = np.arctan2(N2, N1)
-    window = 1.0 - _smoothstep(rho / P - 1.0)
-    phase_w = np.exp(-2j * math.pi * (N1 * w[0] + N2 * w[1]))
-    base = window * phase_w
+    w = (w[0] - round(w[0]), w[1] - round(w[1]))
+    n = np.arange(-EWALD_RADIUS, EWALD_RADIUS + 1)
+    N1, N2 = (m.ravel() for m in np.meshgrid(n, n, indexing="ij"))
+    zero = (N1 == 0) & (N2 == 0)
+    v1, v2 = N1[~zero], N2[~zero]
+    xv = math.pi * (v1 ** 2 + v2 ** 2)
+    phase = np.exp(-2j * math.pi * (v1 * w[0] + v2 * w[1]))
+    r1, r2 = N1 + w[0], N2 + w[1]
+    xr = math.pi * (r1 ** 2 + r2 ** 2)
     out: dict[tuple[int, int], complex] = {}
-    ell_phase: dict[int, np.ndarray] = {}
-    for kappa, ell in pairs:
-        if ell not in ell_phase:
-            ell_phase[ell] = np.exp(1j * ell * theta)
-        direct = complex(np.sum(rho ** float(-kappa) * ell_phase[ell] * base))
-        out[(kappa, ell)] = direct
-    # image part: one tail integral per (ell, image) serves every kappa
-    kappas_by_ell = {ell: [kp for kp, el in pairs if el == ell] for _, ell in pairs}
-    cx, cy = -round(w[0]), -round(w[1])
-    for nx in range(cx - 2, cx + 3):
-        for ny in range(cy - 2, cy + 3):
-            rx, ry = w[0] + nx, w[1] + ny
-            dist = math.hypot(rx, ry)
-            if dist == 0.0 or dist > IMAGE_RADIUS:
-                continue
-            beta = 2.0 * math.pi * dist
-            arg = math.atan2(ry, rx)
-            for ell, kappas in kappas_by_ell.items():
-                c = 2.0 * math.pi * (-1j) ** ell * np.exp(1j * ell * arg)
-                for kappa, wint in zip(kappas, _w_tail_integrals(kappas, ell, beta, P)):
-                    out[(kappa, ell)] += c * wint
+    for kappa, ell in sorted(set(kappa_ells)):
+        L = abs(ell)
+        s, a = kappa + L, (L - kappa + 2) / 2.0
+        sg = 1j if ell >= 0 else -1j
+        fourier = np.sum((v1 + sg * v2) ** L * phase
+                         * _scaled_upper_gamma(s / 2.0, xv))
+        images = np.sum((r1 + sg * r2) ** L * _scaled_upper_gamma(a, xr))
+        total = fourier + (-1j) ** L * images - (2.0 / s if L == 0 else 0.0)
+        out[(kappa, ell)] = complex(math.pi ** (s / 2.0) / special.gamma(s / 2.0) * total)
     return out
 
 
-def on_stencil_node(stencil: Stencil, alpha: float, beta: float) -> bool:
-    """True when the singular point sits on a stencil node (to 1e-9)."""
-    return any(math.hypot(sa - alpha, sb - beta) < 1e-9
-               for sa, sb in stencil.offsets)
+# the singular point sits on a stencil node when it is this close to one
+NODE_RADIUS = 1e-9
 
 
-def weights_dual(term: SingularTerm, offset: GridOffset, stencil: Stencil,
-                 P: float = 40.0) -> np.ndarray:
+def weights_dual(term: SingularTerm, offset: GridOffset,
+                 stencil: Stencil) -> np.ndarray:
     """Correction weights directly in the h -> 0 limit.
 
     In the limit the bump drops out of the system matrix and the right-hand
     side becomes the lattice deficit of the homogeneous function
-    f(u) = |u|**(k-1) phi(psi) u1**a u2**b, which equals the stencil values
-    of f minus a dual-lattice sum weighted by the Fourier transform constants
-    of each angular harmonic.  Nothing cancels, so this reaches ~1e-12 even
-    where the finite-h sweep floors (kappa >= 5).
+    f(u) = |u|**(k-1) phi(psi) u1**a u2**b = rho**(kappa-2) sum_ell y_ell
+    e**(i ell psi): the stencil values of f minus the dual-lattice sums
+    weighted by the Fourier transform constants of each harmonic.  The sums
+    are in closed form and nothing cancels, so this is exact to ~1e-12 at
+    any kappa, where the finite-h sweep floors (kappa >= 5).
 
-    Needs the singular point strictly off the lattice (the tabulation sweep
-    covers lattice points, where the systems are benign anyway).
+    Valid on and off the lattice.  When the singular point sits on a stencil
+    node (within NODE_RADIUS), the offset is snapped onto it, the node's
+    value of f is left out of the stencil part (for kappa = 2 the constant
+    harmonic y_0 stands in for it), and the dual sums take their continued
+    value at that image.
     """
     alpha, beta = offset.alpha, offset.beta
-    if on_stencil_node(stencil, alpha, beta):
-        raise ValueError("dual-lattice weights need (alpha, beta) strictly off "
-                         "the lattice; use weights_limit there")
+    node = next(((float(sa), float(sb)) for sa, sb in stencil.offsets
+                 if math.hypot(sa - alpha, sb - beta) < NODE_RADIUS), None)
+    if node is not None:
+        alpha, beta = node
     monos = correction_monomials(stencil.p)
     coeffs = _term_coefficients(term)
     U = np.array([(sa - alpha, sb - beta) for (sa, sb) in stencil.offsets])
+    # the stencil part sums f over u != 0; the dual sums carry u = 0
+    U = U[np.any(U != 0.0, axis=1)]
     # gather every (kappa, ell) needed across the monomials
     lau: dict[tuple[int, int], dict[int, complex]] = {}
     pairs: set[tuple[int, int]] = set()
@@ -751,7 +727,7 @@ def weights_dual(term: SingularTerm, offset: GridOffset, stencil: Stencil,
         for ell in y:
             if _dual_coefficient(kappa, ell) != 0:
                 pairs.add((kappa, ell))
-    zsums = _dual_lattice_sums(pairs, (alpha, beta), P=P)
+    zsums = _dual_lattice_sums(pairs, (alpha, beta))
     rhs = np.zeros(len(monos))
     rr = np.hypot(U[:, 0], U[:, 1])
     psi = np.arctan2(U[:, 1], U[:, 0])
@@ -761,6 +737,8 @@ def weights_dual(term: SingularTerm, offset: GridOffset, stencil: Stencil,
         fvals = (rr ** (term.k - 1) * term.phi(psi)
                  * U[:, 0] ** a * U[:, 1] ** b)
         total = complex(np.sum(fvals))
+        if node is not None and kappa == 2:
+            total += lau[(a, b)].get(0, 0.0)
         # dual part
         for ell, y in lau[(a, b)].items():
             c = _dual_coefficient(kappa, ell)

@@ -22,7 +22,6 @@ from ctquad.cli import (
     run_ibim3d,
     run_quad2d,
     smooth_factor,
-    study_weights,
     successive_differences,
 )
 from ctquad.geometry import surface_probe
@@ -56,6 +55,7 @@ from ctquad.weights import (
     load_weight_table,
     moment_residual,
     row_term,
+    weights_dual,
 )
 from ctquad.quad_core import GridOffset
 
@@ -223,7 +223,7 @@ def test_a05_on_grid_symmetry_gains_an_order():
     g0 = grid_with_offset(hs[0], 1.7, x0, 0.0, 0.0)
     stencil, off = locate_singularity(x0, g0, 1)
     assert off.alpha == 0.0 and off.beta == 0.0
-    w = study_weights(term, off, stencil)
+    w = weights_dual(term, off, stencil)
     vals = []
     for h in hs:
         grid = grid_with_offset(h, 1.7, x0, 0.0, 0.0)

@@ -335,10 +335,10 @@ def test_weights_verify_detects_corruption(tmp_path, table11, capsys):
 
 def test_weights_verify_judges_off_node_entries_by_dual_route(
         tmp_path, capsys, monkeypatch):
-    # a sweep that returns biased weights must not decide the off-node
-    # entries: they are recomputed by the dual-lattice limit, which shares
-    # no code with the sweep; only the stencil node (0, 0) of the (k=1, p=1)
-    # table is rerun through the sweep
+    # a sweep that returns biased weights must not decide any entry: every
+    # one, the stencil node (0, 0) of the (k=1, p=1) table included, is
+    # recomputed by the dual-lattice limit, which shares no code with the
+    # sweep
     wt.build_weight_table(1, 1, n_modes=2, grid_n=3, processes=1,
                           cache_dir=str(tmp_path))
     sweep = wt._table_point
@@ -355,9 +355,8 @@ def test_weights_verify_judges_off_node_entries_by_dual_route(
     on_node = [ln for ln in lines if "(+0.00000, +0.00000)" in ln]
     off_node = [ln for ln in lines if ln not in on_node]
     assert on_node and off_node
-    assert all(" dual " in ln and "[ok]" in ln for ln in off_node)
-    assert all(" sweep " in ln and "[FAIL]" in ln for ln in on_node)
-    assert rc == 1
+    assert all(" dual " in ln and "[ok]" in ln for ln in lines)
+    assert rc == 0
 
 
 def test_weights_build_cache_roundtrip(tmp_path, capsys):

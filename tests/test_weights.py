@@ -11,6 +11,7 @@ import math
 import os
 import tempfile
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -245,16 +246,34 @@ def test_dual_agrees_with_sweep_low_kappa():
         assert np.max(np.abs(ws - wd)) < 2e-8, (term.k, p, off)
 
 
-def test_dual_window_independence():
-    w24 = weights_dual(T_PHI2_K2, OFF, stencil_for_order(3), P=24.0)
-    w40 = weights_dual(T_PHI2_K2, OFF, stencil_for_order(3), P=40.0)
-    assert np.max(np.abs(w24 - w40)) < 1e-10
+def test_dual_sums_match_epstein_zeta():
+    # at w = 0 the l = 0 sums are the Epstein zeta function of the square
+    # lattice, sum over nonzero n of |n|**-kappa = 4 zeta(kappa/2) beta(kappa/2);
+    # kappa = 1 is its analytic continuation, -3.90026492000196.  kappa = 3, 5
+    # run the half-integer recurrence of the incomplete gamma, kappa = 4, 6
+    # the integer one
+    z = _dual_lattice_sums([(1, 0), (3, 0), (4, 0), (5, 0), (6, 0)], (0.0, 0.0))
+    for kappa in (1, 3, 4, 5, 6):
+        s = kappa / 2.0
+        ref = float(4 * mp.zeta(s) * mp.dirichlet(s, [0, 1, 0, -1]))
+        assert z[(kappa, 0)] == pytest.approx(ref, rel=1e-13), kappa
+    assert z[(1, 0)].real == pytest.approx(-3.90026492000196, rel=1e-13)
 
 
-def test_dual_rejects_lattice_points():
-    with pytest.raises(ValueError, match="off"):
-        weights_dual(T_CONST_K0, GridOffset(0.0, 0.0, (0, 0)),
-                     stencil_for_order(1))
+def test_dual_on_node_matches_converged_sweep():
+    # on a stencil node the dual route takes the continued value of the
+    # node's image; where the sweep converges to 1e-9 the two agree.  (The
+    # sweep floors above 1e-9 for k=2, p=3 and k=1, p=4 at (0, 0).)
+    cases = [(0, 1, (0, 0)), (0, 2, (0, 0)), (0, 2, (1, 1)), (0, 3, (0, 0)),
+             (0, 4, (0, 0)), (1, 1, (0, 0)), (1, 2, (0, 1)), (1, 3, (1, 0)),
+             (2, 2, (0, 0))]
+    for k, p, corner in cases:
+        term = SingularTerm.from_coefficients(k, 1.0, a=[0.5])
+        off = GridOffset(float(corner[0]), float(corner[1]), (0, 0))
+        st = stencil_for_order(p)
+        ws, _ = weights_limit(term, off, st, tol=1e-9)
+        wd = weights_dual(term, off, st)
+        assert np.max(np.abs(ws - wd)) < 1e-9, (k, p, corner)
 
 
 def test_dual_sum_conjugation_symmetry():
