@@ -642,6 +642,8 @@ def cmd_weights_verify(args) -> int:
     Every entry, on a stencil node or off, is recomputed by the dual-lattice
     limit, which shares no code with the halving sweep that built the table.
     """
+    if args.entries < 1:
+        raise CliError(f"--entries must be at least 1, got {args.entries}")
     table = load_table_checked(args.k, args.p, args.cache_dir,
                                **_table_selection(args))
     stencil = stencil_for_order(table.p)

@@ -234,7 +234,6 @@ class KernelExpansion:
         self._xi0_quad = self._A.T @ self.D0 @ self._M @ self.D0 @ self._A
         self._xi1_quad = (self._M.T @ self.D0.T @ self.D0.T @ self._M @ self.D0)
         self._xit_quad = self.D0 @ self._M @ self.D0 @ self.D0 @ self._M
-        self._term_cache: dict[tuple[str, int], SingularTerm] = {}
 
     # -- closures -------------------------------------------------------------
 
@@ -308,33 +307,18 @@ class KernelExpansion:
             return pref * (-3.0 * self.xi0(y) * p1 / p0**4 + self.xitilde1(y) / p0**3)
         raise ValueError(f"unknown kernel kind {kind!r}")
 
-    def _unit(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-
-    def s0_phi(self, kind: str, theta: np.ndarray) -> np.ndarray:
-        """Angular profile of s0: s0(y) = s0_phi(theta(y)) / |y|."""
-        return self.s0_eval(kind, self._unit(theta))
-
-    def s1_phi(self, kind: str, theta: np.ndarray) -> np.ndarray:
-        """Angular profile of s1: s1(y) = s1_phi(theta(y))."""
-        return self.s1_eval(kind, self._unit(theta))
-
     def s0_term(self, kind: str) -> SingularTerm:
-        """s0 packaged for the corrected trapezoidal machinery (cached)."""
-        key = (kind, 0)
-        if key not in self._term_cache:
-            self._term_cache[key] = SingularTerm.from_callable(
-                0, lambda th: self.s0_phi(kind, th))
-        return self._term_cache[key]
+        """s0 as a SingularTerm: its phi is s0 on the unit circle."""
+        return SingularTerm.from_callable(0, lambda th: self.s0_eval(kind, _unit(th)))
 
     def s1_term(self, kind: str) -> SingularTerm:
-        """s1 packaged for the corrected trapezoidal machinery (cached)."""
-        key = (kind, 1)
-        if key not in self._term_cache:
-            self._term_cache[key] = SingularTerm.from_callable(
-                1, lambda th: self.s1_phi(kind, th))
-        return self._term_cache[key]
+        """s1 as a SingularTerm: its phi is s1 on the unit circle."""
+        return SingularTerm.from_callable(1, lambda th: self.s1_eval(kind, _unit(th)))
+
+
+def _unit(theta: np.ndarray) -> np.ndarray:
+    """Unit vectors (cos theta, sin theta), stacked along the last axis."""
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
 def expansion_at_plane(frame: PrincipalFrame, model: CubicSurfaceModel,

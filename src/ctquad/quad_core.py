@@ -87,72 +87,85 @@ class Grid2:
         return i0 <= i <= i1 and j0 <= j <= j1
 
 
+# from_callable samples phi at 256, 512, ... angles until they resolve it: no
+# coefficient above mode n/4 may exceed RESOLUTION * norm, which sits above
+# the FFT rounding floor (about 1e-14 at 256 samples)
+MIN_SAMPLES, MAX_SAMPLES, RESOLUTION = 256, 2 ** 16, 1e-13
+
+
+def _spectrum(samples: np.ndarray):
+    """Coefficients a[j] of cos(j*theta) and b[j] of sin(j*theta) from n uniform
+    samples of phi on [0, 2*pi), their largest magnitude norm, and None if the
+    samples resolve phi, else the mode above n/4 with the largest coefficient.
+    """
+    n = samples.size
+    if n < 4 or (n & (n - 1)) != 0:
+        raise ValueError(f"phi sample count must be a power of two >= 4, got {n}")
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise ValueError(f"phi sample {bad[0]} of {n} is {samples[bad[0]]}, not finite")
+    c = np.fft.rfft(samples) / n
+    a = 2.0 * c.real
+    a[[0, -1]] = c[[0, -1]].real
+    b = -2.0 * c.imag
+    b[[0, -1]] = 0.0
+    norm = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
+    top = np.maximum(np.abs(a), np.abs(b))
+    j = n // 4 + 1 + int(np.argmax(top[n // 4 + 1:]))
+    return a, b, norm, (j if top[j] > RESOLUTION * norm else None)
+
+
 class SingularTerm:
     """One term s_k(x) = |x|**(k-1) * phi(x/|x|) of a singular-function expansion.
 
-    phi is stored as uniform samples on [0, 2*pi) together with its Fourier
-    coefficients; the sample count must be a power of two (>= 4) so the FFT
-    round-trips exactly.
+    phi is kept as the Fourier coefficients of n uniform samples on [0, 2*pi),
+    n a power of two (>= 4) that resolves it (see `_spectrum`).
     """
 
     def __init__(self, k: int, samples: np.ndarray):
         samples = np.asarray(samples, dtype=float)
-        n = samples.size
         if k < 0 or k != int(k):
             raise ValueError(f"homogeneity index k must be a nonnegative integer, got {k}")
-        if n < 4 or (n & (n - 1)) != 0:
-            raise ValueError(f"phi sample count must be a power of two >= 4, got {n}")
+        a, b, norm, j = _spectrum(samples)
+        if j is not None:
+            raise ValueError(f"{samples.size} samples do not resolve phi: mode {j} has "
+                             f"coefficient {max(abs(a[j]), abs(b[j])):.3e} > "
+                             f"{RESOLUTION:g} x norm {norm:.3e}")
         self.k = int(k)
-        self.samples = samples
-        c = np.fft.rfft(samples) / n
-        a = 2.0 * c.real
-        a[0] = c[0].real
-        if n % 2 == 0:
-            a[-1] = c[-1].real
-        b = -2.0 * c.imag
-        b[0] = 0.0
-        if n % 2 == 0:
-            b[-1] = 0.0
         # read-only, so the mode list below cannot go stale
         a.setflags(write=False)
         b.setflags(write=False)
         self.a = a  # a[0] is the mean, a[j] multiplies cos(j*theta)
         self.b = b  # b[j] multiplies sin(j*theta)
         # largest coefficient: the scale every mode cutoff is relative to
-        self.norm = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
+        self.norm = norm
         big = np.abs(a[1:]) + np.abs(b[1:]) > 1e-15 * self.norm
         self._modes = [0] + (np.flatnonzero(big) + 1).tolist()
-        # reconstruction must reproduce the samples when all modes are kept
-        theta = 2.0 * np.pi * np.arange(n) / n
-        recon = self.phi(theta)
-        scale = max(1.0, float(np.max(np.abs(samples))))
-        err = float(np.max(np.abs(recon - samples)))
-        if err > 1e-12 * scale:
-            raise ValueError(
-                f"phi samples are not consistent with their Fourier series "
-                f"(reconstruction error {err:.3e}); sample a smooth periodic function"
-            )
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_callable(cls, k: int, phi: Callable[[np.ndarray], np.ndarray],
-                      n: int = 4096) -> "SingularTerm":
-        theta = 2.0 * np.pi * np.arange(n) / n
-        return cls(k, np.asarray(phi(theta), dtype=float))
+    def from_callable(cls, k: int,
+                      phi: Callable[[np.ndarray], np.ndarray]) -> "SingularTerm":
+        """Sample phi at 256, 512, ... angles until resolved; raise past MAX_SAMPLES."""
+        n = MIN_SAMPLES
+        while True:
+            samples = np.asarray(phi(2.0 * np.pi * np.arange(n) / n), dtype=float)
+            if n == MAX_SAMPLES or _spectrum(samples)[3] is None:
+                return cls(k, samples)
+            n *= 2
 
     @classmethod
     def from_coefficients(cls, k: int, a0: float,
-                          a: Sequence[float] = (), b: Sequence[float] = (),
-                          n: int | None = None) -> "SingularTerm":
+                          a: Sequence[float] = (),
+                          b: Sequence[float] = ()) -> "SingularTerm":
         """Build from explicit cos/sin coefficients (a[j-1] multiplies cos(j t))."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         nmode = max(len(a), len(b))
-        if n is None:
-            n = 4
-            while n < 4 * (nmode + 1):
-                n *= 2
+        n = 4
+        while n < 4 * (nmode + 1):
+            n *= 2
         theta = 2.0 * np.pi * np.arange(n) / n
         vals = np.full(n, float(a0))
         for j in range(1, nmode + 1):
@@ -208,7 +221,7 @@ class SingularTerm:
         return rad * self.phi(theta)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"SingularTerm(k={self.k}, n={self.samples.size})"
+        return f"SingularTerm(k={self.k}, top_mode={self._modes[-1]})"
 
 
 @dataclasses.dataclass

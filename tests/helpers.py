@@ -7,7 +7,9 @@
 * `analytic_probe`: a surface's exact frame and curvatures, the reference
   the finite-difference probe is checked against;
 * `sphere_level_jacobian`, `torus_level_jacobian`: exact area ratios J at
-  offset points, the reference for the tube's finite-difference J.
+  offset points, the reference for the tube's finite-difference J;
+* `torus_plane_expansion`: the kernel expansion on one plane near a torus
+  target, a source of realistic singular terms.
 """
 from __future__ import annotations
 
@@ -16,8 +18,10 @@ import dataclasses
 import numpy as np
 
 from ctquad.geometry import third_derivatives
-from ctquad.kernels3d import CubicSurfaceModel
+from ctquad.ibim3d import dominant_direction
+from ctquad.kernels3d import CubicSurfaceModel, build_frame, expansion_at_plane
 from ctquad.quad_core import SingularTerm
+from ctquad.surfaces import tilted_torus
 from ctquad.weights import _LD, _MOMENTS, _term_coefficients
 
 
@@ -129,3 +133,11 @@ def torus_level_jacobian(torus, x: np.ndarray) -> np.ndarray:
     k_tube = -1.0 / torus.spec.R2
     k_ring = -np.cos(theta) / (torus.spec.R1 + torus.spec.R2 * np.cos(theta))
     return 1.0 / ((1.0 - eta * k_tube) * (1.0 - eta * k_ring))
+
+
+def torus_plane_expansion():
+    """Kernel expansion on the plane eta = 0.02 off a tilted-torus target."""
+    torus = tilted_torus()
+    probe = analytic_probe(torus, torus.param_point(1.234, 4.567))
+    frame = build_frame(probe, dominant_direction(probe.n))
+    return expansion_at_plane(frame, CubicSurfaceModel.from_probe(probe), 0.02)

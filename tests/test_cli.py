@@ -323,6 +323,17 @@ def test_weights_verify_fresh_table_passes(request, capsys, k, p):
     assert "all entries verified" in out
 
 
+@pytest.mark.parametrize("entries", ["0", "-3"])
+def test_weights_verify_refuses_fewer_than_one_entry(tmp_path, capsys, entries):
+    # checking no entry must not read as "all entries verified"
+    rc = run_cli("weights", "verify", "--k", "1", "--p", "1",
+                 "--entries", entries, "--cache-dir", str(tmp_path))
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"--entries must be at least 1, got {entries}" in captured.err
+    assert "verified" not in captured.out
+
+
 def test_weights_verify_detects_corruption(tmp_path, table11, capsys):
     broken = dataclasses.replace(table11, data=table11.data + 1e-3)
     path = tmp_path / wt.table_filename(1, 1)

@@ -293,8 +293,6 @@ def test_singular_terms_match_closures(torus_probe):
                                    ex.s0_eval(kind, y), rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(t1.evaluate(y[:, 0], y[:, 1]),
                                    ex.s1_eval(kind, y), rtol=1e-9, atol=1e-12)
-        # terms are cached
-        assert ex.s0_term(kind) is t0
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,10 @@ import numpy as np
 import pytest
 
 from ctquad import cli
-from ctquad.ibim3d import dominant_direction
-from ctquad.kernels3d import CubicSurfaceModel, build_frame, expansion_at_plane
 from ctquad.quad_core import SingularTerm
-from ctquad.surfaces import tilted_torus
 from ctquad.weights import _term_coefficients
 
-from helpers import analytic_probe
+from helpers import torus_plane_expansion
 
 
 def active_modes_loop(term: SingularTerm, cutoff: float = 1e-15) -> list[int]:
@@ -42,14 +39,6 @@ def term_coefficients_loop(term: SingularTerm, cutoff: float
     return out
 
 
-def _torus_sl_term() -> SingularTerm:
-    torus = tilted_torus()
-    probe = analytic_probe(torus, torus.param_point(1.234, 4.567))
-    frame = build_frame(probe, dominant_direction(probe.n))
-    model = CubicSurfaceModel.from_probe(probe)
-    return expansion_at_plane(frame, model, 0.02).s0_term("SL")
-
-
 TERMS = {
     "phi0": lambda: SingularTerm.from_callable(0, cli.angular_phi0),
     "phi1": lambda: SingularTerm.from_callable(1, cli.angular_phi1),
@@ -59,7 +48,7 @@ TERMS = {
         1, lambda psi: 1.0 / (1.3 + np.cos(psi))),
     "exact_zeros": lambda: SingularTerm.from_coefficients(
         0, 0.0, a=[0.0, 0.5, 0.0, 0.0, -1.25], b=[0.25, 0.0, 0.0, 0.0, 0.0, 2.0]),
-    "torus_sl": _torus_sl_term,
+    "torus_sl": lambda: torus_plane_expansion().s0_term("SL"),
 }
 
 

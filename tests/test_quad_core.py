@@ -22,6 +22,8 @@ from ctquad.quad_core import (
     stencil_for_order,
 )
 
+from helpers import torus_plane_expansion
+
 
 # --------------------------------------------------------------------------
 # grids and plain sums
@@ -169,9 +171,61 @@ def test_term_roundtrip_and_coefficients():
     assert np.max(np.abs(t.phi(theta) - direct)) < 1e-12
 
 
-def test_term_requires_power_of_two_samples():
-    with pytest.raises(ValueError, match="power of two"):
-        SingularTerm(0, np.ones(12))
+def _angles(n):
+    return 2.0 * np.pi * np.arange(n) / n
+
+
+@pytest.mark.parametrize("samples, match", [
+    (np.ones(12), "power of two"),
+    (np.where(np.arange(256) == 7, np.nan, 1.0), "sample 7 of 256 is nan"),
+    (np.where(np.arange(256) == 9, -np.inf, 1.0), "sample 9 of 256 is -inf"),
+    # mode 100 lies above n/4 = 64
+    (np.cos(100 * _angles(256)), "256 samples do not resolve phi: mode 100 "),
+], ids=["not_power_of_two", "nan", "inf", "cos100_at_256"])
+def test_term_rejects_unusable_samples(samples, match):
+    with pytest.raises(ValueError, match=match):
+        SingularTerm(0, samples)
+
+
+def test_term_accepts_resolved_samples():
+    t = SingularTerm(0, np.cos(100 * _angles(512)))
+    assert t.a[100] == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("phi", [
+    lambda psi: np.abs(np.sin(psi)),  # coefficients fall like 1/j**2
+    lambda psi: np.where(psi < np.pi, 1.0, 0.0),  # like 1/j
+], ids=["abs_sin", "step"])
+def test_from_callable_refuses_unresolvable_phi(phi):
+    with pytest.raises(ValueError, match="65536 samples do not resolve phi"):
+        SingularTerm.from_callable(0, phi)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_callable_stops_at_nonfinite_phi(bad):
+    sizes = []
+
+    def phi(psi):
+        sizes.append(psi.size)
+        return np.where(psi > 1.0, bad, 1.0)
+
+    with pytest.raises(ValueError, match="not finite"):
+        SingularTerm.from_callable(0, phi)
+    assert sizes == [256]
+
+
+def test_from_callable_samples_until_resolved():
+    # the single-layer plane term near a torus target reaches mode 50: 256
+    # samples resolve it, and its low modes agree with 4096 samples
+    ex = torus_plane_expansion()
+    term = ex.s0_term("SL")
+    assert 2 * (term.a.size - 1) <= 512
+    psi = _angles(4096)
+    c = np.fft.rfft(ex.s0_eval("SL", np.stack([np.cos(psi), np.sin(psi)], -1))) / 4096
+    a = np.concatenate([[c[0].real], 2.0 * c[1:17].real])
+    b = np.concatenate([[0.0], -2.0 * c[1:17].imag])
+    assert np.max(np.abs(term.a[:17] - a)) <= 1e-15 * term.norm
+    assert np.max(np.abs(term.b[:17] - b)) <= 1e-15 * term.norm
 
 
 def test_term_homogeneity():

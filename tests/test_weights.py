@@ -33,6 +33,7 @@ from ctquad.weights import (
     interpolate_weights,
     load_weight_table,
     moment_residual,
+    row_term,
     weights_at_h,
     weights_dual,
     weights_limit,
@@ -422,6 +423,24 @@ def test_table02_diagonal_symmetry(table02):
     perm = [0, 3, 2, 1]
     for (mi, ni) in ((3, 11), (7, 20), (15, 4)):
         assert np.max(np.abs(d[mi, ni] - d[ni, mi][perm])) < 2e-7
+
+
+@pytest.mark.parametrize("name", ["table02", "table11"])
+def test_table_entries_match_dual_route(request, name):
+    # a table entry solves the finite-h system at its own h* exactly, so the
+    # moment residual of a03 cannot see an entry that is off the limit; the
+    # dual-lattice limit can, at the allowance of `ctquad weights verify`
+    t = request.getfixturevalue(name)
+    stencil = stencil_for_order(t.p)
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for mi, ni in rng.integers(0, t.grid_n, size=(10, 2)):
+        off = GridOffset(t.domain_lo + mi * t.step, t.domain_lo + ni * t.step,
+                         (0, 0))
+        for row in range(t.n_rows):
+            wd = weights_dual(row_term(t.k, row), off, stencil)
+            worst = max(worst, float(np.max(np.abs(t.data[row, mi, ni] - wd))))
+    assert worst <= 10.0 * t.tol
 
 
 def test_table11_mode_zero_all_ones(table11):
