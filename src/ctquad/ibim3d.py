@@ -145,27 +145,37 @@ class TubeGrid:
 
     Nodes are stored in lexicographic (ix, iy, iz) order; ``key`` is the
     flattened index (strictly increasing), so membership lookups are binary
-    searches.  All per-node fields are target-independent: the same tube
-    serves every target point and kernel at a given spacing.
+    searches.  The lattice triples ``index`` and node positions ``points``
+    are derived from ``key`` when asked for, not stored.  All per-node
+    fields are target-independent: the same tube serves every target point
+    and kernel at a given spacing.
     """
 
     h: float
     eps: float
     origin: np.ndarray            # world position of lattice index (0, 0, 0)
     shape: tuple[int, int, int]   # lattice extent per axis
-    index: np.ndarray             # (N, 3) int lattice indices
-    points: np.ndarray            # (N, 3) node positions
+    key: np.ndarray               # (N,) flattened lattice index, sorted
     d: np.ndarray                 # (N,) signed distances
     foot: np.ndarray              # (N, 3) closest surface points P(y)
     normal: np.ndarray            # (N, 3) outward unit normals at the feet
     jacobian: np.ndarray          # (N,) area ratios J
     density: np.ndarray           # (N,) rho at the feet
     v: np.ndarray                 # (N,) rho * delta_eps(d) * J
-    key: np.ndarray               # (N,) flattened lattice index, sorted
 
     @property
     def n_nodes(self) -> int:
-        return self.points.shape[0]
+        return self.key.size
+
+    @property
+    def index(self) -> np.ndarray:
+        """(N, 3) int lattice indices."""
+        return _lattice_index(self.key, self.shape)
+
+    @property
+    def points(self) -> np.ndarray:
+        """(N, 3) node positions."""
+        return self.origin + self.h * self.index
 
     def flat_key(self, index: np.ndarray) -> np.ndarray:
         index = np.asarray(index, dtype=np.int64)
@@ -224,6 +234,11 @@ def build_tube(surface, h: float, eps: float, *,
     * step < h (the cap binds, only on coarse grids): the band is the tube,
       and the 12 displaced points of every tube node are projected
       (geometry.displaced_feet).
+
+    Memory stays near the finished tube's: no whole-tube array of lattice
+    triples or positions is formed, the band's feet are moved onto the tube
+    rows in place once J is done, and rho and v are formed CHUNK rows at a
+    time.
     """
     if h <= 0:
         raise ValueError(f"grid spacing must be positive, got {h}")
@@ -247,26 +262,20 @@ def build_tube(surface, h: float, eps: float, *,
 
     band_key, band_d = _scan_band(surface, origin, h, shape, width)
     inner = np.abs(band_d) <= eps
-    if not np.any(inner):
+    n = int(np.count_nonzero(inner))
+    if n == 0:
         raise ValueError("tube is empty: the lattice does not meet {|d| <= eps}")
-    tube_rows = np.flatnonzero(inner)
-    n = tube_rows.size
     band_foot = np.empty((band_key.size, 3))
     normal = np.empty((n, 3))
-    for i0 in range(0, band_key.size, CHUNK):
-        sl = slice(i0, i0 + CHUNK)
-        t0, t1 = np.searchsorted(tube_rows, [i0, i0 + CHUNK])
+    for sl, tube_sl in _band_chunks(inner):
         band_foot[sl], band_normal = surface.foot_and_normal(
             origin + h * _lattice_index(band_key[sl], shape))
-        normal[t0:t1] = band_normal[inner[sl]]
-    key, d, foot = band_key[inner], band_d[inner], band_foot[inner]
-    del band_d, inner, tube_rows
-    index = _lattice_index(key, shape)
-    points = origin + h * index
+        normal[tube_sl] = band_normal[inner[sl]]
+    key, d = band_key[inner], band_d[inner]
+    del band_d
 
     jac = np.empty(n)
     if from_lattice:
-        _check_stencil_inside(index, shape, h)
         _, ny, nz = shape
         plane = ny * nz
         shifts = np.array([plane, nz, 1])[:, None] * np.array(JACOBIAN_STENCIL)
@@ -274,40 +283,70 @@ def build_tube(surface, h: float, eps: float, *,
         planes = max(1, CHUNK // plane)  # x-planes of tube nodes per pass
         # band row of each node the stencils of a pass reach; -1 off the band
         row_of = np.empty(planes * plane + hi_shift - lo_shift, dtype=np.int32)
-        for x0 in range(int(index[0, 0]), int(index[-1, 0]) + 1, planes):
+        for x0 in range(int(key[0]) // plane, int(key[-1]) // plane + 1, planes):
             first, last = x0 * plane, (x0 + planes) * plane
             t0, t1 = np.searchsorted(key, [first, last])
+            _check_stencil_inside(_lattice_index(key[t0:t1], shape), shape, h)
             base = first + lo_shift
             b0, b1 = np.searchsorted(band_key, [base, last + hi_shift])
             row_of.fill(-1)
             row_of[band_key[b0:b1] - base] = np.arange(b0, b1, dtype=np.int32)
             rows = row_of[key[t0:t1, None, None] - base + shifts]
             if np.any(rows < 0):
-                _raise_missing_neighbour(index[t0:t1], rows, h)
+                _raise_missing_neighbour(_lattice_index(key[t0:t1], shape),
+                                         rows, h)
             feet = np.take(band_foot, rows, axis=0)
             jac[t0:t1] = projection_jacobian(feet, h)
+        del row_of, rows, feet
     else:
         for i0 in range(0, n, CHUNK):
             sl = slice(i0, i0 + CHUNK)
+            points = origin + h * _lattice_index(key[sl], shape)
             jac[sl] = projection_jacobian(
-                displaced_feet(surface.project, points[sl], step), step)
-    del band_key, band_foot
+                displaced_feet(surface.project, points, step), step)
+    del band_key
     if not np.all(jac > 0.0):
         bad = int(np.argmin(jac))
+        point = origin + h * _lattice_index(key[bad:bad + 1], shape)[0]
         raise ValueError(f"non-positive area ratio J={jac[bad]:.3e} at node "
-                         f"{points[bad]}; tube width exceeds the usable reach")
+                         f"{point}; tube width exceeds the usable reach")
 
-    density = np.ones(n) if rho is None else np.asarray(rho(foot), dtype=float)
-    if density.shape != (n,):
-        raise ValueError(f"rho must map (N,3) surface points to (N,) values; "
-                         f"got shape {density.shape}")
-    v = density * delta_eps(d, eps) * jac
+    # tube row t holds band row >= t, so moving the feet up in order never
+    # overwrites a row still to be read
+    for sl, tube_sl in _band_chunks(inner):
+        band_foot[tube_sl] = band_foot[sl][inner[sl]]
+    del inner
+    foot = band_foot   # no view of it is alive, so it can shrink in place
+    foot.resize((n, 3), refcheck=False)
+
+    density = np.ones(n) if rho is None else np.empty(n)
+    v = np.empty(n)
+    for i0 in range(0, n, CHUNK):
+        sl = slice(i0, i0 + CHUNK)
+        if rho is not None:
+            part = np.asarray(rho(foot[sl]), dtype=float)
+            if part.shape != d[sl].shape:
+                raise ValueError(f"rho must map (N,3) surface points to (N,) "
+                                 f"values; got shape {part.shape}")
+            density[sl] = part
+        v[sl] = density[sl] * delta_eps(d[sl], eps) * jac[sl]
 
     if np.any(np.diff(key) <= 0):
         raise AssertionError("tube nodes are not in lexicographic order")
-    return TubeGrid(h=h, eps=eps, origin=origin, shape=shape,
-                    index=index, points=points, d=d, foot=foot, normal=normal,
-                    jacobian=jac, density=density, v=v, key=key)
+    return TubeGrid(h=h, eps=eps, origin=origin, shape=shape, key=key, d=d,
+                    foot=foot, normal=normal, jacobian=jac, density=density,
+                    v=v)
+
+
+def _band_chunks(inner: np.ndarray):
+    """(band rows, tube rows) of each CHUNK of band rows, the tube rows being
+    the band rows where ``inner`` holds, renumbered from 0."""
+    t0 = 0
+    for i0 in range(0, inner.size, CHUNK):
+        sl = slice(i0, i0 + CHUNK)
+        t1 = t0 + int(np.count_nonzero(inner[sl]))
+        yield sl, slice(t0, t1)
+        t0 = t1
 
 
 def _lattice_index(key: np.ndarray, shape) -> np.ndarray:
@@ -450,9 +489,34 @@ def _default_probe(surface, xstar, h: float):
 # evaluators
 # ---------------------------------------------------------------------------
 
-def evaluate_V3(kind: str, surface, rho: Callable | None, xstar, h: float,
-                eps: float, tables, *, tube: TubeGrid | None = None,
-                probe=None, return_details: bool = False):
+def _check_tube(tube: TubeGrid, h: float, eps: float) -> None:
+    """Raise unless the tube was built for this (h, eps)."""
+    if not (math.isclose(tube.h, h, rel_tol=1e-12)
+            and math.isclose(tube.eps, eps, rel_tol=1e-12)):
+        raise ValueError(f"tube grid was built for (h={tube.h}, eps={tube.eps}), "
+                         f"not (h={h}, eps={eps})")
+
+
+def _kernel_rows(kinds: tuple[str, ...], xstar, nstar,
+                 tube: TubeGrid) -> list[np.ndarray]:
+    """Each kind's (N,) kernel values on the tube, formed CHUNK rows at a time.
+
+    The temporaries of `kernel_values` span one chunk, so beyond the tube
+    this holds 8 bytes per node per kind plus a bound in CHUNK.
+    """
+    kv = [np.empty(tube.n_nodes) for _ in kinds]
+    for i0 in range(0, tube.n_nodes, CHUNK):
+        sl = slice(i0, i0 + CHUNK)
+        part = kernel_values(kinds, xstar, nstar, tube.foot[sl], tube.normal[sl])
+        for values, row in zip(kv, part):
+            values[sl] = row
+    return kv
+
+
+def evaluate_V3(kind: str | tuple[str, ...], surface, rho: Callable | None,
+                xstar, h: float, eps: float, tables, *,
+                tube: TubeGrid | None = None, probe=None,
+                return_details: bool = False):
     """Third-order plane-by-plane corrected value of I_eps[rho](x*).
 
     The full lattice sum of K*v runs once over the tube; each plane within
@@ -463,6 +527,11 @@ def evaluate_V3(kind: str, surface, rho: Callable | None, xstar, h: float,
     minus that node.  Planes beyond the band keep the plain sum (the
     integrand's compact support vanishes around their singular point).
 
+    ``kind`` is one kernel name, or a tuple of names: then the result is a
+    tuple with one entry per name, and the kernel values, the frame, the
+    planes, their row lookups and expansions are formed once for all of
+    them.  Each name's value is bit-identical to its single-name call.
+
     ``tube`` and ``probe`` may be precomputed and shared across kernels and
     targets; they must match (surface, h, eps) and xstar respectively.
     With ``return_details`` the result is a dict of the total and its parts:
@@ -470,18 +539,17 @@ def evaluate_V3(kind: str, surface, rho: Callable | None, xstar, h: float,
     `evaluate_punctured3` value), the ``excluded`` 4-node cells, the
     corrections ``q2``, ``q1`` and ``remainder``, and the ``planes``.
     """
+    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     table0, table1 = _check_tables(tables)
     if tube is None:
         tube = build_tube(surface, h, eps, rho=rho)
-    if not (math.isclose(tube.h, h, rel_tol=1e-12)
-            and math.isclose(tube.eps, eps, rel_tol=1e-12)):
-        raise ValueError(f"tube grid was built for (h={tube.h}, eps={tube.eps}), "
-                         f"not (h={h}, eps={eps})")
+    _check_tube(tube, h, eps)
     if probe is None:
         probe = _default_probe(surface, xstar, h)
 
-    kv = kernel_values(kind, probe.xstar, probe.n, tube.foot, tube.normal)
-    product = float(kv @ tube.v)
+    kv = _kernel_rows(kinds, probe.xstar, probe.n, tube)
+    parts = [{"product": float(values @ tube.v), "excluded": 0.0, "q2": 0.0,
+              "q1": 0.0, "remainder": 0.0} for values in kv]
 
     axis = dominant_direction(probe.n)
     frame = build_frame(probe, axis)
@@ -493,20 +561,12 @@ def evaluate_V3(kind: str, surface, rho: Callable | None, xstar, h: float,
     offsets4 = np.asarray(stencil4.offsets, dtype=np.int64)
     corner_of = {tuple(o): i for i, o in enumerate(stencil4.offsets)}
 
-    excluded = 0.0
-    q2 = 0.0
-    q1 = 0.0
-    remainder = 0.0
     for plane in planes:
         try:
             expansion = expansion_at_plane(frame, model, plane.eta)
         except CurvatureLimitError as e:
             raise CurvatureLimitError(
                 f"plane {plane.index} (eta={plane.eta:.6g}): {e}") from e
-        term0 = expansion.s0_term(kind)
-        term1 = expansion.s1_term(kind)
-        w0 = interpolate_weights(table0, term0, plane.off2)
-        w1 = interpolate_weights(table1, term1, plane.off1)
 
         ia2, ja2 = plane.off2.anchor
         triples = np.empty((4, 3), dtype=np.int64)
@@ -515,44 +575,55 @@ def evaluate_V3(kind: str, surface, rho: Callable | None, xstar, h: float,
         triples[:, pw] = plane.index
         rows, found = tube.rows_for(triples)
         v4 = np.where(found, tube.v[rows], 0.0)
-        k4 = np.where(found, kv[rows], 0.0)
-
-        excluded += float(k4 @ v4)
-        q2 += float(w0 @ v4)
 
         ia1, ja1 = plane.off1.anchor
         j1 = corner_of[(ia1 - ia2, ja1 - ja2)]
-        q1 += float(w1[0]) * float(v4[j1])
-
         dx = tube.origin[p0] + triples[:, p0] * tube.h - plane.y0[0]
         dy = tube.origin[p1] + triples[:, p1] * tube.h - plane.y0[1]
-        s0 = np.asarray(term0.evaluate(dx, dy), dtype=float)
         keep = found.copy()
         keep[j1] = False
-        remainder += float(np.sum((k4 - s0)[keep] * v4[keep]))
 
-    total = (h ** 3 * (product - excluded) + h ** 2 * q2 + h ** 3 * q1
-             + h ** 3 * remainder)
-    if return_details:
-        return {"total": total, "product": product, "excluded": excluded,
-                "q2": q2, "q1": q1, "remainder": remainder, "planes": planes}
-    return total
+        for name, values, part in zip(kinds, kv, parts):
+            term0 = expansion.s0_term(name)
+            term1 = expansion.s1_term(name)
+            w0 = interpolate_weights(table0, term0, plane.off2)
+            w1 = interpolate_weights(table1, term1, plane.off1)
+            k4 = np.where(found, values[rows], 0.0)
+            part["excluded"] += float(k4 @ v4)
+            part["q2"] += float(w0 @ v4)
+            part["q1"] += float(w1[0]) * float(v4[j1])
+            s0 = np.asarray(term0.evaluate(dx, dy), dtype=float)
+            part["remainder"] += float(np.sum((k4 - s0)[keep] * v4[keep]))
+
+    out = []
+    for part in parts:
+        total = (h ** 3 * (part["product"] - part["excluded"])
+                 + h ** 2 * part["q2"] + h ** 3 * part["q1"]
+                 + h ** 3 * part["remainder"])
+        out.append({"total": total, **part, "planes": planes}
+                   if return_details else total)
+    return out[0] if isinstance(kind, str) else tuple(out)
 
 
-def evaluate_punctured3(kind: str, surface, rho: Callable | None, xstar,
-                        h: float, eps: float, *,
-                        tube: TubeGrid | None = None) -> float:
+def evaluate_punctured3(kind: str | tuple[str, ...], surface,
+                        rho: Callable | None, xstar, h: float, eps: float, *,
+                        tube: TubeGrid | None = None):
     """Uncorrected baseline: the plain punctured lattice sum h^3 sum K*v.
 
     Nodes on the singular line itself (closer than the exact-hit radius) are
     skipped; nothing else is corrected, so the error decays at first order.
+    ``kind`` is one kernel name, or a tuple of names for a tuple of values,
+    as in `evaluate_V3`.
     """
+    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     if tube is None:
         tube = build_tube(surface, h, eps, rho=rho)
+    _check_tube(tube, h, eps)
     xs = np.asarray(surface.project(np.asarray(xstar, dtype=float)), dtype=float)
     nstar = np.asarray(surface.normal(xs), dtype=float)
-    kv = kernel_values(kind, xs, nstar, tube.foot, tube.normal)
-    return h ** 3 * float(kv @ tube.v)
+    out = [h ** 3 * float(values @ tube.v)
+           for values in _kernel_rows(kinds, xs, nstar, tube)]
+    return out[0] if isinstance(kind, str) else tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +654,9 @@ def convergence_study_3d(surface, targets, levels: Sequence[float], tables, *,
     observed orders log(E_i/E_{i+1}) / log(h_i/h_{i+1}), each on the
     coarser row of its pair.  The tube and the per-target probes are
     rebuilt per level from the grid alone, so frames, curvatures, third
-    derivatives and J all carry the resolution being measured.
+    derivatives and J all carry the resolution being measured.  Each
+    (level, target) is one `evaluate_V3` call for all kinds, and each
+    level's tube is released before the next one is built.
 
     Returns a dict with the raw values; per-target ``rows`` ready for
     tabulation; ``mean_rows``, which average the per-target errors at each
@@ -603,6 +676,7 @@ def convergence_study_3d(surface, targets, levels: Sequence[float], tables, *,
         if kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {kind!r}")
 
+    kinds = tuple(kinds)
     values: dict[tuple[str, int, float], float] = {}
     for h in hs + [h_ref]:
         tube = build_tube(surface, h, eps, rho=rho)
@@ -610,13 +684,17 @@ def convergence_study_3d(surface, targets, levels: Sequence[float], tables, *,
             progress(f"h={h:.6g}: tube has {tube.n_nodes} nodes")
         for ti, x in enumerate(pts):
             probe = _default_probe(surface, x, h)
-            for kind in kinds:
-                values[(kind, ti, h)] = evaluate_V3(
-                    kind, surface, rho, x, h, eps, tables,
-                    tube=tube, probe=probe)
+            totals = evaluate_V3(kinds, surface, rho, x, h, eps, tables,
+                                 tube=tube, probe=probe)
+            if include_baseline:
+                baselines = evaluate_punctured3(kinds, surface, rho, x, h, eps,
+                                                tube=tube)
+            for i, kind in enumerate(kinds):
+                values[(kind, ti, h)] = totals[i]
                 if include_baseline:
-                    values[(f"{kind}:baseline", ti, h)] = evaluate_punctured3(
-                        kind, surface, rho, x, h, eps, tube=tube)
+                    values[(f"{kind}:baseline", ti, h)] = baselines[i]
+        # the next level's build must not run beside this level's tube
+        del tube
 
     labels = list(kinds)
     if include_baseline:

@@ -66,8 +66,9 @@ class CurvatureLimitError(ValueError):
     """A plane offset eta reaches 1/kappa, where the expansion breaks down."""
 
 
-def kernel_values(kind: str, xstar: np.ndarray, nstar: np.ndarray,
-                  foot: np.ndarray, normal: np.ndarray) -> np.ndarray:
+def kernel_values(kind: str | tuple[str, ...], xstar: np.ndarray,
+                  nstar: np.ndarray, foot: np.ndarray,
+                  normal: np.ndarray) -> np.ndarray:
     """Layer kernel K(x*, P(y)) at surface points P(y), vectorized over rows.
 
     kind 'SL': 1/(4 pi r); 'DL': -(P(y)-x*).n_y / (4 pi r^3); 'DLC':
@@ -76,19 +77,30 @@ def kernel_values(kind: str, xstar: np.ndarray, nstar: np.ndarray,
     ``nstar`` the outward normal n_x at x*.  Points closer to x* than
     EXACT_HIT_RADIUS (exact hits of the singular line) get the value 0; the
     quadratures handle them separately.
+
+    ``kind`` is one name, giving an (N,) array, or a tuple of names, giving
+    one row per name: P(y) - x*, r and r^3 are then formed once for all.
     """
-    if kind not in KERNEL_KINDS:
-        raise ValueError(f"kind must be one of {KERNEL_KINDS}, got {kind!r}")
+    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
+    for k in kinds:
+        if k not in KERNEL_KINDS:
+            raise ValueError(f"kind must be one of {KERNEL_KINDS}, got {k!r}")
     diff = foot - xstar
     r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    hit = r < EXACT_HIT_RADIUS
+    out = np.empty((len(kinds), r.shape[0]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "SL":
-            val = 1.0 / (4.0 * np.pi * r)
-        elif kind == "DL":
-            val = -np.einsum("ij,ij->i", diff, normal) / (4.0 * np.pi * r ** 3)
-        else:  # DLC
-            val = diff @ nstar / (4.0 * np.pi * r ** 3)
-    return np.where(r < EXACT_HIT_RADIUS, 0.0, val)
+        if "DL" in kinds or "DLC" in kinds:
+            four_pi_r3 = 4.0 * np.pi * r ** 3
+        for row, k in zip(out, kinds):
+            if k == "SL":
+                val = 1.0 / (4.0 * np.pi * r)
+            elif k == "DL":
+                val = -np.einsum("ij,ij->i", diff, normal) / four_pi_r3
+            else:  # DLC
+                val = diff @ nstar / four_pi_r3
+            row[:] = np.where(hit, 0.0, val)
+    return out[0] if isinstance(kind, str) else out
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

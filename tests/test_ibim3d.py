@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -126,6 +128,17 @@ def test_tube_fields_and_lookup(sphere, sphere_tube):
     assert np.array_equal(rows, sample)
     _, found = tube.rows_for(np.array([[-1, 0, 0], [10 ** 6, 3, 3], [0, 0, 0]]))
     assert not np.any(found)
+
+
+def test_tube_fields_hold_no_lattice_triples(torus_tube):
+    # index and points are derived from key; foot and normal are the only
+    # (N, 3) fields the tube keeps
+    n = torus_tube.n_nodes
+    wide = {f.name for f in dataclasses.fields(torus_tube)
+            if np.shape(getattr(torus_tube, f.name)) == (n, 3)}
+    assert wide == {"foot", "normal"}
+    assert torus_tube.index.shape == torus_tube.points.shape == (n, 3)
+    assert np.array_equal(torus_tube.flat_key(torus_tube.index), torus_tube.key)
 
 
 def test_tube_validation(sphere):
@@ -343,6 +356,16 @@ def test_rho_zero_gives_zero(sphere, sphere_tube, sphere_target, table02, table1
     assert val == 0.0
 
 
+def test_punctured_refuses_foreign_tube(sphere, sphere_tube, sphere_target):
+    # the baseline's h^3 factor would silently use the wrong spacing
+    with pytest.raises(ValueError, match="tube grid was built"):
+        evaluate_punctured3("SL", sphere, None, sphere_target, 0.04,
+                            sphere_tube.eps, tube=sphere_tube)
+    with pytest.raises(ValueError, match="tube grid was built"):
+        evaluate_punctured3("SL", sphere, None, sphere_target, sphere_tube.h,
+                            0.2, tube=sphere_tube)
+
+
 def test_table_and_tube_validation(sphere, sphere_tube, sphere_target,
                                    table02, table11):
     with pytest.raises(ValueError, match="k=0"):
@@ -364,6 +387,87 @@ def test_curvature_limit_propagates_plane_index(sphere, sphere_tube,
         evaluate_V3("SL", sphere, None, sphere_target, sphere_tube.h,
                     sphere_tube.eps, (table02, table11), tube=sphere_tube,
                     probe=probe)
+
+
+# (V3, punctured) values recorded before the tube build and the kernel sums
+# were chunked: one torus level at h=0.04 (J from the lattice feet) with the
+# variable density
+_PINNED_04 = {
+    "SL": (1.146921674082111, 1.1364332193286044),
+    "DL": (-0.77402017011972, -0.7616040491396241),
+    "DLC": (-0.9444904950737325, -0.9315242581589679),
+}
+
+
+@pytest.mark.filterwarnings(*GEO_FILTERS)
+@pytest.mark.parametrize("chunk", [None, 1000])
+def test_values_pinned_bit_for_bit(torus, table02, table11, monkeypatch, chunk):
+    """Chunked passes leave every value bit-identical, at any chunk size."""
+    if chunk is not None:    # the 17,276-node tube then spans 18 chunks
+        monkeypatch.setattr(ibim3d, "CHUNK", chunk)
+    h, eps = 0.04, 0.1
+    tube = build_tube(torus, h, eps, rho=torus.density_at)
+    xstar = torus.param_point(1.1, 2.3)
+    for kind, (v3, plain) in _PINNED_04.items():
+        assert evaluate_V3(kind, torus, torus.density_at, xstar, h, eps,
+                           (table02, table11), tube=tube) == v3, kind
+        assert evaluate_punctured3(kind, torus, torus.density_at, xstar, h,
+                                   eps, tube=tube) == plain, kind
+
+
+@pytest.mark.filterwarnings(*GEO_FILTERS)
+def test_kind_tuple_matches_single_kinds(torus, torus_tube, table02, table11):
+    xstar = torus.param_point(-0.7, 0.4)
+    h, eps = torus_tube.h, torus_tube.eps
+    tabs = (table02, table11)
+    kinds = ("DLC", "SL", "DL")
+    together = evaluate_V3(kinds, torus, None, xstar, h, eps, tabs,
+                           tube=torus_tube, return_details=True)
+    assert isinstance(together, tuple) and len(together) == 3
+    for kind, details in zip(kinds, together):
+        alone = evaluate_V3(kind, torus, None, xstar, h, eps, tabs,
+                            tube=torus_tube, return_details=True)
+        assert details == alone, kind
+    plain = evaluate_punctured3(kinds, torus, None, xstar, h, eps,
+                                tube=torus_tube)
+    assert plain == tuple(evaluate_punctured3(kind, torus, None, xstar, h, eps,
+                                              tube=torus_tube)
+                          for kind in kinds)
+    assert evaluate_V3(kinds[:1], torus, None, xstar, h, eps, tabs,
+                       tube=torus_tube) == (together[0]["total"],)
+
+
+@pytest.mark.filterwarnings(*GEO_FILTERS)
+@pytest.mark.parametrize("kinds", ["SL", "DLC", ("SL", "DL", "DLC")],
+                         ids=["SL", "DLC", "all"])
+def test_evaluation_memory_is_bounded(torus, torus_tube, table02, table11,
+                                      monkeypatch, kinds):
+    """Beyond the tube, an evaluation holds one (N,) array per kind.
+
+    The rest is the temporaries of one chunk of kernel values -- P(y) - x*,
+    r, 4 pi r^3, the exact-hit mask and a few per-kind rows -- which stay
+    under 160 bytes per CHUNK row for up to three kinds.  Forming the
+    kernel over the whole tube at once costs about 65 bytes per node.
+    """
+    monkeypatch.setattr(ibim3d, "CHUNK", 2048)
+    xstar = torus.param_point(1.1, 2.3)
+    h, eps = torus_tube.h, torus_tube.eps
+    probe = surface_probe(torus, xstar, h=h, probe_distance=0.5 * torus.reach)
+
+    def run():
+        return evaluate_V3(kinds, torus, None, xstar, h, eps,
+                           (table02, table11), tube=torus_tube, probe=probe)
+
+    run()   # warm every cache first
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    n_kinds = 1 if isinstance(kinds, str) else len(kinds)
+    assert peak <= 8 * torus_tube.n_nodes * n_kinds + 160 * ibim3d.CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +580,35 @@ def test_convergence_study_structure(sphere, table02, table11):
     sl_fine = [r["value"] for r in main_rows
                if r["kind"] == "SL" and r["h"] == 0.05]
     assert np.allclose(sl_fine, 1.0, atol=1e-3)
+
+
+@pytest.mark.filterwarnings(*GEO_FILTERS)
+def test_study_one_pass_per_target_and_level(sphere, table02, table11,
+                                             monkeypatch):
+    """All kinds in one evaluation; no tube outlives its level."""
+    build, evaluate = ibim3d.build_tube, ibim3d.evaluate_V3
+    tubes, calls = [], []
+
+    def tracked_build(*args, **kwargs):
+        assert all(ref() is None for ref in tubes), "previous tube still held"
+        tube = build(*args, **kwargs)
+        tubes.append(weakref.ref(tube))
+        return tube
+
+    def counted_evaluate(kind, *args, **kwargs):
+        calls.append(kind)
+        return evaluate(kind, *args, **kwargs)
+
+    monkeypatch.setattr(ibim3d, "build_tube", tracked_build)
+    monkeypatch.setattr(ibim3d, "evaluate_V3", counted_evaluate)
+    targets = np.array([[0.31, -0.52, 0.80], [-0.61, 0.40, 0.56]])
+    res = convergence_study_3d(sphere, targets, [0.1, 0.08],
+                               (table02, table11), kinds=("DL", "SL"),
+                               eps=0.1)
+    assert calls == [("DL", "SL")] * (3 * 2)   # (2 levels + reference) x 2
+    assert len(tubes) == 3
+    assert list(res["values"]) == [(kind, ti, h) for h in (0.1, 0.08, 0.04)
+                                   for ti in range(2) for kind in ("DL", "SL")]
 
 
 def test_study_input_validation(sphere, table02, table11):
