@@ -360,10 +360,12 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
 
     The single-term study runs once per k, correcting s_k at order p; the
     general study corrects each expansion term s_k of its one function at
-    order p-1-k.  Each level evaluates s(x - x0) * v(x) once on its grid,
-    row by row (`grid_values`), and every rule of that level reads those
-    node values; only one level's are held at a time.  Every correction
-    resolves its weights by the study's mode:
+    order p-1-k.  Each level evaluates v once on its grid, row by row
+    (`grid_values`), and multiplies each case's s(x - x0) into it, row by
+    row; every rule of that level reads the product.  Only one level's
+    values are held at a time: v and one case's product, or in a one-case
+    study the product alone.  Every correction resolves its weights by the
+    study's mode:
 
     * "exact": `weights.weights_dual` once, at the first level's cell offset,
       reused across levels (the offset is h-independent by construction);
@@ -409,11 +411,12 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
         cases = [(k, singular_benchmark_term(k)) for k in config.k_values]
     else:
         cases = [(None, general_benchmark_function())]
-    for k, s in cases:
+
+    def prepare(k, s):
+        """The case's singular factor, its weights_at(p, grid), and its
+        value lists per method."""
         single = k is not None
-        label = f"{config.study} k={k}" if single else config.study
         method = "corrected" if single else "composite"
-        singular = s.evaluate if single else s.full
         # the (term, correction order) pairs each order-p rule corrects
         parts = {p: [(s, p)] if single
                  else [(s.terms[kk], p - 1 - kk) for kk in range(p - 1)]
@@ -440,25 +443,46 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
             def weights_at(p, grid):
                 return fixed[p]
 
-        def f(x, y):
-            return np.asarray(singular(x - x0[0], y - x0[1])) * smooth_factor(x, y)
+        f = s.evaluate if single else s.full
+
+        def singular(x, y):
+            return np.asarray(f(x - x0[0], y - x0[1]))
 
         values: dict[str, list[float]] = {"punctured": []}
         for p in config.p_values:
             values[f"{method}-{p}"] = []
-        for h in hs:
-            grid = grid_at(h)
-            fv = grid_values(f, grid)
+        return singular, weights_at, values
+
+    studies = [(k, s, *prepare(k, s)) for k, s in cases]
+
+    # the level loop holds the case loop, so each level's smooth factor v
+    # is evaluated once and shared by every case
+    for h in hs:
+        grid = grid_at(h)
+        xs, ys = grid.axis_nodes()
+        v = grid_values(smooth_factor, grid)
+        for i, (k, s, singular, weights_at, values) in enumerate(studies):
+            # s(x - x0) * v one row at a time; the last case multiplies into
+            # v itself, so a one-case study holds one array per level
+            fv = v if i == len(studies) - 1 else v.copy()
+            for row, x in enumerate(xs):
+                fv[row] *= singular(np.full(ys.shape, x), ys)
             values["punctured"].append(punctured_trapezoidal(
                 fv, grid, [locate_singularity(x0, grid, 1)[1].anchor]))
             for p in config.p_values:
                 ws = weights_at(p, grid)
-                values[f"{method}-{p}"].append(
-                    corrected_Qp(s, smooth_factor, x0, grid, p, ws[0], fv) if single
-                    else composite_Up(s, smooth_factor, x0, grid, p, ws, fv))
-            del fv  # before the next, larger level's values are built
+                if k is not None:
+                    values[f"corrected-{p}"].append(corrected_Qp(
+                        s, smooth_factor, x0, grid, p, ws[0], fv))
+                else:
+                    values[f"composite-{p}"].append(composite_Up(
+                        s, smooth_factor, x0, grid, p, ws, fv))
+            del fv
             if progress:
+                label = f"{config.study} k={k}" if k is not None else config.study
                 progress(f"{label}: h={h:.6g} done")
+        del v  # before the next, larger level's values are built
+    for k, _, _, _, values in studies:
         emit(config.study, k, values)
     return {"config": config.as_dict(), "config_hash": config.config_hash(),
             "hs": hs, "rows": rows, "summary": summary}

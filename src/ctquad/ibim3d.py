@@ -28,12 +28,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad as _scipy_quad
 
+from . import geometry
 from .geometry import (
     JACOBIAN_STENCIL,
     displaced_feet,
@@ -43,6 +46,7 @@ from .geometry import (
 from .kernels3d import (
     AXIS_PERMUTATION,
     KERNEL_KINDS,
+    S0_KIND,
     CubicSurfaceModel,
     CurvatureLimitError,
     build_frame,
@@ -71,8 +75,11 @@ MARGIN_CELLS = 4
 # reach of the J stencil along each axis, in cells: the band around the tube
 # that holds every stencil node when the difference step is h
 BAND_CELLS = max(abs(s) for s in JACOBIAN_STENCIL)
-# nodes per projection pass, and the most lattice nodes one J pass spans
-CHUNK = 400_000
+# rows per task of the tube's pooled passes and per kernel-value pass; a J
+# pass spans CHUNK lattice nodes' worth of x-planes, at least one.  Small
+# enough that OpenBLAS runs a task's pose product (x - c) @ rot on one
+# thread, so its threads do not contend with the pool's
+CHUNK = 16_384
 # nodes per side of the blocks that the tube scan keeps or skips whole
 BLOCK = 4
 
@@ -239,6 +246,13 @@ def build_tube(surface, h: float, eps: float, *,
     triples or positions is formed, the band's feet are moved onto the tube
     rows in place once J is done, and rho and v are formed CHUNK rows at a
     time.
+
+    The projection of the band, the J passes from the lattice feet and the
+    rho/v fill run on a thread pool with one worker per available CPU, in
+    tasks of CHUNK rows (one J pass each).  The scan and the in-place move
+    of the feet stay on the calling thread.  Every field is bit-identical
+    at any worker count, and an error in a task reaches the caller as the
+    serial loop would raise it.  ``rho`` is called from the pool's threads.
     """
     if h <= 0:
         raise ValueError(f"grid spacing must be positive, got {h}")
@@ -267,10 +281,14 @@ def build_tube(surface, h: float, eps: float, *,
         raise ValueError("tube is empty: the lattice does not meet {|d| <= eps}")
     band_foot = np.empty((band_key.size, 3))
     normal = np.empty((n, 3))
-    for sl, tube_sl in _band_chunks(inner):
+
+    def project(rows):
+        sl, tube_sl = rows
         band_foot[sl], band_normal = surface.foot_and_normal(
             origin + h * _lattice_index(band_key[sl], shape))
         normal[tube_sl] = band_normal[inner[sl]]
+
+    _pooled(project, _band_chunks(inner))
     key, d = band_key[inner], band_d[inner]
     del band_d
 
@@ -281,24 +299,32 @@ def build_tube(surface, h: float, eps: float, *,
         shifts = np.array([plane, nz, 1])[:, None] * np.array(JACOBIAN_STENCIL)
         lo_shift, hi_shift = int(shifts.min()), int(shifts.max())
         planes = max(1, CHUNK // plane)  # x-planes of tube nodes per pass
-        # band row of each node the stencils of a pass reach; -1 off the band
-        row_of = np.empty(planes * plane + hi_shift - lo_shift, dtype=np.int32)
-        for x0 in range(int(key[0]) // plane, int(key[-1]) // plane + 1, planes):
+
+        def jacobian(x0):
             first, last = x0 * plane, (x0 + planes) * plane
             t0, t1 = np.searchsorted(key, [first, last])
             _check_stencil_inside(_lattice_index(key[t0:t1], shape), shape, h)
             base = first + lo_shift
             b0, b1 = np.searchsorted(band_key, [base, last + hi_shift])
-            row_of.fill(-1)
+            # band row of each node the pass's stencils reach; -1 off the band
+            row_of = np.full(planes * plane + hi_shift - lo_shift, -1,
+                             dtype=np.int32)
             row_of[band_key[b0:b1] - base] = np.arange(b0, b1, dtype=np.int32)
             rows = row_of[key[t0:t1, None, None] - base + shifts]
             if np.any(rows < 0):
                 _raise_missing_neighbour(_lattice_index(key[t0:t1], shape),
                                          rows, h)
-            feet = np.take(band_foot, rows, axis=0)
-            jac[t0:t1] = projection_jacobian(feet, h)
-        del row_of, rows, feet
+            # called through its module: on a pool thread, never through a
+            # name imported here, which instrumentation that keeps a single
+            # span stack may have rebound (perfbench's tracer does)
+            jac[t0:t1] = geometry.projection_jacobian(
+                np.take(band_foot, rows, axis=0), h)
+
+        _pooled(jacobian, range(int(key[0]) // plane, int(key[-1]) // plane + 1,
+                                planes))
     else:
+        # only where the reach caps the step, on coarse grids: few nodes, so
+        # the 12 projections per node stay on the calling thread
         for i0 in range(0, n, CHUNK):
             sl = slice(i0, i0 + CHUNK)
             points = origin + h * _lattice_index(key[sl], shape)
@@ -312,7 +338,7 @@ def build_tube(surface, h: float, eps: float, *,
                          f"{point}; tube width exceeds the usable reach")
 
     # tube row t holds band row >= t, so moving the feet up in order never
-    # overwrites a row still to be read
+    # overwrites a row still to be read; in order, so on the calling thread
     for sl, tube_sl in _band_chunks(inner):
         band_foot[tube_sl] = band_foot[sl][inner[sl]]
     del inner
@@ -321,7 +347,8 @@ def build_tube(surface, h: float, eps: float, *,
 
     density = np.ones(n) if rho is None else np.empty(n)
     v = np.empty(n)
-    for i0 in range(0, n, CHUNK):
+
+    def fill(i0):
         sl = slice(i0, i0 + CHUNK)
         if rho is not None:
             part = np.asarray(rho(foot[sl]), dtype=float)
@@ -330,6 +357,8 @@ def build_tube(surface, h: float, eps: float, *,
                                  f"values; got shape {part.shape}")
             density[sl] = part
         v[sl] = density[sl] * delta_eps(d[sl], eps) * jac[sl]
+
+    _pooled(fill, range(0, n, CHUNK))
 
     if np.any(np.diff(key) <= 0):
         raise AssertionError("tube nodes are not in lexicographic order")
@@ -347,6 +376,30 @@ def _band_chunks(inner: np.ndarray):
         t1 = t0 + int(np.count_nonzero(inner[sl]))
         yield sl, slice(t0, t1)
         t0 = t1
+
+
+def _pool_size() -> int:
+    """Threads of `build_tube`'s pool: one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):    # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pooled(task: Callable, items) -> None:
+    """Call ``task(item)`` for every item on a pool of `_pool_size` threads.
+
+    NumPy releases the interpreter lock in the tasks' array work, so they
+    overlap.  Each task writes only into disjoint slices of arrays the
+    calling thread allocated and returns nothing, so no array a worker
+    allocated outlives its task (glibc would keep such memory in the
+    worker's own arena).  Results are read in item order: an error reaches
+    the caller from the first failing item, as in a serial loop, and the
+    items not yet started are cancelled.  The pool is shut down before this
+    returns, so no thread outlives the call and a later fork finds none.
+    """
+    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
+        for _ in pool.map(task, items):
+            pass
 
 
 def _lattice_index(key: np.ndarray, shape) -> np.ndarray:
@@ -583,16 +636,21 @@ def evaluate_V3(kind: str | tuple[str, ...], surface, rho: Callable | None,
         keep = found.copy()
         keep[j1] = False
 
+        # k=0 weights and cell values of each distinct s0 (DL and DLC share)
+        s0_parts = {}
         for name, values, part in zip(kinds, kv, parts):
-            term0 = expansion.s0_term(name)
-            term1 = expansion.s1_term(name)
-            w0 = interpolate_weights(table0, term0, plane.off2)
-            w1 = interpolate_weights(table1, term1, plane.off1)
+            s0_kind = S0_KIND[name]
+            if s0_kind not in s0_parts:
+                term0 = expansion.s0_term(s0_kind)
+                s0_parts[s0_kind] = (
+                    interpolate_weights(table0, term0, plane.off2),
+                    np.asarray(term0.evaluate(dx, dy), dtype=float))
+            w0, s0 = s0_parts[s0_kind]
+            w1 = interpolate_weights(table1, expansion.s1_term(name), plane.off1)
             k4 = np.where(found, values[rows], 0.0)
             part["excluded"] += float(k4 @ v4)
             part["q2"] += float(w0 @ v4)
             part["q1"] += float(w1[0]) * float(v4[j1])
-            s0 = np.asarray(term0.evaluate(dx, dy), dtype=float)
             part["remainder"] += float(np.sum((k4 - s0)[keep] * v4[keep]))
 
     out = []

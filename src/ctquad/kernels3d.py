@@ -43,11 +43,15 @@ __all__ = [
     "expansion_at_plane",
     "AXIS_PERMUTATION",
     "KERNEL_KINDS",
+    "S0_KIND",
     "FrameAxisError",
     "CurvatureLimitError",
 ]
 
 KERNEL_KINDS = ("SL", "DL", "DLC")
+
+# the kind whose leading term s0 each kind has: DL and DLC differ from s1 on
+S0_KIND = {"SL": "SL", "DL": "DL", "DLC": "DL"}
 
 # kernel values are zeroed (and the node dropped from every rule) when a
 # lattice node lands on the singular line closer than this
@@ -300,9 +304,10 @@ class KernelExpansion:
         """Leading singular term at in-plane offsets y (nonzero)."""
         pref = 1.0 / (4.0 * np.pi)
         p0 = self.psi0(y)
-        if kind == "SL":
+        s0_kind = S0_KIND.get(kind)
+        if s0_kind == "SL":
             return pref / p0
-        if kind in ("DL", "DLC"):
+        if s0_kind == "DL":
             return pref * self.xi0(y) / p0**3
         raise ValueError(f"unknown kernel kind {kind!r}")
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -22,7 +24,13 @@ from ctquad.ibim3d import (
     plane_problems,
 )
 from ctquad.geometry import displaced_feet, projection_jacobian, surface_probe
-from ctquad.kernels3d import AXIS_PERMUTATION, CurvatureLimitError, kernel_values
+from ctquad.kernels3d import (
+    AXIS_PERMUTATION,
+    KERNEL_KINDS,
+    CurvatureLimitError,
+    KernelExpansion,
+    kernel_values,
+)
 from ctquad.surfaces import Sphere, tilted_torus
 
 from helpers import sphere_level_jacobian, torus_level_jacobian
@@ -280,6 +288,81 @@ def test_tube_stencil_off_lattice_is_named():
         build_tube(_ShrunkBoxSphere(1.0), 0.1, 0.1)
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("h, from_lattice", [(0.04, True), (0.075, False)])
+def test_tube_bit_identical_at_any_worker_count(torus, monkeypatch, h,
+                                                from_lattice):
+    """Every field is the same at 1, 2 and 3 workers and at two chunk sizes.
+
+    At h=0.04 J comes from the lattice feet; at h=0.075 the reach caps the
+    step and J comes from displaced projections.  The interpreter switches
+    threads as often as it can, so a task that wrote outside its own slice
+    would show.
+    """
+    eps = 0.1
+    assert (min(h, 0.45 * (torus.reach - eps)) == h) == from_lattice
+    monkeypatch.setattr(ibim3d, "_pool_size", lambda: 1)
+    ref = build_tube(torus, h, eps, rho=torus.density_at)
+    callers = set()
+
+    def rho(p):
+        callers.add(threading.get_ident())
+        return torus.density_at(p)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for chunk in (ibim3d.CHUNK, 1000):   # 3 or more chunks at 1000
+            monkeypatch.setattr(ibim3d, "CHUNK", chunk)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(ibim3d, "_pool_size", lambda: workers)
+                tube = build_tube(torus, h, eps, rho=rho)
+                for field in dataclasses.fields(tube):
+                    assert _same_bits(getattr(tube, field.name),
+                                      getattr(ref, field.name)), (
+                        chunk, workers, field.name)
+    finally:
+        sys.setswitchinterval(interval)
+    # the fill ran on the pool, not on the calling thread
+    assert callers and threading.get_ident() not in callers
+
+
+def _wrong_shape_rho(p):
+    """Right values, except a wrong shape naming its chunk's first foot for
+    the chunks that start beyond x = 0.2."""
+    if p[0, 0] <= 0.2:
+        return np.ones(len(p))
+    return np.zeros((len(p), 1 + int(1e4 * p[0, 0])))
+
+
+@pytest.mark.parametrize("case", ["rho-shape", "missing-neighbour"])
+def test_tube_task_error_matches_one_worker(torus, sphere, monkeypatch, case):
+    """An error raised in a pool task reaches the caller as with one worker:
+    the first failing chunk's, whichever task failed first."""
+    monkeypatch.setattr(ibim3d, "CHUNK", 1000)
+    if case == "rho-shape":
+        def build():
+            return build_tube(torus, 0.04, 0.1, rho=_wrong_shape_rho)
+        pattern = r"rho must map .* got shape \(1000, \d+\)"
+    else:
+        monkeypatch.setattr(ibim3d, "BAND_CELLS", 1)
+
+        def build():
+            return build_tube(sphere, 0.1, 0.1)
+        pattern = r"tube node \(\d+, \d+, \d+\) at h=0\.1 reaches lattice node"
+    messages = []
+    for workers in (1, 3):
+        monkeypatch.setattr(ibim3d, "_pool_size", lambda: workers)
+        with pytest.raises(ValueError, match=pattern) as err:
+            build()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def test_v_vanishes_at_tube_boundary(sphere_tube):
     tube = sphere_tube
     band = np.abs(tube.d) > 0.98 * tube.eps
@@ -435,6 +518,39 @@ def test_kind_tuple_matches_single_kinds(torus, torus_tube, table02, table11):
                           for kind in kinds)
     assert evaluate_V3(kinds[:1], torus, None, xstar, h, eps, tabs,
                        tube=torus_tube) == (together[0]["total"],)
+
+
+@pytest.mark.filterwarnings(*GEO_FILTERS)
+def test_dl_and_dlc_share_s0(torus, torus_tube, table02, table11, monkeypatch):
+    """Per plane, the three kinds build 5 terms and interpolate 5 weight
+    sets: DL and DLC have one s0, so its term and k=0 weights are shared."""
+    calls = []
+    for name in ("s0_term", "s1_term"):
+        method = getattr(KernelExpansion, name)
+
+        def counted(self, kind, method=method, name=name):
+            calls.append(name)
+            return method(self, kind)
+
+        monkeypatch.setattr(KernelExpansion, name, counted)
+    interpolate = ibim3d.interpolate_weights
+
+    def counted_interpolate(*args):
+        calls.append("interpolate")
+        return interpolate(*args)
+
+    monkeypatch.setattr(ibim3d, "interpolate_weights", counted_interpolate)
+    xstar = torus.param_point(1.1, 2.3)
+    details = evaluate_V3(KERNEL_KINDS, torus, None, xstar, torus_tube.h,
+                          torus_tube.eps, (table02, table11), tube=torus_tube,
+                          return_details=True)
+    planes = len(details[0]["planes"])
+    assert planes > 0
+    assert calls.count("s0_term") == 2 * planes
+    assert calls.count("s1_term") == 3 * planes
+    assert calls.count("interpolate") == 5 * planes
+    q2 = {kind: d["q2"] for kind, d in zip(KERNEL_KINDS, details)}
+    assert q2["DL"] == q2["DLC"] != q2["SL"]
 
 
 @pytest.mark.filterwarnings(*GEO_FILTERS)

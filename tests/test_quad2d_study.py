@@ -180,10 +180,10 @@ def test_on_node_singularity_runs_warning_free_with_pinned_values():
 
 
 @pytest.mark.parametrize("name", ["sk", "general"])
-def test_smooth_factor_evaluated_once_per_level_and_case(name, monkeypatch):
-    # every rule of a level reads one array of node values; a rule that
-    # evaluated the integrand again would multiply the count by the number
-    # of rules
+def test_smooth_factor_evaluated_once_per_level(name, monkeypatch):
+    # each level evaluates v once on its grid and every case (k) and rule
+    # of that level reads it; a case or rule that evaluated it again would
+    # add a whole grid per level
     config = cli.StudyConfig(**CONFIGS[name])
     evaluated = []
     smooth_factor = cli.smooth_factor
@@ -200,5 +200,5 @@ def test_smooth_factor_evaluated_once_per_level_and_case(name, monkeypatch):
                                          config.alpha, config.beta).shape))
         for h in config.hs())
     # v is also evaluated node by node on each rule's stencil (at most 12)
-    stencil_nodes = config.count * len(config.p_values) * 12
-    assert sum(evaluated) <= cases * (grid_nodes + stencil_nodes)
+    stencil_nodes = cases * config.count * len(config.p_values) * 12
+    assert sum(evaluated) <= grid_nodes + stencil_nodes
