@@ -310,8 +310,9 @@ def load_table_checked(k: int, p: int, cache_dir: str | None = None,
     """Load the (k, p) table or fail with the command that would create it.
 
     When the cache holds (k, p) tables built for other parameters only, the
-    error lists them.  A file the loader refuses (truncated, foreign) or one
-    built by another library version fails with the command that rebuilds it.
+    error lists them.  A file the loader refuses (truncated, foreign, or
+    built by another library version) fails with the command that rebuilds
+    it.
     """
     path = find_table_path(k, p, cache_dir, tol, n_modes, grid_n)
     where = cache_dir or wt.default_cache_dir()
@@ -328,14 +329,9 @@ def load_table_checked(k: int, p: int, cache_dir: str | None = None,
         raise CliError(f"no weight table {name} in {where}{held}; "
                        f"build it with: {build}")
     try:
-        table = wt.load_weight_table(path)
+        return wt.load_weight_table(path)
     except ValueError as exc:
         raise CliError(f"{exc}; rebuild it with: {build} --force") from None
-    if table.version != wt.LIBRARY_VERSION:
-        raise CliError(
-            f"{path} was built by library version {table.version}, this is "
-            f"{wt.LIBRARY_VERSION}; rebuild it with: {build} --force")
-    return table
 
 
 def _table_selection(args) -> dict:

@@ -38,8 +38,6 @@ __all__ = [
     "displaced_feet",
     "projection_jacobian",
     "canonical_tangent_frame",
-    "fd_gradient",
-    "fd_hessian",
     "GeometryAsymmetryWarning",
 ]
 
@@ -98,22 +96,6 @@ def _tensor_hessian(vals: np.ndarray, h: float) -> np.ndarray:
     return H / h**2
 
 
-def fd_gradient(f, x: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order gradient of a scalar field at one point x (shape (3,))."""
-    x = np.asarray(x, dtype=float)
-    disp = np.zeros((3, 5, 3))
-    for a in range(3):
-        disp[a, :, a] = _OFFSETS * h
-    vals = np.asarray(f(x + disp.reshape(-1, 3))).reshape(3, 5)
-    return vals @ _FD1 / h
-
-
-def fd_hessian(f, x: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order Hessian of a scalar field at one point x (shape (3,))."""
-    vals = _lattice_values(f, np.asarray(x, dtype=float), h)
-    return _tensor_hessian(vals, h)
-
-
 def canonical_tangent_frame(t1_seed: np.ndarray, n: np.ndarray):
     """Deterministic right-handed orthonormal frame from a tangent seed.
 
@@ -143,11 +125,14 @@ def hessian_eigenframe(distance, zbar: np.ndarray, h: float):
     (paired with g1) and tau2 = n x tau1.  At an umbilic point
     (|g1 - g2| < 1e-8) the directions are arbitrary, and tau1 is fixed
     deterministically as the projection of e_x (or e_y if that degenerates).
+    The gradient and the Hessian come from one sample of the distance on
+    the 5x5x5 lattice of spacing h around zbar.
     """
     zbar = np.asarray(zbar, dtype=float)
-    grad = fd_gradient(distance, zbar, h)
+    vals = _lattice_values(distance, zbar, h)
+    grad = _tensor_gradient(vals, h)
     grad = grad / np.linalg.norm(grad)
-    hess = fd_hessian(distance, zbar, h)
+    hess = _tensor_hessian(vals, h)
     lam, vec = np.linalg.eigh(hess)
 
     i_n = int(np.argmax(np.abs(vec.T @ grad)))

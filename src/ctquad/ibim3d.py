@@ -65,7 +65,6 @@ __all__ = [
     "delta_normalization",
     "dominant_direction",
     "evaluate_V3",
-    "evaluate_punctured3",
     "plane_problems",
 ]
 
@@ -588,9 +587,10 @@ def evaluate_V3(kind: str | tuple[str, ...], surface, rho: Callable | None,
     ``tube`` and ``probe`` may be precomputed and shared across kernels and
     targets; they must match (surface, h, eps) and xstar respectively.
     With ``return_details`` the result is a dict of the total and its parts:
-    the uncorrected lattice sum ``product`` (h^3 * product is the
-    `evaluate_punctured3` value), the ``excluded`` 4-node cells, the
-    corrections ``q2``, ``q1`` and ``remainder``, and the ``planes``.
+    the uncorrected lattice sum ``product``, the ``excluded`` 4-node cells,
+    the corrections ``q2``, ``q1`` and ``remainder``, and the ``planes``.
+    h^3 * product is the first-order punctured baseline: the plain lattice
+    sum of K*v, with only the exact hits of the singular line left out.
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     table0, table1 = _check_tables(tables)
@@ -663,27 +663,6 @@ def evaluate_V3(kind: str | tuple[str, ...], surface, rho: Callable | None,
     return out[0] if isinstance(kind, str) else tuple(out)
 
 
-def evaluate_punctured3(kind: str | tuple[str, ...], surface,
-                        rho: Callable | None, xstar, h: float, eps: float, *,
-                        tube: TubeGrid | None = None):
-    """Uncorrected baseline: the plain punctured lattice sum h^3 sum K*v.
-
-    Nodes on the singular line itself (closer than the exact-hit radius) are
-    skipped; nothing else is corrected, so the error decays at first order.
-    ``kind`` is one kernel name, or a tuple of names for a tuple of values,
-    as in `evaluate_V3`.
-    """
-    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
-    if tube is None:
-        tube = build_tube(surface, h, eps, rho=rho)
-    _check_tube(tube, h, eps)
-    xs = np.asarray(surface.project(np.asarray(xstar, dtype=float)), dtype=float)
-    nstar = np.asarray(surface.normal(xs), dtype=float)
-    out = [h ** 3 * float(values @ tube.v)
-           for values in _kernel_rows(kinds, xs, nstar, tube)]
-    return out[0] if isinstance(kind, str) else tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # convergence study driver
 # ---------------------------------------------------------------------------
@@ -721,7 +700,8 @@ def convergence_study_3d(surface, targets, levels: Sequence[float], tables, *,
     level and carry the orders of those averages; the averaged errors per
     label in ``mean_errors``; and the mean of the per-target orders per
     kernel in ``mean_orders``.  Baseline rows, when requested, are labelled
-    "<kind>:baseline" and follow the corrected ones; they have no
+    "<kind>:baseline" and follow the corrected ones; each value is
+    h^3 * ``product`` from the same `evaluate_V3` pass, and they have no
     ``mean_orders`` entry.
     """
     hs = [float(h) for h in levels]
@@ -742,15 +722,12 @@ def convergence_study_3d(surface, targets, levels: Sequence[float], tables, *,
             progress(f"h={h:.6g}: tube has {tube.n_nodes} nodes")
         for ti, x in enumerate(pts):
             probe = _default_probe(surface, x, h)
-            totals = evaluate_V3(kinds, surface, rho, x, h, eps, tables,
-                                 tube=tube, probe=probe)
-            if include_baseline:
-                baselines = evaluate_punctured3(kinds, surface, rho, x, h, eps,
-                                                tube=tube)
-            for i, kind in enumerate(kinds):
-                values[(kind, ti, h)] = totals[i]
+            parts = evaluate_V3(kinds, surface, rho, x, h, eps, tables,
+                                tube=tube, probe=probe, return_details=True)
+            for kind, part in zip(kinds, parts):
+                values[(kind, ti, h)] = part["total"]
                 if include_baseline:
-                    values[(f"{kind}:baseline", ti, h)] = baselines[i]
+                    values[(f"{kind}:baseline", ti, h)] = h ** 3 * part["product"]
         # the next level's build must not run beside this level's tube
         del tube
 

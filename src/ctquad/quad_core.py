@@ -30,7 +30,6 @@ __all__ = [
     "SingularFunction",
     "GridOffset",
     "Stencil",
-    "PTILDE",
     "STENCIL_OFFSETS",
     "correction_monomials",
     "stencil_for_order",
@@ -280,11 +279,8 @@ class Stencil:
         return [(anchor[0] + di, anchor[1] + dj) for (di, dj) in self.offsets]
 
 
-# number of correction nodes used per order (at least p(p+1)/2)
-PTILDE = {1: 1, 2: 4, 3: 6, 4: 12}
-
-# frozen correction stencils; kept literal so tables and tests can rely on
-# the node ordering
+# frozen correction stencils, p_tilde >= p(p+1)/2 nodes each; kept literal
+# so tables and tests can rely on the node ordering
 STENCIL_OFFSETS: dict[int, tuple[tuple[int, int], ...]] = {
     1: ((0, 0),),
     2: ((0, 0), (1, 0), (1, 1), (0, 1)),
@@ -305,7 +301,7 @@ def correction_monomials(p: int) -> list[tuple[int, int]]:
     the test matrix would be exactly singular.  x**3*y and x*y**3 are the only
     degree-4 pair that stays independent.
     """
-    if p not in PTILDE:
+    if p not in STENCIL_OFFSETS:
         raise ValueError(f"correction order must be 1..4, got {p}")
     monos = [(d - b, b) for d in range(p) for b in range(d + 1)]
     if p == 2:
@@ -344,40 +340,35 @@ def _kahan_rows(row_sums: np.ndarray) -> float:
     return total
 
 
-def punctured_trapezoidal(f, grid: Grid2,
+def punctured_trapezoidal(values: np.ndarray, grid: Grid2,
                           skip_indices: Sequence[tuple[int, int]]) -> float:
-    """Trapezoidal rule h^2 * sum f(node) with the listed nodes left out.
+    """Trapezoidal rule h^2 * sum values with the listed nodes left out.
 
-    f may be a callable f(x, y) accepting 1D arrays, or an ndarray of node
-    values shaped like grid.shape.  The excluded nodes are never evaluated,
-    so f may be singular there; with none excluded this is the plain rule.
-    The corrected rules pass ``stencil.node_indices(offset.anchor)``.
+    ``values`` holds the node values, shaped like grid.shape (see
+    `grid_values`).  The excluded entries are never read, so they may hold
+    anything, inf at a singular node too; with none excluded this is the
+    plain rule.  The corrected rules pass ``stencil.node_indices(offset.anchor)``.
     """
     (i0, i1), (j0, j1) = grid.extent
+    if values.shape != grid.shape:
+        raise ValueError(f"value array shape {values.shape} does not match "
+                         f"grid {grid.shape}")
     # skipped columns per row; a row with none takes the unmasked path
     skip_cols: dict[int, list[int]] = {}
     for idx in skip_indices:
         if not grid.contains_index(*idx):
             raise ValueError(f"excluded node {idx} lies outside the grid extent")
         skip_cols.setdefault(idx[0], []).append(idx[1] - j0)
-    xs, ys = grid.axis_nodes()
-    is_arr = isinstance(f, np.ndarray)
-    if is_arr and f.shape != grid.shape:
-        raise ValueError(f"value array shape {f.shape} does not match grid {grid.shape}")
     row_sums = np.zeros(i1 - i0 + 1)
     for row, i in enumerate(range(i0, i1 + 1)):
+        vals = values[row]
         keep = None
         if i in skip_cols:
             keep = np.ones(j1 - j0 + 1, dtype=bool)
             keep[skip_cols[i]] = False
-        if is_arr:
-            vals = f[row] if keep is None else f[row][keep]
-        else:
-            yy = ys if keep is None else ys[keep]
-            xx = np.full(yy.shape, xs[row])
-            vals = np.asarray(f(xx, yy), dtype=float)
+            vals = vals[keep]
         if vals.size and not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(np.asarray(vals)))[0])
+            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             jbad = (np.flatnonzero(keep)[bad] if keep is not None else bad) + j0
             raise ValueError(f"non-finite integrand value at grid node (i={i}, j={jbad}), "
                              f"x={grid.node_xy(i, jbad)}")
@@ -388,9 +379,9 @@ def punctured_trapezoidal(f, grid: Grid2,
 def grid_values(f, grid: Grid2) -> np.ndarray:
     """f(x, y) at every node of the grid, as an array shaped like grid.shape.
 
-    f is called on one row of nodes at a time (fixed x, every y), as
-    `punctured_trapezoidal` calls it, so temporaries stay one row long
-    however fine the grid.  Every node is evaluated, a singular one too.
+    f is called on one row of nodes at a time (fixed x, every y), so
+    temporaries stay one row long however fine the grid.  Every node is
+    evaluated, a singular one too.
     """
     xs, ys = grid.axis_nodes()
     out = np.empty(grid.shape)
@@ -421,10 +412,6 @@ def locate_singularity(x0: Sequence[float], grid: Grid2, p: int) -> tuple[Stenci
     # the stencil must fit inside the grid with one extra node of margin
     (i0, i1), (j0, j1) = grid.extent
     diam = max(max(abs(di), abs(dj)) for di, dj in stencil.offsets) + 1
-    for (ii, jj) in stencil.node_indices(off.anchor):
-        if not (i0 + 0 <= ii <= i1 and j0 <= jj <= j1):
-            raise ValueError(f"stencil node {(ii, jj)} falls outside the grid; "
-                             f"x0={tuple(x0)} is too close to the boundary")
     if not (i0 + diam <= ia <= i1 - diam and j0 + diam <= ja <= j1 - diam):
         raise ValueError(f"x0={tuple(x0)} is within one stencil diameter of the "
                          f"grid boundary (anchor {(ia, ja)})")

@@ -949,6 +949,11 @@ def save_weight_table(table: WeightTable, path: str) -> None:
 
 
 def load_weight_table(path: str) -> WeightTable:
+    """Read a table written by `save_weight_table`.
+
+    A file that is not a table, is truncated, or was built by another
+    library version is refused with a ValueError that names it.
+    """
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != TABLE_FORMAT_MAGIC:
@@ -961,6 +966,10 @@ def load_weight_table(path: str) -> WeightTable:
         except ValueError:
             raise ValueError(f"{path}: truncated or corrupt table header "
                              f"-- rebuild the table") from None
+        if meta["version"] != LIBRARY_VERSION:
+            raise ValueError(f"{path}: built by library version "
+                             f"{meta['version']}, this is {LIBRARY_VERSION} "
+                             f"-- rebuild the table")
         body = f.read()
     shape = tuple(meta["shape"])
     count = int(np.prod(shape))

@@ -185,7 +185,8 @@ def test_a04_punctured_rule_power_family_and_remainders():
         for h in hs:
             grid = grid_with_offset(h, 1.2, (0.0, 0.0), 0.81, 0.46)
             val = punctured_trapezoidal(
-                f, grid, [locate_singularity((0.0, 0.0), grid, 1)[1].anchor])
+                grid_values(f, grid), grid,
+                [locate_singularity((0.0, 0.0), grid, 1)[1].anchor])
             errs.append(abs(val - exact))
         got = observed_order(errs, hs)
         lines.append(f"|x|^{j} window: observed {got:.3f} expected {j + 2}")
@@ -203,7 +204,8 @@ def test_a04_punctured_rule_power_family_and_remainders():
         for h in hs:
             grid = grid_with_offset(h, 1.7, (0.0, 0.0), 0.81, 0.46)
             vals.append(punctured_trapezoidal(
-                f, grid, [locate_singularity((0.0, 0.0), grid, 1)[1].anchor]))
+                grid_values(f, grid), grid,
+                [locate_singularity((0.0, 0.0), grid, 1)[1].anchor]))
         errs = successive_differences(vals)
         got = observed_order(errs, hs)
         lines.append(f"remainder q={q}: observed {got:.3f} expected {q + 2}")

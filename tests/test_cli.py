@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import ctquad
 from ctquad import cli
 from ctquad import weights as wt
 from ctquad.quad_core import pair_orders
@@ -175,12 +176,15 @@ def test_missing_table_error_names_build_command(tmp_path):
         cli.run_quad2d(cfg, cache_dir=str(tmp_path))
 
 
-def test_version_mismatch_refused(tmp_path, table11):
+def test_version_mismatch_refused(tmp_path, table11, capsys):
     stale = dataclasses.replace(table11, version="0.0.1")
     path = tmp_path / wt.table_filename(1, 1)
     wt.save_weight_table(stale, str(path))
     with pytest.raises(cli.CliError, match="--force"):
         cli.load_table_checked(1, 1, cache_dir=str(tmp_path))
+    assert run_cli("weights", "info", "--cache-dir", str(tmp_path)) == 0
+    out = capsys.readouterr().out
+    assert f"{path.name}: refused" in out and "0.0.1" in out
 
 
 def test_other_parameter_table_is_not_served(tmp_path, table11):
@@ -440,8 +444,13 @@ def test_ibim3d_determinism(tmp_path):
 # --------------------------------------------------------------------------
 
 def test_console_entry_point_runs():
+    # the subprocess imports the package this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ctquad.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "ctquad.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "quad2d" in proc.stdout and "ibim3d" in proc.stdout
 

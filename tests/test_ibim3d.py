@@ -20,7 +20,6 @@ from ctquad.ibim3d import (
     delta_normalization,
     dominant_direction,
     evaluate_V3,
-    evaluate_punctured3,
     plane_problems,
 )
 from ctquad.geometry import displaced_feet, projection_jacobian, surface_probe
@@ -424,10 +423,13 @@ def test_exact_hit_guard(sphere, sphere_target):
 def test_plane_decomposition_exactness(torus, torus_tube, table02, table11):
     xstar = torus.param_point(1.1, 2.3)
     h, eps = torus_tube.h, torus_tube.eps
-    plain = evaluate_punctured3("SL", torus, None, xstar, h, eps, tube=torus_tube)
+    probe = surface_probe(torus, xstar, h=h, probe_distance=0.5 * torus.reach)
     details = evaluate_V3("SL", torus, None, xstar, h, eps, (table02, table11),
-                          tube=torus_tube, return_details=True)
-    assert h ** 3 * details["product"] == pytest.approx(plain, rel=1e-14)
+                          tube=torus_tube, probe=probe, return_details=True)
+    # the product is the plain lattice sum of K*v over the whole tube
+    plain = kernel_values("SL", probe.xstar, probe.n, torus_tube.foot,
+                          torus_tube.normal) @ torus_tube.v
+    assert details["product"] == pytest.approx(plain, rel=1e-14)
 
 
 @pytest.mark.filterwarnings(*GEO_FILTERS)
@@ -439,23 +441,17 @@ def test_rho_zero_gives_zero(sphere, sphere_tube, sphere_target, table02, table1
     assert val == 0.0
 
 
-def test_punctured_refuses_foreign_tube(sphere, sphere_tube, sphere_target):
-    # the baseline's h^3 factor would silently use the wrong spacing
-    with pytest.raises(ValueError, match="tube grid was built"):
-        evaluate_punctured3("SL", sphere, None, sphere_target, 0.04,
-                            sphere_tube.eps, tube=sphere_tube)
-    with pytest.raises(ValueError, match="tube grid was built"):
-        evaluate_punctured3("SL", sphere, None, sphere_target, sphere_tube.h,
-                            0.2, tube=sphere_tube)
-
-
 def test_table_and_tube_validation(sphere, sphere_tube, sphere_target,
                                    table02, table11):
     with pytest.raises(ValueError, match="k=0"):
         evaluate_V3("SL", sphere, None, sphere_target, sphere_tube.h,
                     sphere_tube.eps, (table11, table02), tube=sphere_tube)
+    # the h^3 factors would silently use the wrong spacing
     with pytest.raises(ValueError, match="tube grid was built"):
         evaluate_V3("SL", sphere, None, sphere_target, 0.04, sphere_tube.eps,
+                    (table02, table11), tube=sphere_tube)
+    with pytest.raises(ValueError, match="tube grid was built"):
+        evaluate_V3("SL", sphere, None, sphere_target, sphere_tube.h, 0.2,
                     (table02, table11), tube=sphere_tube)
     with pytest.raises(ValueError, match="second table"):
         evaluate_V3("SL", sphere, None, sphere_target, sphere_tube.h,
@@ -472,13 +468,14 @@ def test_curvature_limit_propagates_plane_index(sphere, sphere_tube,
                     probe=probe)
 
 
-# (V3, punctured) values recorded before the tube build and the kernel sums
-# were chunked: one torus level at h=0.04 (J from the lattice feet) with the
-# variable density
+# (V3, h^3 * product) values recorded before the tube build and the kernel
+# sums were chunked: one torus level at h=0.04 (J from the lattice feet) with
+# the variable density.  The DLC baseline was re-recorded when the baseline
+# took the probe's normal at the target in place of the exact one
 _PINNED_04 = {
     "SL": (1.146921674082111, 1.1364332193286044),
     "DL": (-0.77402017011972, -0.7616040491396241),
-    "DLC": (-0.9444904950737325, -0.9315242581589679),
+    "DLC": (-0.9444904950737325, -0.9316442913058505),
 }
 
 
@@ -492,10 +489,11 @@ def test_values_pinned_bit_for_bit(torus, table02, table11, monkeypatch, chunk):
     tube = build_tube(torus, h, eps, rho=torus.density_at)
     xstar = torus.param_point(1.1, 2.3)
     for kind, (v3, plain) in _PINNED_04.items():
-        assert evaluate_V3(kind, torus, torus.density_at, xstar, h, eps,
-                           (table02, table11), tube=tube) == v3, kind
-        assert evaluate_punctured3(kind, torus, torus.density_at, xstar, h,
-                                   eps, tube=tube) == plain, kind
+        details = evaluate_V3(kind, torus, torus.density_at, xstar, h, eps,
+                              (table02, table11), tube=tube,
+                              return_details=True)
+        assert details["total"] == v3, kind
+        assert h ** 3 * details["product"] == plain, kind
 
 
 @pytest.mark.filterwarnings(*GEO_FILTERS)
@@ -511,11 +509,6 @@ def test_kind_tuple_matches_single_kinds(torus, torus_tube, table02, table11):
         alone = evaluate_V3(kind, torus, None, xstar, h, eps, tabs,
                             tube=torus_tube, return_details=True)
         assert details == alone, kind
-    plain = evaluate_punctured3(kinds, torus, None, xstar, h, eps,
-                                tube=torus_tube)
-    assert plain == tuple(evaluate_punctured3(kind, torus, None, xstar, h, eps,
-                                              tube=torus_tube)
-                          for kind in kinds)
     assert evaluate_V3(kinds[:1], torus, None, xstar, h, eps, tabs,
                        tube=torus_tube) == (together[0]["total"],)
 
@@ -630,9 +623,9 @@ def test_torus_gauss_identity_and_baseline(torus, torus_tube, table02, table11):
     """DL of a unit density -> -1/2 on any closed surface; baseline lags far."""
     xstar = torus.param_point(1.1, 2.3)
     h, eps = torus_tube.h, torus_tube.eps
-    dl = evaluate_V3("DL", torus, None, xstar, h, eps, (table02, table11),
-                     tube=torus_tube)
-    base = evaluate_punctured3("DL", torus, None, xstar, h, eps, tube=torus_tube)
+    details = evaluate_V3("DL", torus, None, xstar, h, eps, (table02, table11),
+                          tube=torus_tube, return_details=True)
+    dl, base = details["total"], h ** 3 * details["product"]
     assert abs(dl + 0.5) < 2e-4
     assert abs(dl + 0.5) < abs(base + 0.5) / 10.0
 
@@ -666,7 +659,15 @@ def test_analytic_jacobian_value_agrees(torus, torus_tube, table02, table11):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.filterwarnings(*GEO_FILTERS)
-def test_convergence_study_structure(sphere, table02, table11):
+def test_convergence_study_structure(sphere, table02, table11, monkeypatch):
+    evaluate, passes = ibim3d.evaluate_V3, {}
+
+    def recorded_evaluate(kinds, surface, rho, x, h, *args, **kwargs):
+        out = evaluate(kinds, surface, rho, x, h, *args, **kwargs)
+        passes[(tuple(x), h)] = dict(zip(kinds, out))
+        return out
+
+    monkeypatch.setattr(ibim3d, "evaluate_V3", recorded_evaluate)
     targets = np.array([[0.31, -0.52, 0.80], [-0.61, 0.40, 0.56]])
     messages = []
     res = convergence_study_3d(sphere, targets, [0.08, 0.05],
@@ -686,6 +687,11 @@ def test_convergence_study_structure(sphere, table02, table11):
         else:
             assert r["order"] is None
     assert set(res["mean_orders"]) == {"SL", "DL"}
+    # each baseline is the uncorrected lattice sum of its kind's own pass
+    for (label, ti, h), value in res["values"].items():
+        kind, _, base = label.partition(":")
+        part = passes[(tuple(res["targets"][ti]), h)][kind]
+        assert value == (h ** 3 * part["product"] if base else part["total"])
     # errors against the reference shrink with h for the corrected rule
     for kind in ("SL", "DL"):
         for ti in range(2):

@@ -7,6 +7,7 @@ routes must keep reproducing them.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import tempfile
@@ -23,6 +24,7 @@ from ctquad.quad_core import (
 )
 from ctquad.weights import (
     DEFAULT_BUMP,
+    LIBRARY_VERSION,
     IllConditionedStencilError,
     MomentCache,
     WeightConvergenceError,
@@ -34,6 +36,8 @@ from ctquad.weights import (
     load_weight_table,
     moment_residual,
     row_term,
+    save_weight_table,
+    table_filename,
     weights_at_h,
     weights_dual,
     weights_limit,
@@ -356,6 +360,18 @@ def test_table_cache_hit():
         tab = _tiny_table(td)
         tab2 = _tiny_table(td)  # must come from the cache file
         assert np.array_equal(tab.data, tab2.data)
+
+
+def test_table_cache_refuses_other_version():
+    # a cached file that another library version built is not served
+    with tempfile.TemporaryDirectory() as td:
+        tab = _tiny_table(td)
+        path = os.path.join(td, table_filename(1, 1, n_modes=2, grid_n=5))
+        save_weight_table(dataclasses.replace(tab, version="0.0.1"), path)
+        with pytest.raises(ValueError) as exc_info:
+            _tiny_table(td)
+        msg = str(exc_info.value)
+        assert "0.0.1" in msg and LIBRARY_VERSION in msg and path in msg
 
 
 def test_interpolation_reproduces_lattice_points():
