@@ -41,6 +41,7 @@ from .quad_core import (
     GridOffset,
     SingularFunction,
     SingularTerm,
+    block_nodes,
     composite_Up,
     corrected_Qp,
     grid_values,
@@ -48,6 +49,7 @@ from .quad_core import (
     locate_singularity,
     pair_orders,
     punctured_trapezoidal,
+    row_blocks,
     stencil_for_order,
 )
 
@@ -356,12 +358,14 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
 
     The single-term study runs once per k, correcting s_k at order p; the
     general study corrects each expansion term s_k of its one function at
-    order p-1-k.  Each level evaluates v once on its grid, row by row
-    (`grid_values`), and multiplies each case's s(x - x0) into it, row by
-    row; every rule of that level reads the product.  Only one level's
-    values are held at a time: v and one case's product, or in a one-case
-    study the product alone.  Every correction resolves its weights by the
-    study's mode:
+    order p-1-k.  Each level evaluates v once on its grid, a block of rows
+    at a time on the thread pool (`grid_values`), and multiplies each
+    case's s(x - x0) into it over the same row blocks on the calling
+    thread: s evaluates `SingularTerm.phi`, and the benchmark's tracer,
+    which wraps it, keeps one span stack for all threads.  Every rule of
+    that level reads the product.  Only one level's values are held at a
+    time: v and one case's product, or in a one-case study the product
+    alone.  Every correction resolves its weights by the study's mode:
 
     * "exact": `weights.weights_dual` once, at the first level's cell offset,
       reused across levels (the offset is h-independent by construction);
@@ -455,14 +459,14 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
     # is evaluated once and shared by every case
     for h in hs:
         grid = grid_at(h)
-        xs, ys = grid.axis_nodes()
         v = grid_values(smooth_factor, grid)
         for i, (k, s, singular, weights_at, values) in enumerate(studies):
-            # s(x - x0) * v one row at a time; the last case multiplies into
-            # v itself, so a one-case study holds one array per level
+            # s(x - x0) * v on this thread (see above); the last case
+            # multiplies into v itself, so a one-case study holds one array
+            # per level
             fv = v if i == len(studies) - 1 else v.copy()
-            for row, x in enumerate(xs):
-                fv[row] *= singular(np.full(ys.shape, x), ys)
+            for block in row_blocks(grid):
+                fv[block] *= singular(*block_nodes(grid, block))
             values["punctured"].append(punctured_trapezoidal(
                 fv, grid, [locate_singularity(x0, grid, 1)[1].anchor]))
             for p in config.p_values:

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -53,7 +51,7 @@ from .kernels3d import (
     expansion_at_plane,
     kernel_values,
 )
-from .quad_core import GridOffset, pair_orders, stencil_for_order
+from .quad_core import GridOffset, _pooled, pair_orders, stencil_for_order
 from .weights import WeightTable, interpolate_weights
 
 __all__ = [
@@ -375,30 +373,6 @@ def _band_chunks(inner: np.ndarray):
         t1 = t0 + int(np.count_nonzero(inner[sl]))
         yield sl, slice(t0, t1)
         t0 = t1
-
-
-def _pool_size() -> int:
-    """Threads of `build_tube`'s pool: one per CPU this process may run on."""
-    if hasattr(os, "sched_getaffinity"):    # not on every platform
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _pooled(task: Callable, items) -> None:
-    """Call ``task(item)`` for every item on a pool of `_pool_size` threads.
-
-    NumPy releases the interpreter lock in the tasks' array work, so they
-    overlap.  Each task writes only into disjoint slices of arrays the
-    calling thread allocated and returns nothing, so no array a worker
-    allocated outlives its task (glibc would keep such memory in the
-    worker's own arena).  Results are read in item order: an error reaches
-    the caller from the first failing item, as in a serial loop, and the
-    items not yet started are cancelled.  The pool is shut down before this
-    returns, so no thread outlives the call and a later fork finds none.
-    """
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        for _ in pool.map(task, items):
-            pass
 
 
 def _lattice_index(key: np.ndarray, shape) -> np.ndarray:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,6 +37,8 @@ __all__ = [
     "stencil_for_order",
     "punctured_trapezoidal",
     "grid_values",
+    "row_blocks",
+    "block_nodes",
     "locate_singularity",
     "corrected_Qp",
     "composite_Up",
@@ -114,6 +118,10 @@ def _spectrum(samples: np.ndarray):
     return a, b, norm, (j if top[j] > RESOLUTION * norm else None)
 
 
+class _Unresolved(ValueError):
+    """The samples of phi do not resolve it (see `_spectrum`)."""
+
+
 class SingularTerm:
     """One term s_k(x) = |x|**(k-1) * phi(x/|x|) of a singular-function expansion.
 
@@ -127,9 +135,9 @@ class SingularTerm:
             raise ValueError(f"homogeneity index k must be a nonnegative integer, got {k}")
         a, b, norm, j = _spectrum(samples)
         if j is not None:
-            raise ValueError(f"{samples.size} samples do not resolve phi: mode {j} has "
-                             f"coefficient {max(abs(a[j]), abs(b[j])):.3e} > "
-                             f"{RESOLUTION:g} x norm {norm:.3e}")
+            raise _Unresolved(f"{samples.size} samples do not resolve phi: mode {j} "
+                              f"has coefficient {max(abs(a[j]), abs(b[j])):.3e} > "
+                              f"{RESOLUTION:g} x norm {norm:.3e}")
         self.k = int(k)
         # read-only, so the mode list below cannot go stale
         a.setflags(write=False)
@@ -146,12 +154,19 @@ class SingularTerm:
     @classmethod
     def from_callable(cls, k: int,
                       phi: Callable[[np.ndarray], np.ndarray]) -> "SingularTerm":
-        """Sample phi at 256, 512, ... angles until resolved; raise past MAX_SAMPLES."""
+        """Sample phi at 256, 512, ... angles until resolved; raise past MAX_SAMPLES.
+
+        Each sample set is transformed once, by the constructor; the set it
+        finds unresolved is dropped for one twice as long.
+        """
         n = MIN_SAMPLES
         while True:
             samples = np.asarray(phi(2.0 * np.pi * np.arange(n) / n), dtype=float)
-            if n == MAX_SAMPLES or _spectrum(samples)[3] is None:
+            try:
                 return cls(k, samples)
+            except _Unresolved:
+                if n == MAX_SAMPLES:
+                    raise
             n *= 2
 
     @classmethod
@@ -348,46 +363,93 @@ def punctured_trapezoidal(values: np.ndarray, grid: Grid2,
     `grid_values`).  The excluded entries are never read, so they may hold
     anything, inf at a singular node too; with none excluded this is the
     plain rule.  The corrected rules pass ``stencil.node_indices(offset.anchor)``.
+    A non-finite kept value raises, naming the first such node in row-major
+    order.
     """
-    (i0, i1), (j0, j1) = grid.extent
+    (i0, _), (j0, _) = grid.extent
+    values = np.ascontiguousarray(values, dtype=float)
     if values.shape != grid.shape:
         raise ValueError(f"value array shape {values.shape} does not match "
                          f"grid {grid.shape}")
-    # skipped columns per row; a row with none takes the unmasked path
-    skip_cols: dict[int, list[int]] = {}
     for idx in skip_indices:
         if not grid.contains_index(*idx):
             raise ValueError(f"excluded node {idx} lies outside the grid extent")
-        skip_cols.setdefault(idx[0], []).append(idx[1] - j0)
-    row_sums = np.zeros(i1 - i0 + 1)
-    for row, i in enumerate(range(i0, i1 + 1)):
-        vals = values[row]
-        keep = None
-        if i in skip_cols:
-            keep = np.ones(j1 - j0 + 1, dtype=bool)
-            keep[skip_cols[i]] = False
-            vals = vals[keep]
-        if vals.size and not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            jbad = (np.flatnonzero(keep)[bad] if keep is not None else bad) + j0
-            raise ValueError(f"non-finite integrand value at grid node (i={i}, j={jbad}), "
-                             f"x={grid.node_xy(i, jbad)}")
-        row_sums[row] = np.sum(vals)
+    rows, cols = (np.array(skip_indices, dtype=int).reshape(-1, 2) - (i0, j0)).T
+    finite = np.isfinite(values)
+    finite[rows, cols] = True    # excluded entries are not read
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)), values.shape[1])
+        i, j = row + i0, col + j0
+        raise ValueError(f"non-finite integrand value at grid node (i={i}, j={j}), "
+                         f"x={grid.node_xy(i, j)}")
+    # each row reduced on its own, pairwise as np.sum of that row alone; a
+    # row holding excluded nodes over its kept entries only
+    row_sums = np.sum(values, axis=1)
+    for row in np.unique(rows):
+        keep = np.ones(values.shape[1], dtype=bool)
+        keep[cols[rows == row]] = False
+        row_sums[row] = np.sum(values[row][keep])
     return grid.h * grid.h * _kahan_rows(row_sums)
+
+
+# grid_values hands f blocks of whole rows of at most this many nodes (one
+# row at least), so temporaries stay bounded however fine the grid
+BLOCK_NODES = 16384
+
+
+def row_blocks(grid: Grid2) -> list[slice]:
+    """The grid's rows cut into blocks of at most BLOCK_NODES nodes, in order."""
+    nx, ny = grid.shape
+    rows = max(1, BLOCK_NODES // ny)
+    return [slice(r, min(r + rows, nx)) for r in range(0, nx, rows)]
+
+
+def block_nodes(grid: Grid2, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of every node in a block of rows, each shaped (rows, ny)."""
+    xs, ys = grid.axis_nodes()
+    return tuple(np.meshgrid(xs[rows], ys, indexing="ij"))
 
 
 def grid_values(f, grid: Grid2) -> np.ndarray:
     """f(x, y) at every node of the grid, as an array shaped like grid.shape.
 
-    f is called on one row of nodes at a time (fixed x, every y), so
-    temporaries stay one row long however fine the grid.  Every node is
-    evaluated, a singular one too.
+    f is called on the `row_blocks` of the grid, with (rows, ny) coordinate
+    arrays, from the threads of `_pooled`: it must be elementwise (a node's
+    value may not depend on the block it came in) and thread-safe.  Every
+    node is evaluated, a singular one too.  The result is bit-identical at
+    any worker count.
     """
-    xs, ys = grid.axis_nodes()
     out = np.empty(grid.shape)
-    for row, x in enumerate(xs):
-        out[row] = f(np.full(ys.shape, x), ys)
+
+    def fill(rows):
+        out[rows] = f(*block_nodes(grid, rows))
+
+    _pooled(fill, row_blocks(grid))
     return out
+
+
+def _pool_size() -> int:
+    """Threads of `_pooled`: one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):    # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pooled(task: Callable, items) -> None:
+    """Call ``task(item)`` for every item on a pool of `_pool_size` threads.
+
+    NumPy releases the interpreter lock in the tasks' array work, so they
+    overlap.  Each task writes only into disjoint slices of arrays the
+    calling thread allocated and returns nothing, so no array a worker
+    allocated outlives its task (glibc would keep such memory in the
+    worker's own arena).  Results are read in item order: an error reaches
+    the caller from the first failing item, as in a serial loop, and the
+    items not yet started are cancelled.  The pool is shut down before this
+    returns, so no thread outlives the call and a later fork finds none.
+    """
+    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
+        for _ in pool.map(task, items):
+            pass
 
 
 # --------------------------------------------------------------------------
@@ -450,7 +512,7 @@ def corrected_Qp(term: SingularTerm, v: Callable, x0: Sequence[float], grid: Gri
     stencil, offset = locate_singularity(x0, grid, p)
     w = _checked_weights(weights, stencil)
     nodes = stencil.node_indices(offset.anchor)
-    t0 = punctured_trapezoidal(np.asarray(values, dtype=float), grid, nodes)
+    t0 = punctured_trapezoidal(values, grid, nodes)
     vx = _node_values(v, grid, nodes)
     return t0 + grid.h ** (term.k + 1) * float(np.dot(w, vx))
 
@@ -495,7 +557,7 @@ def composite_Up(s: SingularFunction, v: Callable, x0: Sequence[float], grid: Gr
         gx = _node_values(lambda x, y: g(x - x0[0], y - x0[1]), grid, nodes)
         return gx * np.array([vx[idx] for idx in nodes])
 
-    total = punctured_trapezoidal(np.asarray(values, dtype=float), grid, big_nodes)
+    total = punctured_trapezoidal(values, grid, big_nodes)
 
     # per-term corrections + ring re-additions
     for k in range(p - 1):

@@ -9,8 +9,12 @@ from __future__ import annotations
 import ast
 import importlib
 import os
+import sys
+import threading
 
 import pytest
+
+from ctquad import cli, ibim3d, quad_core, surfaces
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -33,6 +37,50 @@ def test_every_wrap_point_installs(perfbench_on_path):
         assert points and all(is_wrapped(o, a) for o, a in points)
     finally:
         tracer.restore()
+    assert not any(is_wrapped(o, a) for o, a in points)
+
+
+def test_pooled_library_code_calls_no_traced_name(perfbench_on_path,
+                                                  monkeypatch):
+    """The tracer keeps one span stack for all threads, so a wrapped name
+    called from a pool thread would close its span out of order or leave it
+    open.  The 2D studies and a tube with a density run on a pool of two,
+    in blocks small enough to make several tasks, under every wrap and with
+    the interpreter switching threads as often as it can: nothing raises,
+    every span opens on the calling thread and the stack ends empty."""
+    from layers import instrument
+    from tracing import Tracer, is_wrapped
+
+    class ThreadTracer(Tracer):
+        def open(self, name):
+            threads.add(threading.get_ident())
+            return super().open(name)
+
+    threads = set()
+    monkeypatch.setattr(quad_core, "_pool_size", lambda: 2)
+    monkeypatch.setattr(quad_core, "BLOCK_NODES", 64)
+    torus = surfaces.tilted_torus()
+    configs = [cli.StudyConfig(study="quad2d-sk", h0=0.4, count=3,
+                               p_values=(1, 2)),
+               cli.StudyConfig(study="quad2d-general", h0=0.4, count=3,
+                               p_values=(2, 3))]
+    tracer = ThreadTracer()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        instrument(tracer)
+        points = [(owner, attr) for owner, attr, _ in tracer._patches]
+        for config in configs:
+            cli.run_quad2d(config)
+        ibim3d.build_tube(torus, 0.04, 0.1, rho=torus.density_at)
+    finally:
+        sys.setswitchinterval(interval)
+        tracer.restore()
+    assert tracer._stack == []
+    assert threads == {threading.get_ident()}
+    # the wraps saw the work: the rules, phi and the tube's own span
+    assert {"quad_core.rule", "quad_core.phi", "ibim3d.tube"} <= {
+        span.name for span in tracer.spans}
     assert not any(is_wrapped(o, a) for o, a in points)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ctquad import ibim3d
+from ctquad import ibim3d, quad_core
 from ctquad.ibim3d import (
     build_tube,
     convergence_study_3d,
@@ -304,7 +304,7 @@ def test_tube_bit_identical_at_any_worker_count(torus, monkeypatch, h,
     """
     eps = 0.1
     assert (min(h, 0.45 * (torus.reach - eps)) == h) == from_lattice
-    monkeypatch.setattr(ibim3d, "_pool_size", lambda: 1)
+    monkeypatch.setattr(quad_core, "_pool_size", lambda: 1)
     ref = build_tube(torus, h, eps, rho=torus.density_at)
     callers = set()
 
@@ -318,7 +318,7 @@ def test_tube_bit_identical_at_any_worker_count(torus, monkeypatch, h,
         for chunk in (ibim3d.CHUNK, 1000):   # 3 or more chunks at 1000
             monkeypatch.setattr(ibim3d, "CHUNK", chunk)
             for workers in (1, 2, 3):
-                monkeypatch.setattr(ibim3d, "_pool_size", lambda: workers)
+                monkeypatch.setattr(quad_core, "_pool_size", lambda: workers)
                 tube = build_tube(torus, h, eps, rho=rho)
                 for field in dataclasses.fields(tube):
                     assert _same_bits(getattr(tube, field.name),
@@ -355,7 +355,7 @@ def test_tube_task_error_matches_one_worker(torus, sphere, monkeypatch, case):
         pattern = r"tube node \(\d+, \d+, \d+\) at h=0\.1 reaches lattice node"
     messages = []
     for workers in (1, 3):
-        monkeypatch.setattr(ibim3d, "_pool_size", lambda: workers)
+        monkeypatch.setattr(quad_core, "_pool_size", lambda: workers)
         with pytest.raises(ValueError, match=pattern) as err:
             build()
         messages.append(str(err.value))

@@ -15,12 +15,14 @@ weights moved to the closed-form dual-lattice sums, moved values by at most
 """
 from __future__ import annotations
 
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from ctquad import cli
+from ctquad import cli, quad_core
 
 CONFIGS = {
     "sk": dict(study="quad2d-sk", h0=0.4, count=5, k_values=(0, 1, 2),
@@ -202,3 +204,37 @@ def test_smooth_factor_evaluated_once_per_level(name, monkeypatch):
     # v is also evaluated node by node on each rule's stencil (at most 12)
     stencil_nodes = cases * config.count * len(config.p_values) * 12
     assert sum(evaluated) <= grid_nodes + stencil_nodes
+
+
+def test_bit_identical_at_any_worker_count(monkeypatch):
+    """v's node values and the study values are the same at 1, 2 and 3
+    workers, in blocks of a few rows and in the default ones.  The
+    interpreter switches threads as often as it can, so a task that wrote
+    outside its own rows would show."""
+    config = cli.StudyConfig(**{**CONFIGS["sk"], "count": 3})
+    grid = cli.grid_with_offset(0.1, config.half_width, (0.0, 0.0),
+                                config.alpha, config.beta)
+    monkeypatch.setattr(quad_core, "_pool_size", lambda: 1)
+    ref_v = quad_core.grid_values(cli.smooth_factor, grid)
+    ref = _values_hex(cli.run_quad2d(config))
+    callers = set()
+
+    def v(x, y):
+        callers.add(threading.get_ident())
+        return cli.smooth_factor(x, y)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for block, blocks in ((quad_core.BLOCK_NODES, 1), (200, 11)):
+            monkeypatch.setattr(quad_core, "BLOCK_NODES", block)
+            assert len(quad_core.row_blocks(grid)) == blocks
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(quad_core, "_pool_size", lambda: workers)
+                values = quad_core.grid_values(v, grid)
+                assert values.tobytes() == ref_v.tobytes(), (block, workers)
+                assert _values_hex(cli.run_quad2d(config)) == ref, (block, workers)
+    finally:
+        sys.setswitchinterval(interval)
+    # f ran on the pool, not on the calling thread
+    assert callers and threading.get_ident() not in callers

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ctquad import quad_core
 from ctquad.quad_core import (
     Grid2,
     GridOffset,
@@ -53,6 +54,26 @@ def test_trapezoidal_rejects_nonfinite_and_names_node():
 
     with pytest.raises(ValueError, match=r"i=1, j=2"):
         punctured_trapezoidal(grid_values(f, g), g, [])
+
+
+def test_punctured_names_first_bad_kept_node_in_row_order():
+    # an excluded node holding inf in an earlier row is not read; of two bad
+    # kept nodes in later rows, the first in row-major order is named, also
+    # when its row holds excluded nodes and the other lies in a lower column
+    g = Grid2(h=1.0, origin=(0.0, 0.0), extent=((-3, 3), (-3, 3)))
+    vals = np.ones(g.shape)
+    skip = [(-2, 1), (0, -1), (0, 2)]
+    vals[-2 + 3, 1 + 3] = np.inf    # excluded
+    vals[0 + 3, 2 + 3] = np.nan     # excluded, in the row of the first bad one
+    vals[0 + 3, 1 + 3] = -np.inf    # kept
+    vals[1 + 3, -3 + 3] = np.nan    # kept
+    with pytest.raises(ValueError, match=r"\(i=0, j=1\)"):
+        punctured_trapezoidal(vals, g, skip)
+    vals[0 + 3, 1 + 3] = 1.0
+    with pytest.raises(ValueError, match=r"\(i=1, j=-3\)"):
+        punctured_trapezoidal(vals, g, skip)
+    vals[1 + 3, -3 + 3] = 1.0
+    assert punctured_trapezoidal(vals, g, skip) == 49.0 - 3.0
 
 
 def test_empty_extent_rejected():
@@ -213,6 +234,28 @@ def test_from_callable_stops_at_nonfinite_phi(bad):
     with pytest.raises(ValueError, match="not finite"):
         SingularTerm.from_callable(0, phi)
     assert sizes == [256]
+
+
+@pytest.mark.parametrize("mode, sizes", [(3, [256]), (80, [256, 512])])
+def test_from_callable_transforms_each_sample_set_once(monkeypatch, mode, sizes):
+    # mode 80 lies above 256/4 = 64: 256 samples do not resolve it, 512 do
+    seen = []
+    spectrum = quad_core._spectrum
+
+    def counting(samples):
+        seen.append(samples.size)
+        return spectrum(samples)
+
+    monkeypatch.setattr(quad_core, "_spectrum", counting)
+    term = SingularTerm.from_callable(1, lambda psi: 1.0 + np.cos(mode * psi))
+    assert seen == sizes
+    monkeypatch.undo()
+    # the same bits as a term built from the resolving samples alone
+    ref = SingularTerm(1, 1.0 + np.cos(mode * _angles(sizes[-1])))
+    assert term.a.tobytes() == ref.a.tobytes()
+    assert term.b.tobytes() == ref.b.tobytes()
+    assert term.norm == ref.norm
+    assert term.active_modes() == ref.active_modes()
 
 
 def test_from_callable_samples_until_resolved():
