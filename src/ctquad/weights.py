@@ -299,6 +299,14 @@ def _lattice_mode_sums(k: int, alpha: float, beta: float, h: float,
 
     Summation is deterministic: fixed tiling over rows, pairwise np.sum per
     tile, Kahan compensation across tiles, all in extended precision.
+
+    Complex values are written through their .real and .imag views by real
+    multiplies, which give the bits of the complex forms at a fraction of the
+    work.  A real times a complex is (a + 0i)(c + di) = ac + adi exactly, up
+    to the sign of a zero, which no sum with a nonzero term keeps; and numpy
+    divides (x + yi) by a real r as x * (1/r) + y * (1/r) i.  The products
+    go through one complex buffer because np.sum groups the terms of a
+    complex array differently from those of a real one.
     """
     K = int(np.ceil(DEFAULT_BUMP.R / h)) + 3
     n1 = np.arange(-K, K + 1, dtype=np.int64)
@@ -337,22 +345,31 @@ def _lattice_mode_sums(k: int, alpha: float, beta: float, h: float,
         for _ in range(bmax):
             u2p.append(u2p[-1] * u2l)
         monov = [base * u1p[a] * u2p[b] for (a, b) in monos]
-        zz = np.where(mask, (u1l + 1j * u2l) / rl_safe, _CLD(0))
+        zz = np.zeros(rl.shape, dtype=_CLD)
+        inv_r = _LD(1) / rl_safe
+        np.multiply(u1l, inv_r, out=zz.real, where=mask)
+        np.multiply(u2l, inv_r, out=zz.imag, where=mask)
         zm = np.ones_like(zz)
+        prod = np.empty_like(zz)
         psi = None
         for m in range(0, mmax + 1):
             if m > 0:
                 if m % 8 == 0:
-                    # refresh the power chain to stop rounding drift
+                    # refresh the power chain to stop rounding drift; the
+                    # stencil entries of zm are already 0 (zz is 0 there)
                     if psi is None:
                         psi = np.arctan2(u2l, u1l)
-                    zm = np.where(mask, np.cos(m * psi) + 1j * np.sin(m * psi), _CLD(0))
+                    mpsi = m * psi
+                    np.cos(mpsi, out=zm.real, where=mask)
+                    np.sin(mpsi, out=zm.imag, where=mask)
                 else:
-                    zm = zm * zz
+                    np.multiply(zm, zz, out=zm)
             if m not in mode_rows:
                 continue
             for jj_m in range(len(monos)):
-                v = np.sum(monov[jj_m] * zm)
+                np.multiply(monov[jj_m], zm.real, out=prod.real)
+                np.multiply(monov[jj_m], zm.imag, out=prod.imag)
+                v = np.sum(prod)
                 for mi in mode_rows[m]:
                     y = v - comp[mi, jj_m]
                     t = res[mi, jj_m] + y
@@ -874,8 +891,13 @@ def build_weight_table(k: int, p: int, tol: float | None = None,
     The offsets run over the closed unit cell, 33x33 by default; for p = 1
     the cell is [-1/2, 1/2]^2 (nearest-node convention), otherwise [0, 1]^2.
     Each lattice point is an independent job (no shared mutable state), so
-    the build parallelizes over points; results are assembled in fixed order
-    and the output is deterministic regardless of scheduling.
+    the build parallelizes over points.  The pool is handed one point at a
+    time: a point on a stencil node costs two to three times one off it, and
+    larger chunks leave a worker idle at the end of small builds.  Each result
+    is placed by its lattice indices, so the output is byte-identical at any
+    worker count and in any completion order.  The radial moments of the
+    stencil's monomials are computed once, before the pool starts, and
+    forked workers inherit them instead of repeating the quadratures.
     """
     if tol is None:
         tol = default_tolerance(p)
@@ -895,10 +917,12 @@ def build_weight_table(k: int, p: int, tol: float | None = None,
     stencil = stencil_for_order(p)
     data = np.zeros((n_rows, grid_n, grid_n, len(stencil.offsets)))
     m_levels = np.zeros((n_rows, grid_n, grid_n), dtype=np.int8)
+    for a, b in correction_monomials(p):
+        _MOMENTS.radial_moment(k + a + b)
     nproc = processes or min(os.cpu_count() or 1, 16)
     if nproc > 1:
         with ProcessPoolExecutor(max_workers=nproc) as ex:
-            for mi, ni, w, lev in ex.map(_table_point, jobs, chunksize=4):
+            for mi, ni, w, lev in ex.map(_table_point, jobs):
                 data[:, mi, ni, :] = w
                 m_levels[:, mi, ni] = lev
     else:

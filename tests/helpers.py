@@ -9,7 +9,9 @@
 * `sphere_level_jacobian`, `torus_level_jacobian`: exact area ratios J at
   offset points, the reference for the tube's finite-difference J;
 * `torus_plane_expansion`: the kernel expansion on one plane near a torus
-  target, a source of realistic singular terms.
+  target, a source of realistic singular terms;
+* `lattice_mode_sums_complex`: the windowed lattice sums with complex
+  products, the form the library's real-multiply sums must match bit for bit.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from ctquad.ibim3d import dominant_direction
 from ctquad.kernels3d import CubicSurfaceModel, build_frame, expansion_at_plane
 from ctquad.quad_core import SingularTerm
 from ctquad.surfaces import tilted_torus
-from ctquad.weights import _LD, _MOMENTS, _term_coefficients
+from ctquad.weights import _CLD, _LD, _MOMENTS, DEFAULT_BUMP, _term_coefficients
 
 
 def singular_moment(term: SingularTerm, monomial: tuple[int, int]) -> float:
@@ -141,3 +143,67 @@ def torus_plane_expansion():
     probe = analytic_probe(torus, torus.param_point(1.234, 4.567))
     frame = build_frame(probe, dominant_direction(probe.n))
     return expansion_at_plane(frame, CubicSurfaceModel.from_probe(probe), 0.02)
+
+
+def lattice_mode_sums_complex(k, alpha, beta, h, modes, monos, stencil_offsets):
+    """`weights._lattice_mode_sums` with its products formed as complex
+    multiplies: the reference its real-multiply form is compared with."""
+    K = int(np.ceil(DEFAULT_BUMP.R / h)) + 3
+    n1 = np.arange(-K, K + 1, dtype=np.int64)
+    ncols = n1.size
+    res = np.zeros((len(modes), len(monos)), dtype=_CLD)
+    comp = np.zeros_like(res)
+    tile = max(16, int(2.0e6 / ncols))
+    mmax = max((m for _, m in modes), default=0)
+    mode_rows = {}
+    for mi, (_, m) in enumerate(modes):
+        mode_rows.setdefault(m, []).append(mi)
+    amax = max(a for a, _ in monos)
+    bmax = max(b for _, b in monos)
+    for i0 in range(0, ncols, tile):
+        nn1 = n1[i0:i0 + tile]
+        u1 = (nn1[:, None].astype(_LD) - _LD(alpha)) + np.zeros((1, ncols), dtype=_LD)
+        u2 = np.zeros((nn1.size, 1), dtype=_LD) + (n1[None, :].astype(_LD) - _LD(beta))
+        rr = np.hypot(u1, u2)
+        g = DEFAULT_BUMP((h * rr).astype(_LD))
+        live = g > 0
+        if not live.any():
+            continue
+        u1l, u2l, rl, gl = u1[live], u2[live], rr[live], g[live]
+        ii = (nn1[:, None] + np.zeros((1, ncols), np.int64))[live]
+        jj = (np.zeros((nn1.size, 1), np.int64) + n1[None, :])[live]
+        mask = np.ones(rl.shape, bool)
+        for (sa, sb) in stencil_offsets:
+            mask &= ~((ii == sa) & (jj == sb))
+        rl_safe = np.where(mask, rl, _LD(1))
+        base = np.where(mask, gl * rl_safe ** _LD(k - 1), _LD(0))
+        # powers of the monomial factors
+        u1p = [np.ones_like(u1l)]
+        for _ in range(amax):
+            u1p.append(u1p[-1] * u1l)
+        u2p = [np.ones_like(u2l)]
+        for _ in range(bmax):
+            u2p.append(u2p[-1] * u2l)
+        monov = [base * u1p[a] * u2p[b] for (a, b) in monos]
+        zz = np.where(mask, (u1l + 1j * u2l) / rl_safe, _CLD(0))
+        zm = np.ones_like(zz)
+        psi = None
+        for m in range(0, mmax + 1):
+            if m > 0:
+                if m % 8 == 0:
+                    # refresh the power chain to stop rounding drift
+                    if psi is None:
+                        psi = np.arctan2(u2l, u1l)
+                    zm = np.where(mask, np.cos(m * psi) + 1j * np.sin(m * psi), _CLD(0))
+                else:
+                    zm = zm * zz
+            if m not in mode_rows:
+                continue
+            for jj_m in range(len(monos)):
+                v = np.sum(monov[jj_m] * zm)
+                for mi in mode_rows[m]:
+                    y = v - comp[mi, jj_m]
+                    t = res[mi, jj_m] + y
+                    comp[mi, jj_m] = (t - res[mi, jj_m]) - y
+                    res[mi, jj_m] = t
+    return res

@@ -20,6 +20,7 @@ from ctquad.quad_core import (
     GridOffset,
     SingularTerm,
     Stencil,
+    correction_monomials,
     stencil_for_order,
 )
 from ctquad.weights import (
@@ -31,6 +32,8 @@ from ctquad.weights import (
     WeightTable,
     _dual_coefficient,
     _dual_lattice_sums,
+    _lattice_mode_sums,
+    _row_mode,
     build_weight_table,
     interpolate_weights,
     load_weight_table,
@@ -43,7 +46,7 @@ from ctquad.weights import (
     weights_limit,
 )
 
-from helpers import singular_moment
+from helpers import lattice_mode_sums_complex, singular_moment
 
 OFF = GridOffset(0.81, 0.46, (0, 0))
 
@@ -201,6 +204,24 @@ def test_axis_swap_symmetry():
     assert np.max(np.abs(w_swap - w[[0, 3, 2, 1]])) < 1e-12
 
 
+@pytest.mark.parametrize("k, p, alpha, beta, j, modes", [
+    # all 33 table modes: both refreshes of the e**(i m psi) chain (m = 8, 16)
+    (0, 2, 0.25, 0.75, 6, [_row_mode(r) for r in range(33)]),
+    # on the node (0, 0): the puncture removes u = 0 from the sum
+    (1, 1, 0.0, 0.0, 5, [_row_mode(r) for r in range(33)]),
+    # three row tiles at h = 2**-10: the Kahan carry across tiles
+    (2, 3, 0.0, 0.0, 10, [("c", 0)]),
+])
+def test_lattice_sums_bit_identical_to_complex_products(k, p, alpha, beta, j, modes):
+    monos = correction_monomials(p)
+    offsets = stencil_for_order(p).offsets
+    args = (k, alpha, beta, 2.0 ** -j, modes, monos, offsets)
+    got = _lattice_mode_sums(*args)
+    want = lattice_mode_sums_complex(*args)
+    assert got.shape == (len(modes), len(monos))
+    assert np.array_equal(got, want)
+
+
 # --------------------------------------------------------------------------
 # the dual-lattice limit
 # --------------------------------------------------------------------------
@@ -317,6 +338,17 @@ def test_table_roundtrip_bit_exact():
         assert tab2.k == 1 and tab2.p == 1
         assert tab2.stencil_offsets == ((0, 0),)
         assert os.path.exists(path + ".json")
+
+
+def test_table_file_identical_at_any_worker_count():
+    blobs = []
+    for processes in (1, 2):
+        with tempfile.TemporaryDirectory() as td:
+            _tiny_table(td, processes=processes)
+            path = os.path.join(td, table_filename(1, 1, n_modes=2, grid_n=5))
+            with open(path, "rb") as f:
+                blobs.append(f.read())
+    assert blobs[0] == blobs[1]
 
 
 def test_table_rejects_truncated_file():
