@@ -37,6 +37,7 @@ __all__ = [
     "JACOBIAN_STENCIL",
     "displaced_feet",
     "projection_jacobian",
+    "stencil_area_ratio",
     "canonical_tangent_frame",
     "GeometryAsymmetryWarning",
 ]
@@ -268,11 +269,29 @@ def projection_jacobian(feet: np.ndarray, step: float) -> np.ndarray:
     surface.  Vectorized over leading axes.
     """
     vals = np.asarray(feet, dtype=float)  # (..., axis a, node, comp c)
-    DP = np.einsum("...akc,k->...ca", vals, _JAC_FD1) / step  # dP_c/dx_a
-    S = 0.5 * (DP + np.swapaxes(DP, -1, -2))
-    return (S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] ** 2
-            + S[..., 0, 0] * S[..., 2, 2] - S[..., 0, 2] ** 2
-            + S[..., 1, 1] * S[..., 2, 2] - S[..., 1, 2] ** 2)
+    return stencil_area_ratio(lambda a, k: vals[..., a, k, :], step)
+
+
+def stencil_area_ratio(foot_at, step: float) -> np.ndarray:
+    """projection_jacobian's area ratio, the feet fetched by ``foot_at(a, k)``:
+    the (..., 3) projections of the points JACOBIAN_STENCIL[k] steps along
+    axis a.  A caller holding the feet elsewhere (the tube's lattice feet)
+    never lays out the (..., 3, 4, 3) block.  Each derivative sums its
+    stencil nodes in order; the minors are formed on contiguous columns.
+    """
+    columns = []  # columns[a][c] = dP_c/dx_a
+    for a in range(3):
+        acc = foot_at(a, 0) * _JAC_FD1[0]
+        for k in range(1, len(JACOBIAN_STENCIL)):
+            acc += foot_at(a, k) * _JAC_FD1[k]
+        acc /= step
+        columns.append(np.ascontiguousarray(np.moveaxis(acc, -1, 0)))
+    # upper triangle of S = (DP + DP^T) / 2, row by row
+    (s00, s01, s02), (s11, s12), (s22,) = (
+        [0.5 * (columns[b][a] + columns[a][b]) for b in range(a, 3)]
+        for a in range(3))
+    return (s00 * s11 - s01 ** 2 + s00 * s22 - s02 ** 2
+            + s11 * s22 - s12 ** 2)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -218,8 +218,10 @@ def build_tube(surface, h: float, eps: float, *,
     1-Lipschitz, so none of its nodes can be in the band, and the cull is
     exact.  d is then evaluated node by node in the kept blocks, one slab of
     BLOCK x-planes at a time, each slab's nodes taken in lexicographic order,
-    so the rows come out sorted without a global sort.  Each band node is
-    projected once, and the same pass gives its normal.
+    so the rows come out sorted without a global sort.  A slab's positions
+    broadcast its x coordinates against its kept (y, z) columns, and its
+    keys are ix * ny * nz + (iy * nz + iz): no lattice triples are formed.
+    Each band node is projected once, and the same pass gives its normal.
 
     J is the sum of the 2x2 principal minors of the projection map's
     Jacobian, taken with 4th-order centered differences (nodes +-1, +-2
@@ -230,11 +232,14 @@ def build_tube(surface, h: float, eps: float, *,
     * step == h: the difference points are lattice nodes.  The scan keeps
       the band |d| <= eps + 2h (a hair more, against rounding), which holds
       every stencil node of every tube node because d is 1-Lipschitz, and
-      the stencil feet are gathered from the band's feet.  The row map that
-      finds them covers CHUNK nodes' worth of x-planes plus the stencil's
-      reach on each side, and slides along x; it never spans the lattice.
-      A stencil node missing from the band raises ValueError naming the
-      tube node and h.
+      the stencil feet are gathered from the band's feet, one (n, 3) block
+      per (axis, stencil node) pair (geometry.stencil_area_ratio, the
+      formula of projection_jacobian).  The row map that finds them covers
+      CHUNK nodes' worth of x-planes plus the stencil's reach on each side,
+      and slides along x; it never spans the lattice.  A stencil node
+      missing from the band raises ValueError naming the tube node, the
+      missing lattice node and h; one off the lattice (found from the keys'
+      per-axis extent) raises naming the tube node.
     * step < h (the cap binds, only on coarse grids): the band is the tube,
       and the 12 displaced points of every tube node are projected
       (geometry.displaced_feet).
@@ -300,22 +305,26 @@ def build_tube(surface, h: float, eps: float, *,
         def jacobian(x0):
             first, last = x0 * plane, (x0 + planes) * plane
             t0, t1 = np.searchsorted(key, [first, last])
-            _check_stencil_inside(_lattice_index(key[t0:t1], shape), shape, h)
+            if t0 == t1:
+                return
+            keys = key[t0:t1]
+            _check_stencil_inside(keys, shape, h)
             base = first + lo_shift
             b0, b1 = np.searchsorted(band_key, [base, last + hi_shift])
             # band row of each node the pass's stencils reach; -1 off the band
             row_of = np.full(planes * plane + hi_shift - lo_shift, -1,
                              dtype=np.int32)
             row_of[band_key[b0:b1] - base] = np.arange(b0, b1, dtype=np.int32)
-            rows = row_of[key[t0:t1, None, None] - base + shifts]
+            # (axis, stencil node, tube node): one contiguous row per pair
+            rows = row_of[shifts[:, :, None] + (keys - base)]
             if np.any(rows < 0):
-                _raise_missing_neighbour(_lattice_index(key[t0:t1], shape),
-                                         rows, h)
+                _raise_missing_neighbour(_lattice_index(keys, shape),
+                                         np.moveaxis(rows, -1, 0), h)
             # called through its module: on a pool thread, never through a
             # name imported here, which instrumentation that keeps a single
             # span stack may have rebound (perfbench's tracer does)
-            jac[t0:t1] = geometry.projection_jacobian(
-                np.take(band_foot, rows, axis=0), h)
+            jac[t0:t1] = geometry.stencil_area_ratio(
+                lambda a, k: np.take(band_foot, rows[a, k], axis=0), h)
 
         _pooled(jacobian, range(int(key[0]) // plane, int(key[-1]) // plane + 1,
                                 planes))
@@ -394,6 +403,8 @@ def _scan_band(surface, origin: np.ndarray, h: float, shape,
     # the relative hair keeps rounding in d from culling a block on the edge
     cull = (width + 0.5 * math.sqrt(3.0) * (BLOCK - 1) * h) * (1.0 + 1e-9)
     kept = np.abs(surface.distance(centres)) <= cull
+    # world coordinate of each lattice line, per axis: origin + h * index
+    xs, ys, zs = (origin[a] + h * np.arange(c) for a, c in enumerate(shape))
     key_parts, d_parts = [], []
     for bx, x0 in enumerate(blocks[0]):
         cols = np.repeat(np.repeat(kept[bx], BLOCK, axis=0), BLOCK, axis=1)
@@ -401,29 +412,41 @@ def _scan_band(surface, origin: np.ndarray, h: float, shape,
         if iy.size == 0:
             continue
         ix = np.arange(x0, min(x0 + BLOCK, nx))
-        index = np.stack([np.repeat(ix, iy.size), np.tile(iy, ix.size),
-                          np.tile(iz, ix.size)], axis=1)
-        d = np.asarray(surface.distance(origin + h * index), dtype=float)
-        keep = np.abs(d) <= width
-        key_parts.append(np.ravel_multi_index(index[keep].T, shape))
-        d_parts.append(d[keep])
+        # the slab's nodes in lexicographic order: x-planes of kept columns
+        points = np.empty((ix.size, iy.size, 3))
+        points[..., 0] = xs[ix, None]
+        points[..., 1] = ys[iy]
+        points[..., 2] = zs[iz]
+        d = np.asarray(surface.distance(points.reshape(-1, 3)), dtype=float)
+        keep = (np.abs(d) <= width).reshape(ix.size, iy.size)
+        key_parts.append(((ix * (ny * nz))[:, None] + (iy * nz + iz))[keep])
+        d_parts.append(d[keep.ravel()])
     if not key_parts:
         return np.empty(0, dtype=np.int64), np.empty(0)
     return np.concatenate(key_parts), np.concatenate(d_parts)
 
 
-def _check_stencil_inside(index: np.ndarray, shape, h: float) -> None:
-    """Raise unless every J stencil node of every tube node is on the lattice.
+def _check_stencil_inside(keys: np.ndarray, shape, h: float) -> None:
+    """Raise unless every J stencil node of the tube nodes ``keys`` (sorted,
+    not empty) is on the lattice.
 
-    Flattened keys of off-lattice nodes would wrap onto other nodes.
+    Flattened keys of off-lattice nodes would wrap onto other nodes.  The
+    per-axis extent comes from integer arithmetic on the keys; the lattice
+    triples are formed only to name an offending node.
     """
+    _, ny, nz = shape
+    iy, iz = keys // nz % ny, keys % nz
+    low = np.array([keys[0] // (ny * nz), iy.min(), iz.min()])
+    high = np.array([keys[-1] // (ny * nz), iy.max(), iz.max()])
     bounds = np.asarray(shape) - 1
+    if np.all(low >= BAND_CELLS) and np.all(high <= bounds - BAND_CELLS):
+        return
+    index = _lattice_index(keys, shape)
     outside = np.any((index < BAND_CELLS) | (index > bounds - BAND_CELLS),
                      axis=1)
-    if np.any(outside):
-        node = tuple(int(i) for i in index[np.argmax(outside)])
-        raise ValueError(f"J stencil of tube node {node} leaves the lattice "
-                         f"{tuple(shape)} at h={h}")
+    node = tuple(int(i) for i in index[np.argmax(outside)])
+    raise ValueError(f"J stencil of tube node {node} leaves the lattice "
+                     f"{tuple(shape)} at h={h}")
 
 
 def _raise_missing_neighbour(index: np.ndarray, rows: np.ndarray, h: float):

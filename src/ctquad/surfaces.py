@@ -44,8 +44,6 @@ from .weights import BumpFunction
 __all__ = [
     "TorusSpec",
     "TiltedTorus",
-    "Sphere",
-    "CubicGraph",
     "tilted_torus",
     "torus_density",
     "random_targets",
@@ -249,7 +247,8 @@ def torus_density(theta, phi, coefficients=None) -> np.ndarray:
     c0, c1, c2, c3 = _DEFAULT_DENSITY if coefficients is None else coefficients
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    return (c0 + c1 * np.sin(theta) + c2 * np.cos(phi) * np.sin(theta)
+    sin_theta = np.sin(theta)
+    return (c0 + c1 * sin_theta + c2 * np.cos(phi) * sin_theta
             + c3 * np.sin(phi) * np.cos(theta))
 
 
@@ -266,149 +265,6 @@ def random_targets(count: int, seed: int) -> np.ndarray:
     """Reproducible target-point parameters (theta, phi), shape (count, 2)."""
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 2.0 * np.pi, size=(count, 2))
-
-
-# ---------------------------------------------------------------------------
-# sphere
-# ---------------------------------------------------------------------------
-
-class Sphere:
-    """Sphere level set; the exact-answer oracle surface."""
-
-    def __init__(self, radius: float, center=(0.0, 0.0, 0.0)):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
-        self.center = np.asarray(center, dtype=float)
-        self.reach = self.radius
-
-    def _offset(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = np.asarray(x, dtype=float) - self.center
-        r = np.linalg.norm(v, axis=-1)
-        if np.any(r < 1e-12):
-            raise NonUniqueProjectionError("sphere center has no unique closest point")
-        return v, r
-
-    def distance(self, x: np.ndarray) -> np.ndarray:
-        v = np.asarray(x, dtype=float) - self.center
-        return np.linalg.norm(v, axis=-1) - self.radius
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        v, r = self._offset(x)
-        return self.center + v * (self.radius / r)[..., None]
-
-    def normal(self, x: np.ndarray) -> np.ndarray:
-        v, r = self._offset(x)
-        return v / r[..., None]
-
-    def foot_and_normal(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v, r = self._offset(x)
-        return (self.center + v * (self.radius / r)[..., None],
-                v / r[..., None])
-
-    @property
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.center - self.radius, self.center + self.radius
-
-    def exact_probe(self, x: np.ndarray):
-        from .geometry import SurfaceProbe, canonical_tangent_frame
-
-        p = self.project(x)
-        n = self.normal(p)
-        # umbilic point: any tangent direction is principal; use the same
-        # deterministic tie-break as the finite-difference probe
-        seed = np.array([1.0, 0.0, 0.0])
-        if abs(n[0]) > 1.0 - 1e-6:
-            seed = np.array([0.0, 1.0, 0.0])
-        t1 = seed - n * (seed @ n)
-        tau1, tau2, n = canonical_tangent_frame(t1, n)
-        k = -1.0 / self.radius
-        return SurfaceProbe(xstar=p, tau1=tau1, tau2=tau2, n=n,
-                            kappa1=k, kappa2=k, f3=(0.0, 0.0, 0.0, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# graph of a cubic polynomial (local patch for probe validation)
-# ---------------------------------------------------------------------------
-
-class CubicGraph:
-    """Local surface patch z = q(x, y), q a polynomial with q(0)=|grad q(0)|=0.
-
-    q(x, y) = 0.5*(k1*x^2 + k2*y^2) + c30*x^3 + c21*x^2*y + c12*x*y^2 + c03*y^3.
-    The closest-point projection is found by Newton iteration on the in-plane
-    coordinates, which converges for points close to the patch center when the
-    coefficients are small.  Intended for validating geometry probes against
-    known derivatives, not as a closed test surface.
-    """
-
-    def __init__(self, k1: float, k2: float, c30: float, c21: float,
-                 c12: float, c03: float):
-        self.k1, self.k2 = float(k1), float(k2)
-        self.c30, self.c21, self.c12, self.c03 = map(float, (c30, c21, c12, c03))
-        self.reach = 1.0
-
-    def height(self, x, y):
-        return (0.5 * (self.k1 * x * x + self.k2 * y * y)
-                + self.c30 * x**3 + self.c21 * x * x * y
-                + self.c12 * x * y * y + self.c03 * y**3)
-
-    def slope(self, x, y):
-        gx = self.k1 * x + 3 * self.c30 * x * x + 2 * self.c21 * x * y + self.c12 * y * y
-        gy = self.k2 * y + self.c21 * x * x + 2 * self.c12 * x * y + 3 * self.c03 * y * y
-        return gx, gy
-
-    def _curvature_terms(self, x, y):
-        qxx = self.k1 + 6 * self.c30 * x + 2 * self.c21 * y
-        qyy = self.k2 + 2 * self.c12 * x + 6 * self.c03 * y
-        qxy = 2 * self.c21 * x + 2 * self.c12 * y
-        return qxx, qxy, qyy
-
-    def _foot(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """In-plane coordinates of the closest graph point under each input."""
-        p = np.asarray(p, dtype=float)
-        x = np.array(p[..., 0], dtype=float, copy=True)
-        y = np.array(p[..., 1], dtype=float, copy=True)
-        step = np.inf
-        for _ in range(60):
-            q = self.height(x, y)
-            gx, gy = self.slope(x, y)
-            rz = q - p[..., 2]
-            # gradient of 0.5*|(x, y, q(x, y)) - p|^2 in (x, y)
-            f1 = x - p[..., 0] + rz * gx
-            f2 = y - p[..., 1] + rz * gy
-            qxx, qxy, qyy = self._curvature_terms(x, y)
-            j11 = 1.0 + gx * gx + rz * qxx
-            j12 = gx * gy + rz * qxy
-            j22 = 1.0 + gy * gy + rz * qyy
-            det = j11 * j22 - j12 * j12
-            dx = (j22 * f1 - j12 * f2) / det
-            dy = (j11 * f2 - j12 * f1) / det
-            x -= dx
-            y -= dy
-            step = float(np.max(np.hypot(dx, dy)))
-            if step < 1e-15:
-                break
-        if step > 1e-10:
-            raise NonUniqueProjectionError(
-                f"projection onto the graph did not converge (last step {step:.2e})")
-        return x, y
-
-    def project(self, p: np.ndarray) -> np.ndarray:
-        x, y = self._foot(p)
-        return np.stack([x, y, self.height(x, y)], axis=-1)
-
-    def distance(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        foot = self.project(p)
-        gap = p - foot
-        side = np.sign(p[..., 2] - self.height(p[..., 0], p[..., 1]))
-        return side * np.linalg.norm(gap, axis=-1)
-
-    def normal(self, p: np.ndarray) -> np.ndarray:
-        x, y = self._foot(p)
-        gx, gy = self.slope(x, y)
-        n = np.stack([-gx, -gy, np.ones_like(gx)], axis=-1)
-        return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from ctquad.quad_core import (
     stencil_for_order,
 )
 from ctquad.surfaces import (
-    CubicGraph,
     layer_potential_oracle,
     random_targets,
     tilted_torus,
@@ -59,7 +58,7 @@ from ctquad.weights import (
 )
 from ctquad.quad_core import GridOffset
 
-from helpers import analytic_probe
+from helpers import CubicGraph, analytic_probe
 
 pytestmark = [
     pytest.mark.filterwarnings(

@@ -18,9 +18,9 @@ from ctquad.geometry import (
     surface_probe,
     third_derivatives,
 )
-from ctquad.surfaces import CubicGraph, Sphere, tilted_torus
+from ctquad.surfaces import tilted_torus
 
-from helpers import analytic_probe
+from helpers import CubicGraph, Sphere, analytic_probe, projection_jacobian_einsum
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +254,25 @@ def test_projection_jacobian_sphere_exact():
     eta = s.distance(x)
     J = projection_jacobian(displaced_feet(s.project, x, 1e-3), 1e-3)
     np.testing.assert_allclose(J, 0.8**2 / (0.8 + eta) ** 2, atol=1e-9)
+
+
+def test_projection_jacobian_bit_identical_to_einsum(torus):
+    """The stencil-at-a-time J equals the einsum over the feet block bit for
+    bit: on random feet of several leading shapes, and on torus feet."""
+    rng = np.random.default_rng(11)
+    for lead in [(), (1,), (7,), (5, 13), (2, 3, 40), (20_000,)]:
+        feet = rng.normal(size=lead + (3, 4, 3))
+        J = projection_jacobian(feet, 0.0137)
+        assert np.shape(J) == lead
+        assert np.array_equal(J, projection_jacobian_einsum(feet, 0.0137)), lead
+    theta, phi = rng.uniform(0, 2 * np.pi, size=(2, 500))
+    eta = rng.uniform(-0.1, 0.1, size=(500, 1))
+    x = torus.param_point(theta, phi)
+    x = x + eta * torus.normal(x)
+    for step in (0.0074, 0.0225):
+        feet = displaced_feet(torus.project, x, step)
+        assert np.array_equal(projection_jacobian(feet, step),
+                              projection_jacobian_einsum(feet, step)), step
 
 
 def test_jacobian_routes_agree(torus):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -22,7 +23,12 @@ from ctquad.ibim3d import (
     evaluate_V3,
     plane_problems,
 )
-from ctquad.geometry import displaced_feet, projection_jacobian, surface_probe
+from ctquad.geometry import (
+    JACOBIAN_STENCIL,
+    displaced_feet,
+    projection_jacobian,
+    surface_probe,
+)
 from ctquad.kernels3d import (
     AXIS_PERMUTATION,
     KERNEL_KINDS,
@@ -30,9 +36,15 @@ from ctquad.kernels3d import (
     KernelExpansion,
     kernel_values,
 )
-from ctquad.surfaces import Sphere, tilted_torus
+from ctquad.surfaces import tilted_torus
 
-from helpers import sphere_level_jacobian, torus_level_jacobian
+from helpers import (
+    Sphere,
+    projection_jacobian_einsum,
+    scan_band_ravel,
+    sphere_level_jacobian,
+    torus_level_jacobian,
+)
 
 GEO_FILTERS = [
     "ignore::ctquad.geometry.GeometryAsymmetryWarning",
@@ -208,6 +220,22 @@ def test_tube_jacobian_routes(torus, h, from_lattice):
         assert np.array_equal(tube.jacobian, J)
 
 
+def test_tube_lattice_jacobian_matches_einsum_block(torus):
+    """J from the lattice feet, one (axis, stencil node) gather at a time,
+    is bit for bit the einsum over each tube node's (3, 4, 3) block of the
+    stencil nodes' projections."""
+    h, eps = 0.04, 0.1
+    assert min(h, 0.45 * (torus.reach - eps)) == h
+    tube = build_tube(torus, h, eps)
+    shift = np.zeros((3, len(JACOBIAN_STENCIL), 3), dtype=np.int64)
+    for a in range(3):
+        shift[a, :, a] = JACOBIAN_STENCIL
+    nodes = tube.index[:, None, None, :] + shift      # (N, 3, 4, 3) triples
+    feet = torus.project((tube.origin + h * nodes).reshape(-1, 3))
+    ref = projection_jacobian_einsum(feet.reshape(nodes.shape), h)
+    assert np.array_equal(tube.jacobian, ref)
+
+
 # an off-lattice sphere whose lattice extent is no multiple of the scan's
 # block side, and a small one whose whole tube spans a few blocks; each on
 # both J routes (the step is capped below h on the second of each pair)
@@ -261,6 +289,29 @@ def test_tube_scan_skips_far_blocks(torus, monkeypatch):
     assert sum(calls) <= 2 * band < math.prod(tube.shape) / 3
 
 
+@pytest.mark.parametrize("case", ["torus-lattice", "torus-capped",
+                                  "offset-sphere"])
+def test_scan_matches_ravel_reference(torus, case):
+    """The band scan's keys and distances, formed from per-axis coordinates
+    and key arithmetic, equal the scan through lattice triples and
+    np.ravel_multi_index, on both J routes' band widths."""
+    surface, h, eps = {"torus-lattice": (torus, 0.04, 0.1),
+                       "torus-capped": (torus, 0.075, 0.1),
+                       "offset-sphere": (Sphere(1.0, center=(0.013, -0.021,
+                                                             0.037)),
+                                         0.05, 0.1)}[case]
+    from_lattice = min(h, 0.45 * (surface.reach - eps)) == h
+    assert from_lattice == (case != "torus-capped")
+    width = eps + (ibim3d.BAND_CELLS + 1e-6) * h if from_lattice else eps
+    tube = build_tube(surface, h, eps)
+    key, d = ibim3d._scan_band(surface, tube.origin, h, tube.shape, width)
+    ref_key, ref_d = scan_band_ravel(surface, tube.origin, h, tube.shape,
+                                     width)
+    assert (key.size > tube.n_nodes) == from_lattice
+    assert np.array_equal(key, ref_key)
+    assert np.array_equal(d, ref_d)
+
+
 def test_tube_stencil_outside_band_is_named(sphere, monkeypatch):
     # a band one cell wide cannot hold the +-2 stencil nodes: the build must
     # name a tube node and h, never difference a missing neighbour's row
@@ -268,6 +319,34 @@ def test_tube_stencil_outside_band_is_named(sphere, monkeypatch):
     with pytest.raises(ValueError, match=r"tube node \(\d+, \d+, \d+\) at "
                                          r"h=0\.1 reaches lattice node"):
         build_tube(sphere, 0.1, 0.1)
+
+
+class _DoubledDistanceSphere(Sphere):
+    """A sphere whose distance is twice the true one, so not 1-Lipschitz."""
+
+    def distance(self, x):
+        return 2.0 * super().distance(x)
+
+
+def test_tube_missing_neighbour_is_named():
+    # the band |2d| <= eps + 2h holds only |d| <= eps/2 + h, short of the
+    # stencil's reach from the tube's outer nodes: the build must name the
+    # tube node, the missing lattice node and h
+    surface, h, eps = _DoubledDistanceSphere(1.0), 0.05, 0.1
+    pattern = (r"J stencil of tube node \((\d+), (\d+), (\d+)\) at h=0\.05 "
+               r"reaches lattice node \((\d+), (\d+), (\d+)\), which is "
+               r"outside the scanned band")
+    with pytest.raises(ValueError, match=pattern) as err:
+        build_tube(surface, h, eps)
+    named = np.array(re.search(pattern, str(err.value)).groups(), dtype=int)
+    node, other = named[:3], named[3:]
+    step = other - node
+    assert np.count_nonzero(step) == 1 and int(step.sum()) in JACOBIAN_STENCIL
+    lo, _ = surface.bounding_box
+    origin = lo - (eps + ibim3d.MARGIN_CELLS * h)
+    d_node, d_other = surface.distance(origin + h * np.stack([node, other]))
+    assert abs(d_node) <= eps
+    assert abs(d_other) > eps + ibim3d.BAND_CELLS * h
 
 
 class _ShrunkBoxSphere(Sphere):

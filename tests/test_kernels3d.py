@@ -15,9 +15,9 @@ from ctquad.kernels3d import (
     expansion_at_plane,
     kernel_values,
 )
-from ctquad.surfaces import Sphere, tilted_torus
+from ctquad.surfaces import tilted_torus
 
-from helpers import analytic_probe, projection_expansion_report
+from helpers import Sphere, analytic_probe, projection_expansion_report
 
 
 @pytest.fixture(scope="module")

@@ -7,15 +7,15 @@ import pytest
 
 from ctquad.kernels3d import kernel_values
 from ctquad.surfaces import (
-    CubicGraph,
     NonUniqueProjectionError,
-    Sphere,
     TorusSpec,
     layer_potential_oracle,
     random_targets,
     tilted_torus,
     torus_density,
 )
+
+from helpers import CubicGraph, Sphere
 
 
 @pytest.fixture(scope="module")
