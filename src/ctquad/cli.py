@@ -32,7 +32,6 @@ import sys
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from . import ibim3d
 from . import surfaces
@@ -109,6 +108,7 @@ def smooth_factor(x, y):
     modulation.  Decays below double precision for |x| > 1.7, so truncating
     the integration domain there is exact to roundoff.
     """
+    from scipy import special  # on first use: keeps scipy off the import path
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     r2 = x * x + y * y

@@ -31,8 +31,8 @@ import math
 from functools import lru_cache
 from typing import Callable, Sequence
 
+import mpmath as mp
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
 from . import geometry
 from .geometry import (
@@ -89,17 +89,20 @@ BLOCK = 4
 def delta_normalization() -> float:
     """Constant a making a * exp(2/(t^2-1)) integrate to 1 over [-1, 1].
 
-    Computed once by adaptive quadrature; the integrand is C-infinity with
-    all derivatives vanishing at the endpoints, so the estimate is reliable
-    well past 1e-12.
+    Computed once by tanh-sinh quadrature at 30 digits; the integrand is
+    C-infinity with all derivatives vanishing at the endpoints, so the
+    estimate is reliable far past double precision.  The quadrature runs in
+    a context of its own: delta_eps calls this from build_tube's pool
+    threads, and mpmath's global precision is shared by every thread.
     """
-    out = _scipy_quad(lambda t: math.exp(2.0 / (t * t - 1.0)), 0.0, 1.0,
-                      epsabs=1e-16, epsrel=1e-14, limit=200, full_output=1)
-    val, err = out[0], out[1]
-    total = 2.0 * val
-    if 2.0 * err > 1e-12 * total:
-        raise RuntimeError(f"delta normalization quadrature too loose: err={err:.2e}")
-    return 1.0 / total
+    ctx = mp.MPContext()
+    ctx.dps = 30
+    val, err = ctx.quad(lambda t: ctx.exp(2 / (t * t - 1)), [0, 1], error=True)
+    total = 2 * val
+    if 2 * err > 1e-12 * total:
+        raise RuntimeError(f"delta normalization quadrature too loose: "
+                           f"err={float(err):.2e}")
+    return float(1 / total)
 
 
 def delta_eps(eta, eps: float):
@@ -179,7 +182,8 @@ class TubeGrid:
     @property
     def points(self) -> np.ndarray:
         """(N, 3) node positions."""
-        return self.origin + self.h * self.index
+        return _lattice_points(self.key,
+                               _lattice_axes(self.origin, self.h, self.shape))
 
     def flat_key(self, index: np.ndarray) -> np.ndarray:
         index = np.asarray(index, dtype=np.int64)
@@ -283,11 +287,12 @@ def build_tube(surface, h: float, eps: float, *,
         raise ValueError("tube is empty: the lattice does not meet {|d| <= eps}")
     band_foot = np.empty((band_key.size, 3))
     normal = np.empty((n, 3))
+    axes = _lattice_axes(origin, h, shape)
 
     def project(rows):
         sl, tube_sl = rows
         band_foot[sl], band_normal = surface.foot_and_normal(
-            origin + h * _lattice_index(band_key[sl], shape))
+            _lattice_points(band_key[sl], axes))
         normal[tube_sl] = band_normal[inner[sl]]
 
     _pooled(project, _band_chunks(inner))
@@ -333,13 +338,13 @@ def build_tube(surface, h: float, eps: float, *,
         # the 12 projections per node stay on the calling thread
         for i0 in range(0, n, CHUNK):
             sl = slice(i0, i0 + CHUNK)
-            points = origin + h * _lattice_index(key[sl], shape)
+            points = _lattice_points(key[sl], axes)
             jac[sl] = projection_jacobian(
                 displaced_feet(surface.project, points, step), step)
     del band_key
     if not np.all(jac > 0.0):
         bad = int(np.argmin(jac))
-        point = origin + h * _lattice_index(key[bad:bad + 1], shape)[0]
+        point = _lattice_points(key[bad:bad + 1], axes)[0]
         raise ValueError(f"non-positive area ratio J={jac[bad]:.3e} at node "
                          f"{point}; tube width exceeds the usable reach")
 
@@ -389,6 +394,26 @@ def _lattice_index(key: np.ndarray, shape) -> np.ndarray:
     return np.stack(np.unravel_index(key, shape), axis=1)
 
 
+def _lattice_axes(origin: np.ndarray, h: float, shape) -> list[np.ndarray]:
+    """World coordinate of each lattice line, per axis: origin + h * index."""
+    return [origin[a] + h * np.arange(c) for a, c in enumerate(shape)]
+
+
+def _lattice_points(key: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
+    """(N, 3) positions of flattened lattice keys.
+
+    Each axis's coordinate is gathered from ``axes`` (_lattice_axes) by the
+    key's quotient and remainders, bit for bit origin + h * index.
+    """
+    ny, nz = axes[1].size, axes[2].size
+    ix, rest = np.divmod(key, ny * nz)
+    iy, iz = np.divmod(rest, nz)
+    points = np.empty((key.size, 3))
+    for a, i in enumerate((ix, iy, iz)):
+        points[:, a] = axes[a][i]
+    return points
+
+
 def _scan_band(surface, origin: np.ndarray, h: float, shape,
                width: float) -> tuple[np.ndarray, np.ndarray]:
     """Flattened keys (sorted) and signed distances of the nodes |d| <= width.
@@ -403,8 +428,7 @@ def _scan_band(surface, origin: np.ndarray, h: float, shape,
     # the relative hair keeps rounding in d from culling a block on the edge
     cull = (width + 0.5 * math.sqrt(3.0) * (BLOCK - 1) * h) * (1.0 + 1e-9)
     kept = np.abs(surface.distance(centres)) <= cull
-    # world coordinate of each lattice line, per axis: origin + h * index
-    xs, ys, zs = (origin[a] + h * np.arange(c) for a, c in enumerate(shape))
+    xs, ys, zs = _lattice_axes(origin, h, shape)
     key_parts, d_parts = [], []
     for bx, x0 in enumerate(blocks[0]):
         cols = np.repeat(np.repeat(kept[bx], BLOCK, axis=0), BLOCK, axis=1)

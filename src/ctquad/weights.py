@@ -41,7 +41,6 @@ from typing import Iterable, Mapping, Sequence
 
 import mpmath as mp
 import numpy as np
-from scipy import special
 
 from .quad_core import (
     GridOffset,
@@ -642,6 +641,7 @@ def _scaled_upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
     recurrence, Gamma(b-1, x) = (Gamma(b, x) - x**(b-1) e**-x) / (b-1), from
     Gamma(0, x) = E1(x) or Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)).
     """
+    from scipy import special  # on first use: keeps scipy off the import path
     hit = x == 0.0
     x = np.where(hit, 1.0, x)
     if a > 0:
@@ -680,6 +680,7 @@ def _dual_lattice_sums(kappa_ells: Iterable[tuple[int, int]],
     For w on the lattice the image n = -w takes its continued value -1/a,
     so only L = 0 sees it.
     """
+    from scipy import special
     w = (w[0] - round(w[0]), w[1] - round(w[1]))
     n = np.arange(-EWALD_RADIUS, EWALD_RADIUS + 1)
     N1, N2 = (m.ravel() for m in np.meshgrid(n, n, indexing="ij"))

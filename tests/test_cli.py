@@ -443,16 +443,46 @@ def test_ibim3d_determinism(tmp_path):
 # entry point
 # --------------------------------------------------------------------------
 
-def test_console_entry_point_runs():
-    # the subprocess imports the package this test imported, installed or not
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the package this test imported,
+    installed or not."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ctquad.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "ctquad.cli", "--help"],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_console_entry_point_runs():
+    proc = run_fresh("-m", "ctquad.cli", "--help")
     assert proc.returncode == 0
     assert "quad2d" in proc.stdout and "ibim3d" in proc.stdout
+
+
+COLD_START = """
+import sys
+from ctquad import cli, ibim3d, surfaces, weights
+table = weights.load_weight_table(sys.argv[1])
+tube = ibim3d.build_tube(surfaces.tilted_torus(), 0.075, 0.1)
+assert table.grid_n == 4 and tube.n_nodes > 0 and tube.v.max() > 0.0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # only the exact dual-weight route and the 2D studies' smooth factor
+    # import scipy, on first use: importing the library, loading a table and
+    # building a tube (delta_eps included) load none of it
+    path = str(tmp_path / "tiny.ctwt")
+    wt.save_weight_table(wt.WeightTable(
+        k=1, p=1, tol=1e-8, n_modes=0, grid_n=4, domain_lo=-0.5,
+        stencil_offsets=((0, 0),), bump_r0=wt.DEFAULT_BUMP.r0,
+        bump_R=wt.DEFAULT_BUMP.R, data=np.ones((1, 4, 4, 1)),
+        m_levels=np.zeros((1, 4, 4), dtype=np.int8)), path)
+    proc = run_fresh("-c", COLD_START, path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_error_exit_code():

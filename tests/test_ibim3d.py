@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 import weakref
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -82,6 +83,45 @@ def torus_tube(torus):
 
 def test_delta_normalization_constant():
     assert abs(delta_normalization() - 7.51393) < 5e-5
+
+
+def test_delta_normalization_matches_adaptive_quadrature():
+    # the 30-digit tanh-sinh value rounds to the same double as scipy's
+    # adaptive Gauss-Kronrod estimate with these settings
+    val = quad(lambda t: math.exp(2.0 / (t * t - 1.0)), 0.0, 1.0,
+               epsabs=1e-16, epsrel=1e-14, limit=200, full_output=1)[0]
+    assert delta_normalization() == 1.0 / (2.0 * val) == 7.513931532835812
+
+
+def test_delta_normalization_from_concurrent_threads():
+    # build_tube's pool threads reach it through delta_eps on first use.  A
+    # quadrature in mpmath's shared global context, switched between four
+    # threads this often, raised ZeroDivisionError or left the global
+    # precision changed in 11 of 20 such rounds
+    interval = sys.getswitchinterval()
+    dps = mp.mp.dps
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            delta_normalization.cache_clear()
+            out, errors = [], []
+
+            def call():
+                try:
+                    out.append(delta_normalization())
+                except Exception as e:
+                    errors.append(e)
+
+            threads = [threading.Thread(target=call) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors and out == [7.513931532835812] * 4
+            assert mp.mp.dps == dps
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.1, 0.37])
