@@ -200,16 +200,9 @@ def lattice_mode_sums_complex(k, alpha, beta, h, modes, monos, stencil_offsets):
         monov = [base * u1p[a] * u2p[b] for (a, b) in monos]
         zz = np.where(mask, (u1l + 1j * u2l) / rl_safe, _CLD(0))
         zm = np.ones_like(zz)
-        psi = None
         for m in range(0, mmax + 1):
             if m > 0:
-                if m % 8 == 0:
-                    # refresh the power chain to stop rounding drift
-                    if psi is None:
-                        psi = np.arctan2(u2l, u1l)
-                    zm = np.where(mask, np.cos(m * psi) + 1j * np.sin(m * psi), _CLD(0))
-                else:
-                    zm = zm * zz
+                zm = zm * zz
             if m not in mode_rows:
                 continue
             for jj_m in range(len(monos)):

@@ -2,8 +2,9 @@
 tracer wraps callables at the names their callers look them up by, and its
 workloads and table scripts call module attributes directly.  A rename in
 the library that the benchmark does not follow breaks the benchmark, so these
-tests check those names from here.  They read perfbench/ and change nothing
-there."""
+tests check those names from here.  The `table-build` workload also checks
+its build against the fixture tables, and a test here holds the library to
+that fixture.  They read perfbench/ and change nothing there."""
 from __future__ import annotations
 
 import ast
@@ -12,9 +13,10 @@ import os
 import sys
 import threading
 
+import numpy as np
 import pytest
 
-from ctquad import cli, ibim3d, quad_core, surfaces
+from ctquad import cli, ibim3d, quad_core, surfaces, weights
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -120,3 +122,17 @@ def test_scan_sees_the_table_script_names():
     with open(os.path.join(PERFBENCH, "make_tables.py")) as f:
         names = {(m, a) for m, a, _ in _library_names(ast.parse(f.read()))}
     assert ("ctquad.weights", "weights_limit") in names
+
+
+def test_table_build_matches_the_fixture_sublattice(tmp_path):
+    """The `table-build` workload compares its 5x5 (0,2) build with the
+    fixture table on the matching sublattice.  Here every level must agree
+    and every entry within 1e-12, so a change that flips a level or moves
+    an entry further fails here before it reaches the benchmark."""
+    fixture = weights.load_weight_table(os.path.join(
+        PERFBENCH, "tables", weights.table_filename(0, 2)))
+    table = weights.build_weight_table(0, 2, grid_n=5, cache_dir=str(tmp_path))
+    stride = (fixture.grid_n - 1) // (table.grid_n - 1)
+    assert np.array_equal(table.m_levels,
+                          fixture.m_levels[:, ::stride, ::stride])
+    assert np.max(np.abs(table.data - fixture.data[:, ::stride, ::stride, :])) <= 1e-12
