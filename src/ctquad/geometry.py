@@ -24,7 +24,6 @@ interface documented in `surfaces` works — no parametrization is needed.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "projection_jacobian",
     "stencil_area_ratio",
     "canonical_tangent_frame",
-    "GeometryAsymmetryWarning",
 ]
 
 # five-point central stencils on offsets (-2, -1, 0, 1, 2); both rules have
@@ -54,10 +52,6 @@ _FD0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0])  # evaluation at 0
 # zero-weight centre, with its weights
 JACOBIAN_STENCIL = (-2, -1, 1, 2)
 _JAC_FD1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-
-
-class GeometryAsymmetryWarning(UserWarning):
-    """Mixed third derivatives recovered along different routes disagree."""
 
 
 def _lattice_values(f, center: np.ndarray, h: float) -> np.ndarray:
@@ -173,7 +167,8 @@ def curvature_transfer(g1: float, g2: float, eta: float):
 def third_derivatives(project, zbar: np.ndarray, xstar: np.ndarray,
                       tau1: np.ndarray, tau2: np.ndarray, n: np.ndarray,
                       kappa1: float, kappa2: float, h: float):
-    """Third derivatives (fxxx, fxxy, fxyy, fyyy) of the local height function.
+    """Third derivatives (fxxx, fxxy, fxyy, fyyy) of the local height function,
+    and the spread of the mixed ones across their routes.
 
     The surface is the graph w = f(y1, y2) over the tangent plane at xstar
     (frame tau1, tau2, n; curvatures kappa_i pair with tau_i).  Near a probe
@@ -186,8 +181,10 @@ def third_derivatives(project, zbar: np.ndarray, xstar: np.ndarray,
 
     Fourth-order finite differences of P on a 5x5x5 lattice of spacing h
     supply all the derivative data.  The two systems over-determine the mixed
-    derivatives; they are averaged, with a warning if they disagree by more
-    than 1e-6.
+    derivatives, which are averaged over their three routes each; the larger
+    of the two ranges (max - min) is returned as the spread.  It measures how
+    well the lattice resolves the surface, and falls with h at the order of
+    the differences.
     """
     zbar = np.asarray(zbar, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
@@ -232,12 +229,8 @@ def third_derivatives(project, zbar: np.ndarray, xstar: np.ndarray,
     fxxy_all = np.array([s1[1], s1[2], s2[0]])
     fxyy_all = np.array([s1[3], s2[1], s2[2]])
     spread = max(np.ptp(fxxy_all), np.ptp(fxyy_all))
-    if spread > 1e-6:
-        warnings.warn(
-            f"mixed third derivatives disagree across routes by {spread:.2e}",
-            GeometryAsymmetryWarning, stacklevel=2)
-    return (float(s1[0]), float(np.mean(fxxy_all)),
-            float(np.mean(fxyy_all)), float(s2[3]))
+    return ((float(s1[0]), float(np.mean(fxxy_all)),
+             float(np.mean(fxyy_all)), float(s2[3])), float(spread))
 
 
 def displaced_feet(project, points: np.ndarray, step: float) -> np.ndarray:
@@ -302,7 +295,9 @@ class SurfaceProbe:
     frame with n the outward normal; kappa1 <= kappa2 are the principal
     curvatures in the height-function convention (sphere: -1/R), paired with
     tau1/tau2; f3 = (fxxx, fxxy, fxyy, fyyy) are the third derivatives of the
-    height function, or None if not yet computed.
+    height function, or None if not yet computed; f3_spread is the spread of
+    the mixed ones across their routes (see `third_derivatives`), or None
+    where f3 did not come from differences.
     """
 
     xstar: np.ndarray
@@ -312,6 +307,7 @@ class SurfaceProbe:
     kappa1: float
     kappa2: float
     f3: tuple[float, float, float, float] | None
+    f3_spread: float | None = None
 
 
 def surface_probe(surface, xstar: np.ndarray, *, h: float | None = None,
@@ -333,7 +329,7 @@ def surface_probe(surface, xstar: np.ndarray, *, h: float | None = None,
     eta = float(surface.distance(zbar))
     g1, g2, tau1, tau2, n = hessian_eigenframe(surface.distance, zbar, h)
     kappa1, kappa2 = curvature_transfer(g1, g2, eta)
-    f3 = third_derivatives(surface.project, zbar, xstar, tau1, tau2, n,
-                           kappa1, kappa2, h)
+    f3, spread = third_derivatives(surface.project, zbar, xstar, tau1, tau2,
+                                   n, kappa1, kappa2, h)
     return SurfaceProbe(xstar=xstar, tau1=tau1, tau2=tau2, n=n,
-                        kappa1=kappa1, kappa2=kappa2, f3=f3)
+                        kappa1=kappa1, kappa2=kappa2, f3=f3, f3_spread=spread)

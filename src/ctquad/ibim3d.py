@@ -51,7 +51,14 @@ from .kernels3d import (
     expansion_at_plane,
     kernel_values,
 )
-from .quad_core import GridOffset, _pooled, pair_orders, stencil_for_order
+from .quad_core import (
+    Grid2,
+    GridOffset,
+    _pooled,
+    locate_singularity,
+    pair_orders,
+    stencil_for_order,
+)
 from .weights import WeightTable, interpolate_weights
 
 __all__ = [
@@ -519,6 +526,9 @@ def plane_problems(probe, axis: str, tube: TubeGrid) -> list[PlaneProblem]:
     w_star = float(xs[pw])
     ow = float(tube.origin[pw])
     h = tube.h
+    # the tube lattice on the two in-plane axes
+    grid = Grid2(h=h, origin=(float(tube.origin[p0]), float(tube.origin[p1])),
+                 extent=((0, tube.shape[p0] - 1), (0, tube.shape[p1] - 1)))
     band = tube.eps * abs(n_w)
     k_lo = math.ceil((w_star - band - ow) / h)
     k_hi = math.floor((w_star + band - ow) / h)
@@ -529,15 +539,11 @@ def plane_problems(probe, axis: str, tube: TubeGrid) -> list[PlaneProblem]:
         if abs(eta) >= tube.eps:
             continue
         y0_pt = xs + eta * probe.n
-        ta = (float(y0_pt[p0]) - float(tube.origin[p0])) / h
-        tb = (float(y0_pt[p1]) - float(tube.origin[p1])) / h
-        ia2, ja2 = math.floor(ta), math.floor(tb)
-        ia1, ja1 = math.floor(ta + 0.5), math.floor(tb + 0.5)
+        y0 = (float(y0_pt[p0]), float(y0_pt[p1]))
         out.append(PlaneProblem(
-            axis=axis, index=k, z=z, eta=eta,
-            y0=(float(y0_pt[p0]), float(y0_pt[p1])),
-            off1=GridOffset(alpha=ta - ia1, beta=tb - ja1, anchor=(ia1, ja1)),
-            off2=GridOffset(alpha=ta - ia2, beta=tb - ja2, anchor=(ia2, ja2))))
+            axis=axis, index=k, z=z, eta=eta, y0=y0,
+            off1=locate_singularity(y0, grid, 1)[1],
+            off2=locate_singularity(y0, grid, 2)[1]))
     return out
 
 

@@ -22,6 +22,7 @@ import dataclasses
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,9 +91,11 @@ class Grid2:
         return i0 <= i <= i1 and j0 <= j <= j1
 
 
-# from_callable samples phi at 256, 512, ... angles until they resolve it: no
-# coefficient above mode n/4 may exceed RESOLUTION * norm, which sits above
-# the FFT rounding floor (about 1e-14 at 256 samples)
+# RESOLUTION * norm is the one bar between a mode of phi and rounding: it
+# sits above the FFT rounding floor (about 1e-14 at 256 samples).
+# from_callable samples phi at 256, 512, ... angles until no coefficient
+# above mode n/4 exceeds it, and a term's mode map keeps the coefficients
+# above it
 MIN_SAMPLES, MAX_SAMPLES, RESOLUTION = 256, 2 ** 16, 1e-13
 
 
@@ -126,7 +129,12 @@ class SingularTerm:
     """One term s_k(x) = |x|**(k-1) * phi(x/|x|) of a singular-function expansion.
 
     phi is kept as the Fourier coefficients of n uniform samples on [0, 2*pi),
-    n a power of two (>= 4) that resolves it (see `_spectrum`).
+    n a power of two (>= 4) that resolves it (see `_spectrum`).  The mode
+    map ``coefficients`` is {("c"|"s", m): coefficient}: ("c", 0), then
+    ("c", m) and ("s", m) for ascending m, each coefficient above
+    RESOLUTION * norm.  Every consumer of phi's modes reads it: `phi`,
+    `active_modes` and the weights' moment right-hand sides, dual solves and
+    table lookups, which sum over it in that order.
     """
 
     def __init__(self, k: int, samples: np.ndarray):
@@ -139,15 +147,21 @@ class SingularTerm:
                               f"has coefficient {max(abs(a[j]), abs(b[j])):.3e} > "
                               f"{RESOLUTION:g} x norm {norm:.3e}")
         self.k = int(k)
-        # read-only, so the mode list below cannot go stale
+        # read-only, so the mode map below cannot go stale
         a.setflags(write=False)
         b.setflags(write=False)
         self.a = a  # a[0] is the mean, a[j] multiplies cos(j*theta)
         self.b = b  # b[j] multiplies sin(j*theta)
-        # largest coefficient: the scale every mode cutoff is relative to
-        self.norm = norm
-        big = np.abs(a[1:]) + np.abs(b[1:]) > 1e-15 * self.norm
-        self._modes = [0] + (np.flatnonzero(big) + 1).tolist()
+        self.norm = norm  # largest coefficient
+        big_a = np.abs(a) > RESOLUTION * norm
+        big_b = np.abs(b) > RESOLUTION * norm
+        coefficients = {("c", 0): float(a[0])}
+        for m in (np.flatnonzero(big_a[1:] | big_b[1:]) + 1).tolist():
+            if big_a[m]:
+                coefficients[("c", m)] = float(a[m])
+            if big_b[m]:
+                coefficients[("s", m)] = float(b[m])
+        self.coefficients = MappingProxyType(coefficients)
 
     # -- constructors ------------------------------------------------------
 
@@ -192,21 +206,21 @@ class SingularTerm:
     # -- evaluation --------------------------------------------------------
 
     def active_modes(self) -> list[int]:
-        """Mode 0 and every mode j with |a_j| + |b_j| > 1e-15 * norm, ascending."""
-        return list(self._modes)
+        """Mode 0 and every mode of the map ``coefficients``, ascending."""
+        return list(dict.fromkeys(m for _, m in self.coefficients))
 
     def phi(self, theta: np.ndarray) -> np.ndarray:
-        """Evaluate phi by summing its Fourier series through the last active mode.
+        """Evaluate phi by summing its Fourier series through the map's top mode.
 
-        The series stops at the highest mode of the list fixed at construction
-        (see `active_modes`); below it, every nonzero coefficient is summed.
+        The series stops at the highest mode of ``coefficients``; below it,
+        every nonzero coefficient of ``a`` and ``b`` is summed.
         Uses the cos/sin Chebyshev-style recurrence so the cost is one pair of
         multiply-adds per mode up to that one, independent of how theta was
         produced.
         """
         theta = np.asarray(theta, dtype=float)
         out = np.full(theta.shape, self.a[0])
-        jmax = self._modes[-1]
+        jmax = next(reversed(self.coefficients))[1]
         if jmax == 0:
             return out
         c1 = np.cos(theta)
@@ -235,7 +249,7 @@ class SingularTerm:
         return rad * self.phi(theta)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"SingularTerm(k={self.k}, top_mode={self._modes[-1]})"
+        return f"SingularTerm(k={self.k}, top_mode={self.active_modes()[-1]})"
 
 
 @dataclasses.dataclass

@@ -208,31 +208,6 @@ class TiltedTorus:
             "dsigma": self.spec.R2 * (self.spec.R1 + self.spec.R2 * ct) + zeros,
         }
 
-    def exact_probe(self, x: np.ndarray):
-        """Exact local geometry (frame + curvatures) at the point closest to x.
-
-        Curvatures follow the local-graph convention: the surface is written
-        as a height function over the tangent plane with height measured along
-        the outward normal, and kappa_i are the eigenvalues of that height
-        function's Hessian.  A convex-outward surface (sphere, outer side of
-        the tube) therefore has negative curvatures.  kappa1 <= kappa2, and
-        (tau1, tau2, n) is right-handed with the same deterministic sign
-        canonicalization used by the finite-difference probe.
-        """
-        from .geometry import SurfaceProbe, canonical_tangent_frame
-
-        p = self.project(x)
-        theta, phi = self.parameters(p)
-        fr = self.param_frame(theta, phi)
-        k_tube = -1.0 / self.spec.R2
-        k_ring = -np.cos(theta) / (self.spec.R1 + self.spec.R2 * np.cos(theta))
-        pairs = sorted([(float(k_tube), fr["t_theta"]), (float(k_ring), fr["t_phi"])],
-                       key=lambda kv: kv[0])
-        (k1, t1), (k2, _) = pairs
-        tau1, tau2, n = canonical_tangent_frame(t1, fr["normal"])
-        return SurfaceProbe(xstar=p, tau1=tau1, tau2=tau2, n=n,
-                            kappa1=k1, kappa2=k2, f3=None)
-
     def density_at(self, x: np.ndarray, coefficients=None) -> np.ndarray:
         """Sample the parametric test density at the closest surface point."""
         theta, phi = self.parameters(x)

@@ -264,24 +264,6 @@ class MomentCache:
 _MOMENTS = MomentCache()
 
 
-def _term_coefficients(term: SingularTerm, cutoff: float = 1e-14
-                       ) -> dict[tuple[str, int], float]:
-    """Fourier modes of phi as {("c"|"s", m): coefficient}, small ones dropped.
-
-    Keys run ("c", 0), then ("c", m) and ("s", m) for ascending m; sums over
-    the map follow that order.
-    """
-    big_a = np.abs(term.a) > cutoff * term.norm
-    big_b = np.abs(term.b) > cutoff * term.norm
-    out: dict[tuple[str, int], float] = {("c", 0): float(term.a[0])}
-    for m in (np.flatnonzero(big_a[1:] | big_b[1:]) + 1).tolist():
-        if big_a[m]:
-            out[("c", m)] = float(term.a[m])
-        if big_b[m]:
-            out[("s", m)] = float(term.b[m])
-    return out
-
-
 # --------------------------------------------------------------------------
 # windowed lattice sums (extended precision)
 # --------------------------------------------------------------------------
@@ -438,7 +420,7 @@ def _finite_h_system(term: SingularTerm, offset: GridOffset, stencil: Stencil,
     """Matrix and right-hand side of the moment-matching system at spacing h."""
     monos = correction_monomials(stencil.p)
     G = _system_matrix(stencil.offsets, monos, offset.alpha, offset.beta, h)
-    rhs = _moment_rhs(term.k, [_term_coefficients(term)], offset.alpha,
+    rhs = _moment_rhs(term.k, [term.coefficients], offset.alpha,
                       offset.beta, h, monos, stencil.offsets)
     return G, rhs[0]
 
@@ -596,7 +578,7 @@ def weights_limit(term: SingularTerm, offset: GridOffset, stencil: Stencil,
     if tol is None:
         tol = default_tolerance(stencil.p)
     weights, levels, floored = _sweep(term.k, stencil, offset.alpha,
-                                      offset.beta, [_term_coefficients(term)], tol)
+                                      offset.beta, [term.coefficients], tol)
     if floored:
         raise WeightConvergenceError(
             f"weight sweep stalled at |dw|={floored[0]:.3e} "
@@ -727,7 +709,6 @@ def weights_dual(term: SingularTerm, offset: GridOffset,
     if node is not None:
         alpha, beta = node
     monos = correction_monomials(stencil.p)
-    coeffs = _term_coefficients(term)
     U = np.array([(sa - alpha, sb - beta) for (sa, sb) in stencil.offsets])
     # the stencil part sums f over u != 0; the dual sums carry u = 0
     U = U[np.any(U != 0.0, axis=1)]
@@ -736,7 +717,7 @@ def weights_dual(term: SingularTerm, offset: GridOffset,
     pairs: set[tuple[int, int]] = set()
     for (a, b) in monos:
         kappa = term.k + 1 + a + b
-        y = _mode_laurent(coeffs, a, b)
+        y = _mode_laurent(term.coefficients, a, b)
         lau[(a, b)] = y
         for ell in y:
             if _dual_coefficient(kappa, ell) != 0:
@@ -1015,18 +996,18 @@ def interpolate_weights(table: WeightTable, term: SingularTerm,
                         offset: GridOffset) -> np.ndarray:
     """Weights for an arbitrary phi and off-lattice (alpha, beta).
 
-    Combines the tabulated per-mode weights linearly with phi's Fourier
-    coefficients, then interpolates over the offset cell with tensor cubic
-    Lagrange polynomials on the surrounding 4x4 lattice patch.  At lattice
-    points the interpolation reproduces table entries exactly.  Modes
-    beyond the table's range are dropped.
+    Combines the tabulated per-mode weights linearly with the coefficients
+    of the term's mode map (`SingularTerm.coefficients`, the same modes the
+    dual route reads), then interpolates over the offset cell with tensor
+    cubic Lagrange polynomials on the surrounding 4x4 lattice patch.  At
+    lattice points the interpolation reproduces table entries exactly.
+    Modes beyond the table's range are dropped.
     """
     if term.k != table.k:
         raise ValueError(f"table is for k={table.k}, term has k={term.k}")
     if table.grid_n < 4:
         raise ValueError(f"cubic interpolation needs a lattice of at least "
                          f"4x4 offsets; this table has grid_n={table.grid_n}")
-    coeffs = _term_coefficients(term, cutoff=1e-12)
     grid_n, step, lo = table.grid_n, table.step, table.domain_lo
     hi = lo + 1.0
     a_off, b_off = offset.alpha, offset.beta
@@ -1051,8 +1032,7 @@ def interpolate_weights(table: WeightTable, term: SingularTerm,
     ia, ba = window(a_off)
     ib, bb = window(b_off)
     patch = np.zeros((4, 4, table.data.shape[-1]))
-    for mode, c in coeffs.items():
-        kind, m = mode
+    for (kind, m), c in term.coefficients.items():
         if m > table.n_modes:
             continue
         row = 0 if m == 0 else (2 * m - 1 if kind == "c" else 2 * m)

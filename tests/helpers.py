@@ -4,8 +4,8 @@
   weights layer folds into its moment equations without forming one alone;
 * `projection_expansion_report`: residuals of the closest-point map's local
   expansion, the structure the kernel expansions rest on;
-* `analytic_probe`: a surface's exact frame and curvatures, the reference
-  the finite-difference probe is checked against;
+* `analytic_probe`, `torus_exact_probe`: a surface's exact frame and
+  curvatures, the reference the finite-difference probe is checked against;
 * `sphere_level_jacobian`, `torus_level_jacobian`: exact area ratios J at
   offset points, the reference for the tube's finite-difference J;
 * `torus_plane_expansion`: the kernel expansion on one plane near a torus
@@ -37,7 +37,7 @@ from ctquad.ibim3d import BLOCK, dominant_direction
 from ctquad.kernels3d import CubicSurfaceModel, build_frame, expansion_at_plane
 from ctquad.quad_core import SingularTerm
 from ctquad.surfaces import NonUniqueProjectionError, tilted_torus
-from ctquad.weights import _CLD, _LD, _MOMENTS, DEFAULT_BUMP, _term_coefficients
+from ctquad.weights import _CLD, _LD, _MOMENTS, DEFAULT_BUMP
 
 
 def singular_moment(term: SingularTerm, monomial: tuple[int, int]) -> float:
@@ -47,10 +47,9 @@ def singular_moment(term: SingularTerm, monomial: tuple[int, int]) -> float:
     Fourier mode of phi).
     """
     a, b = monomial
-    coeffs = _term_coefficients(term)
     rad = _MOMENTS.radial_moment(term.k + a + b)
     tot = _LD(0)
-    for mode, c in coeffs.items():
+    for mode, c in term.coefficients.items():
         tot += _LD(c) * rad * _MOMENTS.angular_moment(mode, a, b)
     return float(tot)
 
@@ -112,21 +111,26 @@ def projection_expansion_report(surface, probe, zprime: float, *,
 
 
 def analytic_probe(surface, xstar, h=None):
-    """The surface's exact_probe at the point nearest xstar, with f3 filled.
+    """The exact probe of a `Sphere` or a tilted torus at the point nearest
+    xstar, with f3 filled.
 
-    A handle that leaves f3 unset gets it from `third_derivatives` at
+    The torus probe leaves f3 unset and gets it from `third_derivatives` at
     probe_distance = reach/4 with step h (default reach/100), the defaults
     of `surface_probe`.
     """
     reach = surface.reach
     h = 0.01 * reach if h is None else h
-    probe = surface.exact_probe(surface.project(np.asarray(xstar, dtype=float)))
+    xstar = surface.project(np.asarray(xstar, dtype=float))
+    if isinstance(surface, Sphere):
+        probe = surface.exact_probe(xstar)
+    else:
+        probe = torus_exact_probe(surface, xstar)
     if probe.f3 is None:
         zbar = probe.xstar + 0.25 * reach * probe.n
-        f3 = third_derivatives(surface.project, zbar, probe.xstar,
-                               probe.tau1, probe.tau2, probe.n,
-                               probe.kappa1, probe.kappa2, h)
-        probe = dataclasses.replace(probe, f3=f3)
+        f3, spread = third_derivatives(surface.project, zbar, probe.xstar,
+                                       probe.tau1, probe.tau2, probe.n,
+                                       probe.kappa1, probe.kappa2, h)
+        probe = dataclasses.replace(probe, f3=f3, f3_spread=spread)
     return probe
 
 
@@ -257,8 +261,32 @@ def scan_band_ravel(surface, origin: np.ndarray, h: float, shape,
 
 
 # ---------------------------------------------------------------------------
-# sphere
+# exact probes: tilted torus and sphere
 # ---------------------------------------------------------------------------
+
+def torus_exact_probe(torus, x: np.ndarray) -> SurfaceProbe:
+    """Exact local geometry (frame + curvatures) at the torus point closest to x.
+
+    Curvatures follow the local-graph convention: the surface is written
+    as a height function over the tangent plane with height measured along
+    the outward normal, and kappa_i are the eigenvalues of that height
+    function's Hessian.  A convex-outward surface (sphere, outer side of
+    the tube) therefore has negative curvatures.  kappa1 <= kappa2, and
+    (tau1, tau2, n) is right-handed with the same deterministic sign
+    canonicalization used by the finite-difference probe.
+    """
+    p = torus.project(x)
+    theta, phi = torus.parameters(p)
+    fr = torus.param_frame(theta, phi)
+    k_tube = -1.0 / torus.spec.R2
+    k_ring = -np.cos(theta) / (torus.spec.R1 + torus.spec.R2 * np.cos(theta))
+    pairs = sorted([(float(k_tube), fr["t_theta"]), (float(k_ring), fr["t_phi"])],
+                   key=lambda kv: kv[0])
+    (k1, t1), (k2, _) = pairs
+    tau1, tau2, n = canonical_tangent_frame(t1, fr["normal"])
+    return SurfaceProbe(xstar=p, tau1=tau1, tau2=tau2, n=n,
+                        kappa1=k1, kappa2=k2, f3=None)
+
 
 class Sphere:
     """Sphere level set; the exact-answer oracle surface."""

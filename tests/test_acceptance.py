@@ -58,12 +58,7 @@ from ctquad.weights import (
 )
 from ctquad.quad_core import GridOffset
 
-from helpers import CubicGraph, analytic_probe
-
-pytestmark = [
-    pytest.mark.filterwarnings(
-        "ignore::ctquad.geometry.GeometryAsymmetryWarning"),
-]
+from helpers import CubicGraph, analytic_probe, torus_exact_probe
 
 ORDER_TOL = 0.35
 
@@ -288,7 +283,7 @@ def test_a07_grid_sampled_geometry_orders(torus):
     import test_geometry
 
     x0 = torus.param_point(1.234, 4.567)
-    exact = torus.exact_probe(x0)
+    exact = torus_exact_probe(torus, x0)
     f3_exact = test_geometry.torus_f3_oracle(torus, 1.234, 4.567)
     hs = [8e-3, 4e-3, 2e-3]
     kerrs, ferrs = [], []

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,11 +19,6 @@ import ctquad
 from ctquad import cli
 from ctquad import weights as wt
 from ctquad.quad_core import pair_orders
-
-
-pytestmark = [
-    pytest.mark.filterwarnings("ignore::ctquad.geometry.GeometryAsymmetryWarning"),
-]
 
 
 def run_cli(*argv: str) -> int:
@@ -394,6 +390,18 @@ def test_ibim3d_eps_violation_aborts():
     cfg = cli.StudyConfig(study="ibim3d", h0=0.1, count=3, eps=0.3)
     with pytest.raises(cli.CliError, match="reach"):
         cli.run_ibim3d(cfg)
+
+
+@pytest.mark.usefixtures("table02", "table11")
+def test_ibim3d_run_raises_no_warning():
+    # the probe's third-derivative spread is data (SurfaceProbe.f3_spread),
+    # not a warning: a study runs clean with every warning an error
+    cfg = cli.StudyConfig(study="ibim3d", h0=0.08, count=3, n_targets=2,
+                          kernels=("SL",), seed=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = cli.run_ibim3d(cfg)
+    assert len(res["rows"]) == 9
 
 
 @pytest.mark.usefixtures("table02", "table11")

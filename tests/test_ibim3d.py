@@ -47,11 +47,6 @@ from helpers import (
     torus_level_jacobian,
 )
 
-GEO_FILTERS = [
-    "ignore::ctquad.geometry.GeometryAsymmetryWarning",
-]
-
-
 @pytest.fixture(scope="module")
 def sphere():
     return Sphere(1.0)
@@ -493,7 +488,6 @@ def test_v_vanishes_at_tube_boundary(sphere_tube):
 # plane subproblems
 # ---------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings(*GEO_FILTERS)
 def test_plane_problems_geometry(torus, torus_tube):
     xstar = torus.param_point(1.1, 2.3)
     probe = surface_probe(torus, xstar, h=torus_tube.h,
@@ -538,7 +532,6 @@ def test_exact_hit_guard(sphere, sphere_target):
     assert np.all(np.isfinite(vals))
 
 
-@pytest.mark.filterwarnings(*GEO_FILTERS)
 def test_plane_decomposition_exactness(torus, torus_tube, table02, table11):
     xstar = torus.param_point(1.1, 2.3)
     h, eps = torus_tube.h, torus_tube.eps
@@ -551,7 +544,6 @@ def test_plane_decomposition_exactness(torus, torus_tube, table02, table11):
     assert details["product"] == pytest.approx(plain, rel=1e-14)
 
 
-@pytest.mark.filterwarnings(*GEO_FILTERS)
 def test_rho_zero_gives_zero(sphere, sphere_tube, sphere_target, table02, table11):
     tube = build_tube(sphere, sphere_tube.h, sphere_tube.eps,
                       rho=lambda p: np.zeros(p.shape[0]))
@@ -590,15 +582,16 @@ def test_curvature_limit_propagates_plane_index(sphere, sphere_tube,
 # (V3, h^3 * product) values recorded before the tube build and the kernel
 # sums were chunked: one torus level at h=0.04 (J from the lattice feet) with
 # the variable density.  The DLC baseline was re-recorded when the baseline
-# took the probe's normal at the target in place of the exact one
+# took the probe's normal at the target in place of the exact one; the V3
+# totals when a term's modes were cut at RESOLUTION (moves of at most 9e-15
+# relative)
 _PINNED_04 = {
-    "SL": (1.146921674082111, 1.1364332193286044),
-    "DL": (-0.77402017011972, -0.7616040491396241),
-    "DLC": (-0.9444904950737325, -0.9316442913058505),
+    "SL": (1.1469216740821007, 1.1364332193286044),
+    "DL": (-0.7740201701197255, -0.7616040491396241),
+    "DLC": (-0.944490495073738, -0.9316442913058505),
 }
 
 
-@pytest.mark.filterwarnings(*GEO_FILTERS)
 @pytest.mark.parametrize("chunk", [None, 1000])
 def test_values_pinned_bit_for_bit(torus, table02, table11, monkeypatch, chunk):
     """Chunked passes leave every value bit-identical, at any chunk size."""
@@ -615,7 +608,6 @@ def test_values_pinned_bit_for_bit(torus, table02, table11, monkeypatch, chunk):
         assert h ** 3 * details["product"] == plain, kind
 
 
-@pytest.mark.filterwarnings(*GEO_FILTERS)
 def test_kind_tuple_matches_single_kinds(torus, torus_tube, table02, table11):
     xstar = torus.param_point(-0.7, 0.4)
     h, eps = torus_tube.h, torus_tube.eps
@@ -632,7 +624,6 @@ def test_kind_tuple_matches_single_kinds(torus, torus_tube, table02, table11):
                        tube=torus_tube) == (together[0]["total"],)
 
 
-@pytest.mark.filterwarnings(*GEO_FILTERS)
 def test_dl_and_dlc_share_s0(torus, torus_tube, table02, table11, monkeypatch):
     """Per plane, the three kinds build 5 terms and interpolate 5 weight
     sets: DL and DLC have one s0, so its term and k=0 weights are shared."""
@@ -665,7 +656,6 @@ def test_dl_and_dlc_share_s0(torus, torus_tube, table02, table11, monkeypatch):
     assert q2["DL"] == q2["DLC"] != q2["SL"]
 
 
-@pytest.mark.filterwarnings(*GEO_FILTERS)
 @pytest.mark.parametrize("kinds", ["SL", "DLC", ("SL", "DL", "DLC")],
                          ids=["SL", "DLC", "all"])
 def test_evaluation_memory_is_bounded(torus, torus_tube, table02, table11,
@@ -702,7 +692,6 @@ def test_evaluation_memory_is_bounded(torus, torus_tube, table02, table11,
 # evaluators: accuracy anchors
 # ---------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings(*GEO_FILTERS)
 def test_sphere_layer_potential_anchors(sphere, sphere_tube, sphere_target,
                                         table02, table11):
     """SL of a unit density over a sphere is R; DL and DLC are -1/2."""
@@ -720,7 +709,6 @@ def test_sphere_layer_potential_anchors(sphere, sphere_tube, sphere_target,
     assert abs(dlc - dl) < 2e-5
 
 
-@pytest.mark.filterwarnings(*GEO_FILTERS)
 def test_sphere_on_grid_singular_line(sphere, table02, table11):
     """Pole target: the singular line runs down a lattice column (alpha=beta=0)."""
     xstar = np.array([0.0, 0.0, 1.0])
@@ -737,7 +725,6 @@ def test_sphere_on_grid_singular_line(sphere, table02, table11):
     assert abs(sl - 1.0) < 5e-3
 
 
-@pytest.mark.filterwarnings(*GEO_FILTERS)
 def test_torus_gauss_identity_and_baseline(torus, torus_tube, table02, table11):
     """DL of a unit density -> -1/2 on any closed surface; baseline lags far."""
     xstar = torus.param_point(1.1, 2.3)
@@ -749,7 +736,6 @@ def test_torus_gauss_identity_and_baseline(torus, torus_tube, table02, table11):
     assert abs(dl + 0.5) < abs(base + 0.5) / 10.0
 
 
-@pytest.mark.filterwarnings(*GEO_FILTERS)
 def test_eps_independence(sphere, sphere_target, table02, table11):
     """The tube half-width is a free parameter of the converged value."""
     vals = [evaluate_V3("SL", sphere, None, sphere_target, 0.02, eps,
@@ -758,7 +744,6 @@ def test_eps_independence(sphere, sphere_target, table02, table11):
     assert abs(vals[0] - vals[1]) < 5e-5
 
 
-@pytest.mark.filterwarnings(*GEO_FILTERS)
 def test_analytic_jacobian_value_agrees(torus, torus_tube, table02, table11):
     """J from the exact level_jacobian changes the value negligibly."""
     xstar = torus.param_point(-0.7, 0.4)
@@ -777,7 +762,6 @@ def test_analytic_jacobian_value_agrees(torus, torus_tube, table02, table11):
 # study driver
 # ---------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings(*GEO_FILTERS)
 def test_convergence_study_structure(sphere, table02, table11, monkeypatch):
     evaluate, passes = ibim3d.evaluate_V3, {}
 
@@ -823,7 +807,6 @@ def test_convergence_study_structure(sphere, table02, table11, monkeypatch):
     assert np.allclose(sl_fine, 1.0, atol=1e-3)
 
 
-@pytest.mark.filterwarnings(*GEO_FILTERS)
 def test_study_one_pass_per_target_and_level(sphere, table02, table11,
                                              monkeypatch):
     """All kinds in one evaluation; no tube outlives its level."""

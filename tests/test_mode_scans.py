@@ -1,10 +1,14 @@
-"""The numpy mode scans of a SingularTerm against the Python loops they replaced.
+"""The numpy mode scan of a SingularTerm against the Python loops it replaced.
 
-`SingularTerm.active_modes` and `weights._term_coefficients` pick the Fourier
-modes that matter with numpy masks.  The reference loops below are the
-per-coefficient scans they replaced; the scans must give the same modes, the
-same coefficients and the same dict order, because every downstream sum
-(moments, right-hand sides, table patches) runs in that order.
+`SingularTerm` builds its mode map `coefficients` with numpy masks at
+construction, keeping each coefficient above `RESOLUTION` * norm, and
+`active_modes` reads the map.  The reference loops below are per-coefficient
+scans with the same bar; the scan must give the same modes, the same
+coefficients and the same dict order, because every downstream sum (moments,
+right-hand sides, dual solves, table patches) runs in that order.  Against
+the loops at the cutoffs the routes used before the map (1e-14 for moments
+and dual solves, 1e-12 for table lookups) the map keeps their order and
+values and differs only by coefficients between the two bars.
 """
 from __future__ import annotations
 
@@ -12,24 +16,27 @@ import numpy as np
 import pytest
 
 from ctquad import cli
-from ctquad.quad_core import SingularTerm
-from ctquad.weights import _term_coefficients
+from ctquad.quad_core import RESOLUTION, SingularTerm
 
 from helpers import torus_plane_expansion
 
 
-def active_modes_loop(term: SingularTerm, cutoff: float = 1e-15) -> list[int]:
-    norm = max(float(np.max(np.abs(term.a))), float(np.max(np.abs(term.b))), 1e-300)
+def coefficient_norm(term: SingularTerm) -> float:
+    return max(float(np.max(np.abs(term.a))), float(np.max(np.abs(term.b))), 1e-300)
+
+
+def active_modes_loop(term: SingularTerm) -> list[int]:
+    norm = coefficient_norm(term)
     out = [0]
     for j in range(1, len(term.a)):
-        if abs(term.a[j]) + abs(term.b[j]) > cutoff * norm:
+        if max(abs(term.a[j]), abs(term.b[j])) > RESOLUTION * norm:
             out.append(j)
     return out
 
 
-def term_coefficients_loop(term: SingularTerm, cutoff: float
+def term_coefficients_loop(term: SingularTerm, cutoff: float = RESOLUTION
                            ) -> dict[tuple[str, int], float]:
-    norm = max(float(np.max(np.abs(term.a))), float(np.max(np.abs(term.b))), 1e-300)
+    norm = coefficient_norm(term)
     out: dict[tuple[str, int], float] = {("c", 0): float(term.a[0])}
     for m in range(1, len(term.a)):
         if abs(term.a[m]) > cutoff * norm:
@@ -63,14 +70,31 @@ def test_active_modes_match_loop(term):
 
 @pytest.mark.parametrize("cutoff", [1e-14, 1e-12])
 def test_term_coefficients_match_loop_in_order(term, cutoff):
-    got = _term_coefficients(term, cutoff)
-    want = term_coefficients_loop(term, cutoff)
-    assert list(got.items()) == list(want.items())
-    assert all(type(m) is int for _, m in got)
+    got = list(term.coefficients.items())
+    assert got == list(term_coefficients_loop(term).items())
+    assert all(type(m) is int for (_, m), _ in got)
+    # the loop at a former route cutoff: the list at the higher of the two
+    # bars is the other one with the coefficients at or under that bar taken
+    # out, order and values kept
+    old = list(term_coefficients_loop(term, cutoff).items())
+    bar = max(cutoff, RESOLUTION) * coefficient_norm(term)
+    longer, shorter = (old, got) if cutoff < RESOLUTION else (got, old)
+    assert [(key, c) for key, c in longer
+            if key == ("c", 0) or abs(c) > bar] == shorter
 
 
-def test_poisson_kernel_term_has_47_active_modes():
-    assert len(TERMS["poisson"]().active_modes()) == 47
+def test_poisson_kernel_term_has_41_active_modes():
+    assert len(TERMS["poisson"]().active_modes()) == 41
+
+
+def test_rounding_noise_is_not_a_mode():
+    # the FFT of 512 samples of cos 100 psi leaves rounding in every other
+    # coefficient; none of it reaches RESOLUTION * norm, so phi's series
+    # stops at mode 100
+    psi = 2.0 * np.pi * np.arange(512) / 512
+    term = SingularTerm(0, np.cos(100 * psi))
+    assert term.active_modes() == [0, 100]
+    assert list(term.coefficients) == [("c", 0), ("c", 100)]
 
 
 def test_exact_zero_coefficients_are_not_active():
@@ -82,4 +106,6 @@ def test_coefficient_arrays_are_read_only(term):
         term.a[1] = 1.0
     with pytest.raises(ValueError):
         term.b[1] = 1.0
+    with pytest.raises(TypeError):
+        term.coefficients[("c", 1)] = 1.0
 

@@ -15,7 +15,7 @@ from ctquad.surfaces import (
     torus_density,
 )
 
-from helpers import CubicGraph, Sphere
+from helpers import CubicGraph, Sphere, torus_exact_probe
 
 
 @pytest.fixture(scope="module")
@@ -113,17 +113,17 @@ def test_torus_medial_axis_raises(torus):
 
 def test_torus_exact_probe_curvatures(torus):
     # outer equator: tube curvature -1/R2, ring curvature -1/(R1+R2)
-    probe = torus.exact_probe(torus.param_point(0.0, 1.3))
+    probe = torus_exact_probe(torus, torus.param_point(0.0, 1.3))
     assert probe.kappa1 == pytest.approx(-1.0 / 0.2)
     assert probe.kappa2 == pytest.approx(-1.0 / 0.9)
     # inner equator: ring curvature flips sign
-    probe = torus.exact_probe(torus.param_point(np.pi, 1.3))
+    probe = torus_exact_probe(torus, torus.param_point(np.pi, 1.3))
     assert probe.kappa1 == pytest.approx(-5.0)
     assert probe.kappa2 == pytest.approx(1.0 / 0.5)
 
 
 def test_torus_exact_probe_frame(torus):
-    probe = torus.exact_probe(torus.param_point(2.1, 0.7))
+    probe = torus_exact_probe(torus, torus.param_point(2.1, 0.7))
     Q = np.column_stack([probe.tau1, probe.tau2, probe.n])
     np.testing.assert_allclose(Q.T @ Q, np.eye(3), atol=1e-12)
     assert np.linalg.det(Q) == pytest.approx(1.0)

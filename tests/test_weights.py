@@ -502,6 +502,33 @@ def test_interpolation_rejects_lattice_below_4x4():
             interpolate_weights(tab, term, GridOffset(alpha, 0.0, (0, 0)))
 
 
+def test_mode_above_resolution_reaches_dual_and_table_routes():
+    # a cos 3psi mode at 5e-13 of the norm lies above RESOLUTION, so the
+    # term's mode map keeps it and both weight routes read it from there
+    small = 5e-13
+    term = SingularTerm.from_coefficients(0, 1.0, a=[0.0, 0.0, small])
+    c3 = term.coefficients[("c", 3)]
+    assert c3 == pytest.approx(small, rel=1e-3)
+    off = GridOffset(0.4, 0.7, (0, 0))
+    # table route: only the cos 3psi row (row 5) is nonzero, so the lookup
+    # is that row's unit weights times the coefficient
+    data = np.zeros((7, 4, 4, 4))
+    data[5] = 1.0
+    tab = WeightTable(k=0, p=2, tol=1e-8, n_modes=3, grid_n=4, domain_lo=0.0,
+                      stencil_offsets=quad_core.STENCIL_OFFSETS[2],
+                      bump_r0=DEFAULT_BUMP.r0, bump_R=DEFAULT_BUMP.R,
+                      data=data, m_levels=np.zeros((7, 4, 4), dtype=np.int8))
+    np.testing.assert_allclose(interpolate_weights(tab, term, off), c3,
+                               rtol=1e-12)
+    # dual route: the weights move by the mode's own weights times c3
+    st = stencil_for_order(2)
+    moved = (weights_dual(term, off, st)
+             - weights_dual(SingularTerm.from_coefficients(0, 1.0), off, st))
+    w3 = weights_dual(SingularTerm.from_coefficients(0, 0.0, a=[0.0, 0.0, 1.0]),
+                      off, st)
+    assert np.max(np.abs(moved - c3 * w3)) <= 0.1 * small * np.max(np.abs(w3))
+
+
 def test_table_k1_constant_mode_is_identically_one():
     with tempfile.TemporaryDirectory() as td:
         tab = _tiny_table(td)
