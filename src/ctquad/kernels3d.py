@@ -82,27 +82,35 @@ def kernel_values(kind: str | tuple[str, ...], xstar: np.ndarray,
     EXACT_HIT_RADIUS (exact hits of the singular line) get the value 0; the
     quadratures handle them separately.
 
+    The formulas are formed on coordinates: P(y) - x* is the three (N,)
+    columns dx, dy, dz, and each dot product is summed from them explicitly
+    (1-D operations are several times faster than (N, 3) ones).
+
     ``kind`` is one name, giving an (N,) array, or a tuple of names, giving
-    one row per name: P(y) - x*, r and r^3 are then formed once for all.
+    one row per name: P(y) - x*, r and 4 pi r^3 are then formed once for all.
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     for k in kinds:
         if k not in KERNEL_KINDS:
             raise ValueError(f"kind must be one of {KERNEL_KINDS}, got {k!r}")
-    diff = foot - xstar
-    r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    dx = foot[:, 0] - xstar[0]
+    dy = foot[:, 1] - xstar[1]
+    dz = foot[:, 2] - xstar[2]
+    r = np.sqrt(dx * dx + dy * dy + dz * dz)
     hit = r < EXACT_HIT_RADIUS
     out = np.empty((len(kinds), r.shape[0]))
     with np.errstate(divide="ignore", invalid="ignore"):
         if "DL" in kinds or "DLC" in kinds:
-            four_pi_r3 = 4.0 * np.pi * r ** 3
+            four_pi_r3 = 4.0 * np.pi * (r * r * r)
         for row, k in zip(out, kinds):
             if k == "SL":
                 val = 1.0 / (4.0 * np.pi * r)
             elif k == "DL":
-                val = -np.einsum("ij,ij->i", diff, normal) / four_pi_r3
+                val = -(dx * normal[:, 0] + dy * normal[:, 1]
+                        + dz * normal[:, 2]) / four_pi_r3
             else:  # DLC
-                val = diff @ nstar / four_pi_r3
+                val = (dx * nstar[0] + dy * nstar[1]
+                       + dz * nstar[2]) / four_pi_r3
             row[:] = np.where(hit, 0.0, val)
     return out[0] if isinstance(kind, str) else out
 

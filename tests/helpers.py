@@ -16,6 +16,9 @@
   as one einsum over the (..., 3, 4, 3) feet block, and its band scan with
   lattice triples and `np.ravel_multi_index`, the forms the library's
   stencil-at-a-time J and key-arithmetic scan must match bit for bit;
+* `kernel_values_einsum`: the layer kernels from (N, 3) differences and
+  einsum dot products, the form the library's per-coordinate kernels must
+  match to rounding;
 * `Sphere`, `CubicGraph`: a sphere with exact distance, projection and probe,
   and a cubic graph patch with known derivatives, surfaces with the
   interface documented in `ctquad.surfaces`.
@@ -34,7 +37,13 @@ from ctquad.geometry import (
     third_derivatives,
 )
 from ctquad.ibim3d import BLOCK, dominant_direction
-from ctquad.kernels3d import CubicSurfaceModel, build_frame, expansion_at_plane
+from ctquad.kernels3d import (
+    EXACT_HIT_RADIUS,
+    KERNEL_KINDS,
+    CubicSurfaceModel,
+    build_frame,
+    expansion_at_plane,
+)
 from ctquad.quad_core import SingularTerm
 from ctquad.surfaces import NonUniqueProjectionError, tilted_torus
 from ctquad.weights import _CLD, _LD, _MOMENTS, DEFAULT_BUMP
@@ -228,6 +237,34 @@ def projection_jacobian_einsum(feet: np.ndarray, step: float) -> np.ndarray:
     return (S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] ** 2
             + S[..., 0, 0] * S[..., 2, 2] - S[..., 0, 2] ** 2
             + S[..., 1, 1] * S[..., 2, 2] - S[..., 1, 2] ** 2)
+
+
+def kernel_values_einsum(kind: str | tuple[str, ...], xstar: np.ndarray,
+                         nstar: np.ndarray, foot: np.ndarray,
+                         normal: np.ndarray) -> np.ndarray:
+    """`kernels3d.kernel_values` with P(y) - x* as one (N, 3) array and its
+    dot products by einsum: the reference its per-coordinate form is
+    compared with."""
+    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
+    for k in kinds:
+        if k not in KERNEL_KINDS:
+            raise ValueError(f"kind must be one of {KERNEL_KINDS}, got {k!r}")
+    diff = foot - xstar
+    r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    hit = r < EXACT_HIT_RADIUS
+    out = np.empty((len(kinds), r.shape[0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if "DL" in kinds or "DLC" in kinds:
+            four_pi_r3 = 4.0 * np.pi * r ** 3
+        for row, k in zip(out, kinds):
+            if k == "SL":
+                val = 1.0 / (4.0 * np.pi * r)
+            elif k == "DL":
+                val = -np.einsum("ij,ij->i", diff, normal) / four_pi_r3
+            else:  # DLC
+                val = diff @ nstar / four_pi_r3
+            row[:] = np.where(hit, 0.0, val)
+    return out[0] if isinstance(kind, str) else out
 
 
 def scan_band_ravel(surface, origin: np.ndarray, h: float, shape,

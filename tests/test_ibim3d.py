@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 
 import mpmath as mp
@@ -32,6 +33,7 @@ from ctquad.geometry import (
 )
 from ctquad.kernels3d import (
     AXIS_PERMUTATION,
+    EXACT_HIT_RADIUS,
     KERNEL_KINDS,
     CurvatureLimitError,
     KernelExpansion,
@@ -525,11 +527,23 @@ def test_plane_problems_geometry(torus, torus_tube):
 # ---------------------------------------------------------------------------
 
 def test_exact_hit_guard(sphere, sphere_target):
-    foot = np.array([sphere_target, sphere_target + 1e-16])
-    normal = np.tile(sphere.normal(sphere_target), (2, 1))
-    vals = kernel_values("SL", sphere_target, normal[0], foot, normal)
-    assert np.all(vals == 0.0)
-    assert np.all(np.isfinite(vals))
+    """Exact hits read 0 for every kind, with no warning and nothing
+    non-finite; a foot just beyond EXACT_HIT_RADIUS reads a finite, nonzero
+    value, and each row of a tuple call has its kind's single-name bits."""
+    n = sphere.normal(sphere_target)
+    other = sphere.project(np.array([-0.4, 0.7, 0.2]))
+    foot = np.array([sphere_target, sphere_target + 1e-16,
+                     sphere_target + 1.5 * EXACT_HIT_RADIUS * n, other])
+    normal = np.array([n, n, n, sphere.normal(other)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = kernel_values(KERNEL_KINDS, sphere_target, n, foot, normal)
+        for kind, row in zip(KERNEL_KINDS, together):
+            vals = kernel_values(kind, sphere_target, n, foot, normal)
+            assert np.all(np.isfinite(vals)), kind
+            assert np.all(vals[:2] == 0.0), kind
+            assert np.all(vals[2:] != 0.0), kind
+            assert _same_bits(row, vals), kind
 
 
 def test_plane_decomposition_exactness(torus, torus_tube, table02, table11):
@@ -662,10 +676,11 @@ def test_evaluation_memory_is_bounded(torus, torus_tube, table02, table11,
                                       monkeypatch, kinds):
     """Beyond the tube, an evaluation holds one (N,) array per kind.
 
-    The rest is the temporaries of one chunk of kernel values -- P(y) - x*,
-    r, 4 pi r^3, the exact-hit mask and a few per-kind rows -- which stay
-    under 160 bytes per CHUNK row for up to three kinds.  Forming the
-    kernel over the whole tube at once costs about 65 bytes per node.
+    The rest is the temporaries of one chunk of kernel values -- the
+    coordinates dx, dy, dz of P(y) - x*, r, 4 pi r^3, the exact-hit mask and
+    a few per-kind rows -- which stay under 160 bytes per CHUNK row for up
+    to three kinds.  Forming the kernel over the whole tube at once costs
+    about 65 bytes per node.
     """
     monkeypatch.setattr(ibim3d, "CHUNK", 2048)
     xstar = torus.param_point(1.1, 2.3)

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from ctquad.geometry import SurfaceProbe
+from ctquad.ibim3d import build_tube
 from ctquad.kernels3d import (
     AXIS_PERMUTATION,
+    EXACT_HIT_RADIUS,
+    KERNEL_KINDS,
     CubicSurfaceModel,
     CurvatureLimitError,
     FrameAxisError,
@@ -17,7 +20,12 @@ from ctquad.kernels3d import (
 )
 from ctquad.surfaces import tilted_torus
 
-from helpers import Sphere, analytic_probe, projection_expansion_report
+from helpers import (
+    Sphere,
+    analytic_probe,
+    kernel_values_einsum,
+    projection_expansion_report,
+)
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +129,51 @@ def test_kernel_eval_vectorized(torus):
     vals = direct_kernel("SL", xstar, pts, torus)
     assert vals.shape == (7,)
     assert np.all(vals > 0)
+
+
+def assert_matches_einsum_form(xstar, nstar, foot, normal):
+    """Each kind, alone and in a tuple, is the (N, 3) einsum form's value
+    within 8 eps of the kernel's magnitude bound: 1/(4 pi r) for SL and
+    1/(4 pi r^2) for DL and DLC (unit normals).  A bound per value would not
+    do: DL's near-tangent dot products cancel, so where K is about 0 the two
+    forms can differ by many ulps of K."""
+    r = np.linalg.norm(foot - xstar, axis=1)
+    hit = r < EXACT_HIT_RADIUS
+    r = r[~hit]
+    bound = {"SL": 1.0 / (4 * np.pi * r), "DL": 1.0 / (4 * np.pi * r * r)}
+    bound["DLC"] = bound["DL"]
+    for kinds in [(k,) for k in KERNEL_KINDS] + [KERNEL_KINDS]:
+        new = kernel_values(kinds, xstar, nstar, foot, normal)
+        old = kernel_values_einsum(kinds, xstar, nstar, foot, normal)
+        for kind, a, b in zip(kinds, new, old):
+            assert np.all(a[hit] == 0.0) and np.all(b[hit] == 0.0), kind
+            gap = np.abs(a - b)[~hit] / bound[kind]
+            assert gap.max() <= 8 * np.finfo(float).eps, (kinds, kind,
+                                                           gap.max())
+
+
+def test_kernel_values_match_einsum_form_random_rows():
+    rng = np.random.default_rng(22)
+    xstar = rng.uniform(-1.0, 1.0, 3)
+    nstar = rng.standard_normal(3)
+    nstar /= np.linalg.norm(nstar)
+    # feet from 1e-12 to 2 away from x*, in every direction, and an exact hit
+    direction = rng.standard_normal((20_000, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    dist = 10.0 ** rng.uniform(-12.0, 0.3, 20_000)
+    foot = np.vstack([xstar + dist[:, None] * direction, xstar])
+    normal = rng.standard_normal(foot.shape)
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    assert_matches_einsum_form(xstar, nstar, foot, normal)
+
+
+@pytest.mark.parametrize("h", [0.04, 0.0148])
+def test_kernel_values_match_einsum_form_on_tube(torus, h):
+    tube = build_tube(torus, h, 0.1)
+    for angles in [(1.1, 2.3), (-0.7, 0.4), (2.9, 5.1)]:
+        xstar = torus.param_point(*angles)
+        assert_matches_einsum_form(xstar, torus.normal(xstar), tube.foot,
+                                   tube.normal)
 
 
 # ---------------------------------------------------------------------------
