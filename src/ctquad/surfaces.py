@@ -99,6 +99,12 @@ class TiltedTorus:
 
     In the untilted frame the surface is the set |(hypot(x, y) - R1, z)| = R2;
     the world pose applies the spec's rotation and translation.
+
+    Projection, normal and density are formed on the local coordinate
+    columns u0, u1, u2, with one pose product each way: ``to_local`` on the
+    way in and one product with the rotation's transpose on the way out.
+    Those products stay matmuls on (..., 3) arrays, because written out per
+    coordinate they round differently and every foot would move.
     """
 
     def __init__(self, spec: TorusSpec):
@@ -126,36 +132,61 @@ class TiltedTorus:
         ring = np.hypot(u[..., 0], u[..., 1]) - self.spec.R1
         return np.hypot(ring, u[..., 2]) - self.spec.R2
 
-    def _tube_vector(self, u: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nearest center-circle point, the local offset from it, and the
-        offset's length (kept as a trailing axis of size 1)."""
-        rho = np.hypot(u[..., 0], u[..., 1])
+    def _local_polar(self, x: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Local coordinate columns u0, u1, u2 of x, and rho = hypot(u0, u1),
+        the distance from the symmetry axis."""
+        u = self.to_local(x)
+        u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+        rho = np.hypot(u0, u1)
         if np.any(rho < 1e-12):
             raise NonUniqueProjectionError(
                 "point on the torus symmetry axis has no unique closest point")
-        scale = self.spec.R1 / rho
-        ring = np.stack([u[..., 0] * scale, u[..., 1] * scale,
-                         np.zeros_like(rho)], axis=-1)
-        v = u - ring
-        vnorm = np.linalg.norm(v, axis=-1, keepdims=True)
+        return u0, u1, u2, rho
+
+    @staticmethod
+    def _check_off_circle(vnorm: np.ndarray) -> None:
         if np.any(vnorm < 1e-12):
             raise NonUniqueProjectionError(
                 "point on the tube center circle has no unique closest point")
-        return ring, v, vnorm
+
+    def _tube_offset(self, x: np.ndarray):
+        """Local columns c of the nearest center-circle point (its third
+        coordinate is 0), the columns v of the offset u - c, and |v|."""
+        u0, u1, u2, rho = self._local_polar(x)
+        scale = self.spec.R1 / rho
+        c = (u0 * scale, u1 * scale, 0.0)
+        v = (u0 - c[0], u1 - c[1], u2)
+        vnorm = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+        self._check_off_circle(vnorm)
+        return c, v, vnorm
+
+    def _foot(self, c, v, vnorm) -> np.ndarray:
+        """World foot c + R2 v/|v|: local columns, then one pose product."""
+        scale = self.spec.R2 / vnorm
+        foot = np.empty(vnorm.shape + (3,))
+        for a in range(3):
+            foot[..., a] = c[a] + v[a] * scale
+        return self.to_world(foot)
+
+    def _normal(self, v, vnorm) -> np.ndarray:
+        """World normal v/|v|: local columns, then one rotation product."""
+        normal = np.empty(vnorm.shape + (3,))
+        for a in range(3):
+            normal[..., a] = v[a] / vnorm
+        return normal @ self._rot.T
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        ring, v, vnorm = self._tube_vector(self.to_local(x))
-        return self.to_world(ring + v * (self.spec.R2 / vnorm))
+        c, v, vnorm = self._tube_offset(x)
+        return self._foot(c, v, vnorm)
 
     def normal(self, x: np.ndarray) -> np.ndarray:
-        _, v, vnorm = self._tube_vector(self.to_local(x))
-        return (v / vnorm) @ self._rot.T
+        _, v, vnorm = self._tube_offset(x)
+        return self._normal(v, vnorm)
 
     def foot_and_normal(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ring, v, vnorm = self._tube_vector(self.to_local(x))
-        return (self.to_world(ring + v * (self.spec.R2 / vnorm)),
-                (v / vnorm) @ self._rot.T)
+        c, v, vnorm = self._tube_offset(x)
+        return self._foot(c, v, vnorm), self._normal(v, vnorm)
 
     @property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -209,9 +240,20 @@ class TiltedTorus:
         }
 
     def density_at(self, x: np.ndarray, coefficients=None) -> np.ndarray:
-        """Sample the parametric test density at the closest surface point."""
-        theta, phi = self.parameters(x)
-        return torus_density(theta, phi, coefficients)
+        """Sample the parametric test density at the closest surface point.
+
+        The angles' sines and cosines come straight from the local
+        coordinate columns, with no trig call: sin(theta) = u2/|v| and
+        cos(theta) = ring/|v|, where ring = rho - R1 and |v| = hypot(ring,
+        u2), and cos(phi) = u0/rho, sin(phi) = u1/rho.  Raises where
+        `project` does, on the medial axis.
+        """
+        u0, u1, u2, rho = self._local_polar(x)
+        ring = rho - self.spec.R1
+        vnorm = np.hypot(ring, u2)
+        self._check_off_circle(vnorm)
+        return _density(u2 / vnorm, ring / vnorm, u1 / rho, u0 / rho,
+                        coefficients)
 
 
 _DEFAULT_DENSITY = (1.38, 2.196, -0.29837, 1.128)
@@ -219,12 +261,17 @@ _DEFAULT_DENSITY = (1.38, 2.196, -0.29837, 1.128)
 
 def torus_density(theta, phi, coefficients=None) -> np.ndarray:
     """Smooth test density on the torus, written in its surface angles."""
-    c0, c1, c2, c3 = _DEFAULT_DENSITY if coefficients is None else coefficients
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    sin_theta = np.sin(theta)
-    return (c0 + c1 * sin_theta + c2 * np.cos(phi) * sin_theta
-            + c3 * np.sin(phi) * np.cos(theta))
+    return _density(np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi),
+                    coefficients)
+
+
+def _density(sin_theta, cos_theta, sin_phi, cos_phi, coefficients=None):
+    """`torus_density` from the sines and cosines of its angles."""
+    c0, c1, c2, c3 = _DEFAULT_DENSITY if coefficients is None else coefficients
+    return (c0 + c1 * sin_theta + c2 * cos_phi * sin_theta
+            + c3 * sin_phi * cos_theta)
 
 
 def tilted_torus() -> TiltedTorus:

@@ -19,6 +19,10 @@
 * `kernel_values_einsum`: the layer kernels from (N, 3) differences and
   einsum dot products, the form the library's per-coordinate kernels must
   match to rounding;
+* `torus_foot_and_normal_stacked`, `torus_density_from_angles`: the tilted
+  torus's feet and normals from (N, 3) stacks and `np.linalg.norm`, and its
+  density from atan2 angles, the forms its coordinate-column projection must
+  match bit for bit and its trig-free density to rounding;
 * `Sphere`, `CubicGraph`: a sphere with exact distance, projection and probe,
   and a cubic graph patch with known derivatives, surfaces with the
   interface documented in `ctquad.surfaces`.
@@ -45,7 +49,11 @@ from ctquad.kernels3d import (
     expansion_at_plane,
 )
 from ctquad.quad_core import SingularTerm
-from ctquad.surfaces import NonUniqueProjectionError, tilted_torus
+from ctquad.surfaces import (
+    NonUniqueProjectionError,
+    tilted_torus,
+    torus_density,
+)
 from ctquad.weights import _CLD, _LD, _MOMENTS, DEFAULT_BUMP
 
 
@@ -295,6 +303,38 @@ def scan_band_ravel(surface, origin: np.ndarray, h: float, shape,
     if not key_parts:
         return np.empty(0, dtype=np.int64), np.empty(0)
     return np.concatenate(key_parts), np.concatenate(d_parts)
+
+
+def torus_foot_and_normal_stacked(torus, x: np.ndarray
+                                  ) -> tuple[np.ndarray, np.ndarray]:
+    """`TiltedTorus.foot_and_normal` with the nearest center-circle point
+    and the offset from it as (..., 3) stacks and |v| by `np.linalg.norm`:
+    the reference its coordinate-column form is compared with.  Its first
+    output is the reference for `project`, its second for `normal`."""
+    u = torus.to_local(x)
+    rho = np.hypot(u[..., 0], u[..., 1])
+    if np.any(rho < 1e-12):
+        raise NonUniqueProjectionError(
+            "point on the torus symmetry axis has no unique closest point")
+    scale = torus.spec.R1 / rho
+    ring = np.stack([u[..., 0] * scale, u[..., 1] * scale,
+                     np.zeros_like(rho)], axis=-1)
+    v = u - ring
+    vnorm = np.linalg.norm(v, axis=-1, keepdims=True)
+    if np.any(vnorm < 1e-12):
+        raise NonUniqueProjectionError(
+            "point on the tube center circle has no unique closest point")
+    return (torus.to_world(ring + v * (torus.spec.R2 / vnorm)),
+            (v / vnorm) @ torus._rot.T)
+
+
+def torus_density_from_angles(torus, x: np.ndarray,
+                              coefficients=None) -> np.ndarray:
+    """`TiltedTorus.density_at` from the atan2 angles of the closest point
+    and `torus_density`'s trig: the reference its trig-free form is
+    compared with."""
+    theta, phi = torus.parameters(x)
+    return torus_density(theta, phi, coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,11 @@ def test_pooled_library_code_calls_no_traced_name(perfbench_on_path,
     open.  The 2D studies and a tube with a density run on a pool of two,
     in blocks small enough to make several tasks, under every wrap and with
     the interpreter switching threads as often as it can: nothing raises,
-    every span opens on the calling thread and the stack ends empty."""
+    every span opens on the calling thread and the stack ends empty.  The
+    pooled callables: the integrands of `quad_core.grid_values`, and in the
+    tube `TiltedTorus.foot_and_normal` (the band's projection),
+    `geometry.stencil_area_ratio` (the J passes) and `TiltedTorus.density_at`
+    (the rho fill)."""
     from layers import instrument
     from tracing import Tracer, is_wrapped
 

@@ -39,13 +39,14 @@ from ctquad.kernels3d import (
     KernelExpansion,
     kernel_values,
 )
-from ctquad.surfaces import tilted_torus
+from ctquad.surfaces import TiltedTorus, tilted_torus
 
 from helpers import (
     Sphere,
     projection_jacobian_einsum,
     scan_band_ravel,
     sphere_level_jacobian,
+    torus_foot_and_normal_stacked,
     torus_level_jacobian,
 )
 
@@ -446,6 +447,32 @@ def test_tube_bit_identical_at_any_worker_count(torus, monkeypatch, h,
     assert callers and threading.get_ident() not in callers
 
 
+@pytest.mark.parametrize("h, from_lattice", [(0.04, True), (0.075, False)])
+def test_tube_bit_identical_to_stacked_projection(torus, monkeypatch, h,
+                                                  from_lattice):
+    """The coordinate-column feet and normals leave every field of the
+    constant-density tube bit-identical to the (..., 3)-stack reference.
+    At h=0.075 the reach caps the step, so `project` runs in
+    displaced_feet too."""
+    eps = 0.1
+    assert (min(h, 0.45 * (torus.reach - eps)) == h) == from_lattice
+    tube = build_tube(torus, h, eps)
+    projected = []
+
+    def project(self, x):
+        projected.append(len(x))
+        return torus_foot_and_normal_stacked(self, x)[0]
+
+    monkeypatch.setattr(TiltedTorus, "foot_and_normal",
+                        torus_foot_and_normal_stacked)
+    monkeypatch.setattr(TiltedTorus, "project", project)
+    ref = build_tube(torus, h, eps)
+    assert bool(projected) != from_lattice
+    for field in dataclasses.fields(tube):
+        assert _same_bits(getattr(tube, field.name),
+                          getattr(ref, field.name)), field.name
+
+
 def _wrong_shape_rho(p):
     """Right values, except a wrong shape naming its chunk's first foot for
     the chunks that start beyond x = 0.2."""
@@ -598,10 +625,11 @@ def test_curvature_limit_propagates_plane_index(sphere, sphere_tube,
 # the variable density.  The DLC baseline was re-recorded when the baseline
 # took the probe's normal at the target in place of the exact one; the V3
 # totals when a term's modes were cut at RESOLUTION (moves of at most 9e-15
-# relative)
+# relative); the DL baseline when the density came from the local
+# coordinates in place of atan2 angles (one ulp)
 _PINNED_04 = {
     "SL": (1.1469216740821007, 1.1364332193286044),
-    "DL": (-0.7740201701197255, -0.7616040491396241),
+    "DL": (-0.7740201701197255, -0.7616040491396242),
     "DLC": (-0.944490495073738, -0.9316442913058505),
 }
 

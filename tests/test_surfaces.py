@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from ctquad.kernels3d import kernel_values
 from ctquad.surfaces import (
+    _DEFAULT_DENSITY,
     NonUniqueProjectionError,
     TorusSpec,
     layer_potential_oracle,
@@ -15,7 +18,13 @@ from ctquad.surfaces import (
     torus_density,
 )
 
-from helpers import CubicGraph, Sphere, torus_exact_probe
+from helpers import (
+    CubicGraph,
+    Sphere,
+    torus_density_from_angles,
+    torus_exact_probe,
+    torus_foot_and_normal_stacked,
+)
 
 
 @pytest.fixture(scope="module")
@@ -102,13 +111,52 @@ def test_torus_area_element(torus):
     assert area == pytest.approx(4 * np.pi**2 * 0.7 * 0.2, rel=1e-12)
 
 
-def test_torus_medial_axis_raises(torus):
+def test_torus_medial_axis_raises(torus, tube_points):
+    """Projection and density raise on the symmetry axis and on the tube's
+    center circle, before any division warns; off the medial axis nothing
+    warns."""
     axis_point = torus.to_world(np.array([0.0, 0.0, 0.1]))
-    with pytest.raises(NonUniqueProjectionError):
-        torus.project(axis_point)
     center_circle = torus.to_world(np.array([0.7, 0.0, 0.0]))
-    with pytest.raises(NonUniqueProjectionError):
-        torus.project(center_circle)
+    methods = (torus.project, torus.normal, torus.foot_and_normal,
+               torus.density_at)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in methods:
+            for x in (axis_point, center_circle):
+                with pytest.raises(NonUniqueProjectionError):
+                    method(x)
+            method(tube_points)
+
+
+def test_torus_columns_match_stacked_reference(torus, tube_points):
+    """Feet and normals are bit-identical to the (..., 3)-stack form, and
+    the trig-free density is within 8 eps of the atan2 form per unit of
+    coefficient size, for the default coefficients and another set.  The
+    points: tube_points, a (5, 5, 5, 3) lattice block about a surface point
+    and 10^5 seeded random points inside the tube."""
+    grid = 0.02 * np.arange(-2, 3)
+    block = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1)
+    rng = np.random.default_rng(2024)
+    theta, phi = rng.uniform(0, 2 * np.pi, size=(2, 100_000))
+    eta = rng.uniform(-0.99, 0.99, size=theta.size) * torus.reach
+    inside = (torus.param_point(theta, phi)
+              + eta[:, None] * torus.param_frame(theta, phi)["normal"])
+    coefficient_sets = (None, (-0.4, 1.7, 2.3, -0.9))
+    for x in (tube_points, torus.param_point(0.4, 1.9) + block, inside):
+        foot, normal = torus_foot_and_normal_stacked(torus, x)
+        got_foot, got_normal = torus.foot_and_normal(x)
+        assert got_foot.shape == got_normal.shape == x.shape
+        assert np.array_equal(got_foot, foot)
+        assert np.array_equal(got_normal, normal)
+        assert np.array_equal(torus.project(x), foot)
+        assert np.array_equal(torus.normal(x), normal)
+        for coefficients in coefficient_sets:
+            size = np.sum(np.abs(coefficients or _DEFAULT_DENSITY))
+            got = torus.density_at(x, coefficients)
+            assert got.shape == x.shape[:-1]
+            np.testing.assert_allclose(
+                got, torus_density_from_angles(torus, x, coefficients),
+                rtol=0, atol=8 * np.finfo(float).eps * size)
 
 
 def test_torus_exact_probe_curvatures(torus):
