@@ -287,8 +287,7 @@ def find_table_path(k: int, p: int, cache_dir: str | None = None,
     Only the file named by ``weights.table_filename`` is served; a table
     built with another tolerance, mode count or lattice never stands in.
     """
-    cache_dir = cache_dir or wt.default_cache_dir()
-    path = os.path.join(cache_dir, wt.table_filename(k, p, tol, n_modes, grid_n))
+    path = wt.table_path(k, p, tol, n_modes, grid_n, cache_dir)
     return path if os.path.exists(path) else None
 
 
@@ -316,11 +315,10 @@ def load_table_checked(k: int, p: int, cache_dir: str | None = None,
     built by another library version) fails with the command that rebuilds
     it.
     """
-    path = find_table_path(k, p, cache_dir, tol, n_modes, grid_n)
-    where = cache_dir or wt.default_cache_dir()
+    path = wt.table_path(k, p, tol, n_modes, grid_n, cache_dir)
     build = _build_command(k, p, tol, n_modes, grid_n, cache_dir)
-    if path is None:
-        name = wt.table_filename(k, p, tol, n_modes, grid_n)
+    if not os.path.exists(path):
+        where, name = os.path.split(path)
         others = []
         if os.path.isdir(where):
             others = sorted(n for n in os.listdir(where)
@@ -623,10 +621,9 @@ def cmd_weights_build(args) -> int:
         table = wt.build_weight_table(
             args.k, args.p, processes=args.processes,
             cache_dir=args.cache_dir, force=args.force, **selection)
-    cache_dir = args.cache_dir or wt.default_cache_dir()
-    name = wt.table_filename(args.k, args.p, table.tol, table.n_modes,
-                             table.grid_n)
-    _print_table_info(table, os.path.join(cache_dir, name))
+    _print_table_info(table, wt.table_path(args.k, args.p, table.tol,
+                                           table.n_modes, table.grid_n,
+                                           args.cache_dir))
     return 0
 
 

@@ -170,12 +170,10 @@ class TubeGrid:
     origin: np.ndarray            # world position of lattice index (0, 0, 0)
     shape: tuple[int, int, int]   # lattice extent per axis
     key: np.ndarray               # (N,) flattened lattice index, sorted
-    d: np.ndarray                 # (N,) signed distances
     foot: np.ndarray              # (N, 3) closest surface points P(y)
     normal: np.ndarray            # (N, 3) outward unit normals at the feet
     jacobian: np.ndarray          # (N,) area ratios J
-    density: np.ndarray           # (N,) rho at the feet
-    v: np.ndarray                 # (N,) rho * delta_eps(d) * J
+    v: np.ndarray                 # (N,) rho(P) * delta_eps(d) * J
 
     @property
     def n_nodes(self) -> int:
@@ -217,9 +215,9 @@ def build_tube(surface, h: float, eps: float, *,
                rho: Callable | None = None) -> TubeGrid:
     """Scan an axis-aligned lattice and keep the nodes with |d| <= eps.
 
-    The kept nodes carry everything the quadratures need: signed distance,
-    projection, normal, area ratio J, surface density rho(P), and the
-    assembled smooth factor v = rho * delta_eps(d) * J.
+    The kept nodes carry what the rule reads: projection, normal, area
+    ratio J and the assembled smooth factor v = rho(P) * delta_eps(d) * J.
+    The signed distance d and the density rho(P) are formed for v only.
 
     The scan is a narrow band.  The lattice, which starts MARGIN_CELLS cells
     (plus eps) below the surface's bounding box, is cut into blocks of BLOCK
@@ -363,26 +361,24 @@ def build_tube(surface, h: float, eps: float, *,
     foot = band_foot   # no view of it is alive, so it can shrink in place
     foot.resize((n, 3), refcheck=False)
 
-    density = np.ones(n) if rho is None else np.empty(n)
     v = np.empty(n)
 
     def fill(i0):
         sl = slice(i0, i0 + CHUNK)
+        density = 1.0
         if rho is not None:
-            part = np.asarray(rho(foot[sl]), dtype=float)
-            if part.shape != d[sl].shape:
+            density = np.asarray(rho(foot[sl]), dtype=float)
+            if density.shape != d[sl].shape:
                 raise ValueError(f"rho must map (N,3) surface points to (N,) "
-                                 f"values; got shape {part.shape}")
-            density[sl] = part
-        v[sl] = density[sl] * delta_eps(d[sl], eps) * jac[sl]
+                                 f"values; got shape {density.shape}")
+        v[sl] = density * delta_eps(d[sl], eps) * jac[sl]
 
     _pooled(fill, range(0, n, CHUNK))
 
     if np.any(np.diff(key) <= 0):
         raise AssertionError("tube nodes are not in lexicographic order")
-    return TubeGrid(h=h, eps=eps, origin=origin, shape=shape, key=key, d=d,
-                    foot=foot, normal=normal, jacobian=jac, density=density,
-                    v=v)
+    return TubeGrid(h=h, eps=eps, origin=origin, shape=shape, key=key,
+                    foot=foot, normal=normal, jacobian=jac, v=v)
 
 
 def _band_chunks(inner: np.ndarray):
@@ -663,15 +659,16 @@ def evaluate_V3(kind: str | tuple[str, ...], surface, rho: Callable | None,
         keep = found.copy()
         keep[j1] = False
 
-        # k=0 weights and cell values of each distinct s0 (DL and DLC share)
+        # k=0 weights and closed-form cell values of each distinct s0 (DL and
+        # DLC share); s0 is not finite at an exact hit, which keep leaves out
         s0_parts = {}
         for name, values, part in zip(kinds, kv, parts):
             s0_kind = S0_KIND[name]
             if s0_kind not in s0_parts:
-                term0 = expansion.s0_term(s0_kind)
-                s0_parts[s0_kind] = (
-                    interpolate_weights(table0, term0, plane.off2),
-                    np.asarray(term0.evaluate(dx, dy), dtype=float))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    s0 = expansion.s0_eval(s0_kind, np.stack([dx, dy], axis=-1))
+                s0_parts[s0_kind] = (interpolate_weights(
+                    table0, expansion.s0_term(s0_kind), plane.off2), s0)
             w0, s0 = s0_parts[s0_kind]
             w1 = interpolate_weights(table1, expansion.s1_term(name), plane.off1)
             k4 = np.where(found, values[rows], 0.0)

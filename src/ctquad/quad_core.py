@@ -128,13 +128,13 @@ class _Unresolved(ValueError):
 class SingularTerm:
     """One term s_k(x) = |x|**(k-1) * phi(x/|x|) of a singular-function expansion.
 
-    phi is kept as the Fourier coefficients of n uniform samples on [0, 2*pi),
-    n a power of two (>= 4) that resolves it (see `_spectrum`).  The mode
-    map ``coefficients`` is {("c"|"s", m): coefficient}: ("c", 0), then
-    ("c", m) and ("s", m) for ascending m, each coefficient above
-    RESOLUTION * norm.  Every consumer of phi's modes reads it: `phi`,
-    `active_modes` and the weights' moment right-hand sides, dual solves and
-    table lookups, which sum over it in that order.
+    A term is its mode map ``coefficients``, {("c"|"s", m): coefficient}:
+    ("c", 0), then ("c", m) and ("s", m) for ascending m, each a Fourier
+    coefficient of n uniform samples of phi on [0, 2*pi) above RESOLUTION
+    times the largest; n is a power of two (>= 4) that resolves phi (see
+    `_spectrum`).  Every consumer of phi reads the map: `phi` sums it, and
+    the weights' moment right-hand sides, dual solves and table lookups sum
+    over it in that order.
     """
 
     def __init__(self, k: int, samples: np.ndarray):
@@ -147,12 +147,7 @@ class SingularTerm:
                               f"has coefficient {max(abs(a[j]), abs(b[j])):.3e} > "
                               f"{RESOLUTION:g} x norm {norm:.3e}")
         self.k = int(k)
-        # read-only, so the mode map below cannot go stale
-        a.setflags(write=False)
-        b.setflags(write=False)
-        self.a = a  # a[0] is the mean, a[j] multiplies cos(j*theta)
-        self.b = b  # b[j] multiplies sin(j*theta)
-        self.norm = norm  # largest coefficient
+        # a[j] multiplies cos(j*theta) (a[0] is the mean), b[j] sin(j*theta)
         big_a = np.abs(a) > RESOLUTION * norm
         big_b = np.abs(b) > RESOLUTION * norm
         coefficients = {("c", 0): float(a[0])}
@@ -205,34 +200,28 @@ class SingularTerm:
 
     # -- evaluation --------------------------------------------------------
 
-    def active_modes(self) -> list[int]:
-        """Mode 0 and every mode of the map ``coefficients``, ascending."""
-        return list(dict.fromkeys(m for _, m in self.coefficients))
-
     def phi(self, theta: np.ndarray) -> np.ndarray:
-        """Evaluate phi by summing its Fourier series through the map's top mode.
+        """Evaluate phi by summing the modes of ``coefficients``.
 
-        The series stops at the highest mode of ``coefficients``; below it,
-        every nonzero coefficient of ``a`` and ``b`` is summed.
-        Uses the cos/sin Chebyshev-style recurrence so the cost is one pair of
-        multiply-adds per mode up to that one, independent of how theta was
-        produced.
+        Uses the cos/sin Chebyshev-style recurrence up to the map's top mode,
+        so the cost is one pair of multiply-adds per mode up to that one,
+        independent of how theta was produced.
         """
         theta = np.asarray(theta, dtype=float)
-        out = np.full(theta.shape, self.a[0])
+        out = np.full(theta.shape, self.coefficients[("c", 0)])
         jmax = next(reversed(self.coefficients))[1]
         if jmax == 0:
             return out
         c1 = np.cos(theta)
         s1 = np.sin(theta)
-        cj, sj = c1.copy(), s1.copy()
+        cj, sj = c1, s1
         for j in range(1, jmax + 1):
             if j > 1:
                 cj, sj = c1 * cj - s1 * sj, s1 * cj + c1 * sj
-            if abs(self.a[j]) > 0.0:
-                out += self.a[j] * cj
-            if abs(self.b[j]) > 0.0:
-                out += self.b[j] * sj
+            if ("c", j) in self.coefficients:
+                out += self.coefficients[("c", j)] * cj
+            if ("s", j) in self.coefficients:
+                out += self.coefficients[("s", j)] * sj
         return out
 
     def evaluate(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -242,14 +231,12 @@ class SingularTerm:
         r = np.hypot(dx, dy)
         theta = np.arctan2(dy, dx)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if self.k == 1:
-                rad = np.ones_like(r)
-            else:
-                rad = r ** (self.k - 1)
+            rad = r ** (self.k - 1)
         return rad * self.phi(theta)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"SingularTerm(k={self.k}, top_mode={self.active_modes()[-1]})"
+        top = next(reversed(self.coefficients))[1]
+        return f"SingularTerm(k={self.k}, top_mode={top})"
 
 
 @dataclasses.dataclass

@@ -58,7 +58,6 @@ __all__ = [
     "WeightTable",
     "IllConditionedStencilError",
     "WeightConvergenceError",
-    "weights_at_h",
     "weights_limit",
     "weights_dual",
     "moment_residual",
@@ -68,6 +67,7 @@ __all__ = [
     "interpolate_weights",
     "default_cache_dir",
     "table_filename",
+    "table_path",
 ]
 
 _LD = np.longdouble
@@ -425,18 +425,6 @@ def _finite_h_system(term: SingularTerm, offset: GridOffset, stencil: Stencil,
     return G, rhs[0]
 
 
-def weights_at_h(term: SingularTerm, offset: GridOffset, stencil: Stencil,
-                 h: float) -> np.ndarray:
-    """Solve the moment-matching system at one grid spacing h.
-
-    Raises IllConditionedStencilError if the test matrix has condition number
-    above 1e12 at this offset.
-    """
-    G, rhs = _finite_h_system(term, offset, stencil, h)
-    _check_conditioning(G, offset.alpha, offset.beta, stencil)
-    return np.linalg.solve(G, rhs)
-
-
 def moment_residual(term: SingularTerm, offset: GridOffset, stencil: Stencil,
                     weights: np.ndarray, h: float) -> np.ndarray:
     """Residuals of the moment-matching equations at spacing h.
@@ -724,13 +712,11 @@ def weights_dual(term: SingularTerm, offset: GridOffset,
                 pairs.add((kappa, ell))
     zsums = _dual_lattice_sums(pairs, (alpha, beta))
     rhs = np.zeros(len(monos))
-    rr = np.hypot(U[:, 0], U[:, 1])
-    psi = np.arctan2(U[:, 1], U[:, 0])
+    svals = term.evaluate(U[:, 0], U[:, 1])
     for j, (a, b) in enumerate(monos):
         kappa = term.k + 1 + a + b
         # stencil part of the deficit
-        fvals = (rr ** (term.k - 1) * term.phi(psi)
-                 * U[:, 0] ** a * U[:, 1] ** b)
+        fvals = svals * U[:, 0] ** a * U[:, 1] ** b
         total = complex(np.sum(fvals))
         if node is not None and kappa == 2:
             total += lau[(a, b)].get(0, 0.0)
@@ -759,7 +745,8 @@ class WeightTable:
 
     data[row, m, n, i] is the weight of stencil node i for the phi mode of
     row `row` at offset (domain_lo + m*step, domain_lo + n*step): row 0 is
-    the constant mode, rows 2j-1 and 2j are cos(j psi) and sin(j psi).
+    the constant mode, rows 2j-1 and 2j are cos(j psi) and sin(j psi)
+    (`_row_mode` and its inverse `_mode_row`).
     m_levels holds the sweep level each entry was accepted at (h* = 2**-M).
     """
 
@@ -803,10 +790,17 @@ class WeightTable:
 
 
 def _row_mode(row: int) -> tuple[str, int]:
+    """The phi mode of table row `row`: ("c", 0), then ("c", m), ("s", m)."""
     if row == 0:
         return ("c", 0)
     m = (row + 1) // 2
     return ("c", m) if row % 2 == 1 else ("s", m)
+
+
+def _mode_row(mode: tuple[str, int]) -> int:
+    """The table row of a phi mode; the inverse of `_row_mode`."""
+    kind, m = mode
+    return 0 if m == 0 else (2 * m - 1 if kind == "c" else 2 * m)
 
 
 def row_term(k: int, row: int) -> SingularTerm:
@@ -859,6 +853,13 @@ def table_filename(k: int, p: int, tol: float | None = None,
     return f"ctwt_k{k}_p{p}_N{n_modes}_g{grid_n}_tol{tol:.1e}.ctwt"
 
 
+def table_path(k: int, p: int, tol: float | None = None, n_modes: int = 16,
+               grid_n: int = 33, cache_dir: str | None = None) -> str:
+    """Path of the (k, p) table file in cache_dir (default_cache_dir if None)."""
+    return os.path.join(cache_dir or default_cache_dir(),
+                        table_filename(k, p, tol, n_modes, grid_n))
+
+
 def build_weight_table(k: int, p: int, tol: float | None = None,
                        n_modes: int = 16, grid_n: int = 33,
                        processes: int | None = None,
@@ -880,8 +881,7 @@ def build_weight_table(k: int, p: int, tol: float | None = None,
     """
     if tol is None:
         tol = default_tolerance(p)
-    cache_dir = cache_dir or default_cache_dir()
-    path = os.path.join(cache_dir, table_filename(k, p, tol, n_modes, grid_n))
+    path = table_path(k, p, tol, n_modes, grid_n, cache_dir)
     if not force and os.path.exists(path):
         return load_weight_table(path)
     domain_lo = -0.5 if p == 1 else 0.0
@@ -913,7 +913,7 @@ def build_weight_table(k: int, p: int, tol: float | None = None,
                         domain_lo=domain_lo, stencil_offsets=stencil.offsets,
                         bump_r0=DEFAULT_BUMP.r0, bump_R=DEFAULT_BUMP.R,
                         data=data, m_levels=m_levels)
-    os.makedirs(cache_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     save_weight_table(table, path)
     return table
 
@@ -1032,9 +1032,8 @@ def interpolate_weights(table: WeightTable, term: SingularTerm,
     ia, ba = window(a_off)
     ib, bb = window(b_off)
     patch = np.zeros((4, 4, table.data.shape[-1]))
-    for (kind, m), c in term.coefficients.items():
-        if m > table.n_modes:
+    for mode, c in term.coefficients.items():
+        if mode[1] > table.n_modes:
             continue
-        row = 0 if m == 0 else (2 * m - 1 if kind == "c" else 2 * m)
-        patch += c * table.data[row, ia:ia + 4, ib:ib + 4, :]
+        patch += c * table.data[_mode_row(mode), ia:ia + 4, ib:ib + 4, :]
     return np.einsum("a,b,abi->i", ba, bb, patch)

@@ -2,6 +2,9 @@
 
 * `singular_moment`: the exact plane moments of a singular term, which the
   weights layer folds into its moment equations without forming one alone;
+* `active_modes`: the modes of a singular term's mode map, ascending;
+* `weights_at_h`: the correction weights solved at one finite grid spacing,
+  the system whose residual `weights.moment_residual` reports;
 * `projection_expansion_report`: residuals of the closest-point map's local
   expansion, the structure the kernel expansions rest on;
 * `analytic_probe`, `torus_exact_probe`: a surface's exact frame and
@@ -48,13 +51,20 @@ from ctquad.kernels3d import (
     build_frame,
     expansion_at_plane,
 )
-from ctquad.quad_core import SingularTerm
+from ctquad.quad_core import GridOffset, SingularTerm, Stencil
 from ctquad.surfaces import (
     NonUniqueProjectionError,
     tilted_torus,
     torus_density,
 )
-from ctquad.weights import _CLD, _LD, _MOMENTS, DEFAULT_BUMP
+from ctquad.weights import (
+    _CLD,
+    _LD,
+    _MOMENTS,
+    DEFAULT_BUMP,
+    _check_conditioning,
+    _finite_h_system,
+)
 
 
 def singular_moment(term: SingularTerm, monomial: tuple[int, int]) -> float:
@@ -69,6 +79,23 @@ def singular_moment(term: SingularTerm, monomial: tuple[int, int]) -> float:
     for mode, c in term.coefficients.items():
         tot += _LD(c) * rad * _MOMENTS.angular_moment(mode, a, b)
     return float(tot)
+
+
+def active_modes(term: SingularTerm) -> list[int]:
+    """Mode 0 and every mode of the term's map ``coefficients``, ascending."""
+    return list(dict.fromkeys(m for _, m in term.coefficients))
+
+
+def weights_at_h(term: SingularTerm, offset: GridOffset, stencil: Stencil,
+                 h: float) -> np.ndarray:
+    """Solve the moment-matching system at one grid spacing h.
+
+    Raises IllConditionedStencilError if the test matrix has condition number
+    above 1e12 at this offset.
+    """
+    G, rhs = _finite_h_system(term, offset, stencil, h)
+    _check_conditioning(G, offset.alpha, offset.beta, stencil)
+    return np.linalg.solve(G, rhs)
 
 
 def projection_expansion_report(surface, probe, zprime: float, *,

@@ -169,12 +169,14 @@ def test_dominant_direction_cases():
 
 def test_tube_fields_and_lookup(sphere, sphere_tube):
     tube = sphere_tube
-    assert np.all(np.abs(tube.d) <= tube.eps)
+    d = sphere.distance(tube.points)
+    assert np.all(np.abs(d) <= tube.eps)
     assert np.all(np.diff(tube.key) > 0)
     assert np.all(tube.jacobian > 0)
     assert np.allclose(np.linalg.norm(tube.normal, axis=1), 1.0, atol=1e-12)
     assert np.max(np.abs(sphere.distance(tube.foot))) < 1e-12
-    assert np.all(tube.density == 1.0)
+    # no density given: v is delta_eps(d) * J alone
+    assert np.array_equal(tube.v, delta_eps(d, tube.eps) * tube.jacobian)
     # node positions match their lattice indices
     rec = tube.origin + tube.h * tube.index
     assert np.max(np.abs(rec - tube.points)) < 1e-12
@@ -208,10 +210,11 @@ def test_tube_validation(sphere):
 
 
 def _analytic_jacobian_tube(level_jacobian, surface, tube):
-    """The tube with J (and so v) from the surface's exact level_jacobian."""
+    """The constant-density tube with J (and so v) from the surface's exact
+    level_jacobian."""
     J = level_jacobian(surface, tube.points)
-    return dataclasses.replace(
-        tube, jacobian=J, v=tube.density * delta_eps(tube.d, tube.eps) * J)
+    d = surface.distance(tube.points)
+    return dataclasses.replace(tube, jacobian=J, v=delta_eps(d, tube.eps) * J)
 
 
 def test_tube_analytic_jacobian_matches_fd(sphere):
@@ -220,6 +223,14 @@ def test_tube_analytic_jacobian_matches_fd(sphere):
     assert np.max(np.abs(fd.jacobian - an.jacobian)) < 1e-4
     # the weighted field v differs as little, relative to its own scale
     assert np.max(np.abs(fd.v - an.v)) < 1e-4 * np.max(np.abs(fd.v))
+
+
+def _tube_field(surface, tube, name):
+    """A tube field by name; the signed distance d, which the tube does not
+    keep, recomputed at its nodes."""
+    if name == "d":
+        return surface.distance(tube.points)
+    return getattr(tube, name)
 
 
 def _reference_scan(surface, tube):
@@ -247,7 +258,7 @@ def test_tube_jacobian_routes(torus, h, from_lattice):
     eps = 0.1
     tube = build_tube(torus, h, eps)
     for field, ref in _reference_scan(torus, tube).items():
-        assert np.array_equal(getattr(tube, field), ref), field
+        assert np.array_equal(_tube_field(torus, tube, field), ref), field
     step = min(h, 0.45 * (torus.reach - eps))
     assert (step == h) == from_lattice
     J = projection_jacobian(displaced_feet(torus.project, tube.points, step),
@@ -298,12 +309,13 @@ def test_tube_block_cull_is_exact(case):
         extent = tube.index.max(axis=0) - tube.index.min(axis=0) + 1
         assert np.all(extent <= 4 * ibim3d.BLOCK)
     for field, ref in _reference_scan(surface, tube).items():
-        assert np.array_equal(getattr(tube, field), ref), field
-    assert np.all(tube.density == 1.0)
+        assert np.array_equal(_tube_field(surface, tube, field), ref), field
     J = projection_jacobian(displaced_feet(surface.project, tube.points, step),
                             step)
     np.testing.assert_allclose(tube.jacobian, J, rtol=1e-12, atol=0.0)
-    assert np.array_equal(tube.v, delta_eps(tube.d, eps) * tube.jacobian)
+    # no density given: v is delta_eps(d) * J alone
+    d = surface.distance(tube.points)
+    assert np.array_equal(tube.v, delta_eps(d, eps) * tube.jacobian)
 
 
 def test_tube_scan_skips_far_blocks(torus, monkeypatch):
@@ -423,6 +435,9 @@ def test_tube_bit_identical_at_any_worker_count(torus, monkeypatch, h,
     assert (min(h, 0.45 * (torus.reach - eps)) == h) == from_lattice
     monkeypatch.setattr(quad_core, "_pool_size", lambda: 1)
     ref = build_tube(torus, h, eps, rho=torus.density_at)
+    # v from the density and the distance recomputed at the nodes
+    assert np.array_equal(ref.v, torus.density_at(ref.foot) * delta_eps(
+        torus.distance(ref.points), eps) * ref.jacobian)
     callers = set()
 
     def rho(p):
@@ -505,9 +520,9 @@ def test_tube_task_error_matches_one_worker(torus, sphere, monkeypatch, case):
     assert messages[0] == messages[1]
 
 
-def test_v_vanishes_at_tube_boundary(sphere_tube):
+def test_v_vanishes_at_tube_boundary(sphere, sphere_tube):
     tube = sphere_tube
-    band = np.abs(tube.d) > 0.98 * tube.eps
+    band = np.abs(sphere.distance(tube.points)) > 0.98 * tube.eps
     assert np.any(band)
     assert np.max(np.abs(tube.v[band])) < 1e-4 * np.max(np.abs(tube.v))
     assert float(delta_eps(tube.eps, tube.eps)) == 0.0
@@ -626,9 +641,11 @@ def test_curvature_limit_propagates_plane_index(sphere, sphere_tube,
 # took the probe's normal at the target in place of the exact one; the V3
 # totals when a term's modes were cut at RESOLUTION (moves of at most 9e-15
 # relative); the DL baseline when the density came from the local
-# coordinates in place of atan2 angles (one ulp)
+# coordinates in place of atan2 angles (one ulp); the SL total when s0's
+# cell values came from its closed form in place of its Fourier series
+# (2 ulps)
 _PINNED_04 = {
-    "SL": (1.1469216740821007, 1.1364332193286044),
+    "SL": (1.1469216740821002, 1.1364332193286044),
     "DL": (-0.7740201701197255, -0.7616040491396242),
     "DLC": (-0.944490495073738, -0.9316442913058505),
 }
@@ -766,6 +783,39 @@ def test_sphere_on_grid_singular_line(sphere, table02, table11):
     sl = evaluate_V3("SL", sphere, None, xstar, h, eps, (table02, table11),
                      tube=tube, probe=probe)
     assert abs(sl - 1.0) < 5e-3
+
+
+def _no_series(*args, **kwargs):
+    raise AssertionError("the 3D rule sums no Fourier series")
+
+
+@pytest.mark.parametrize("case", ["torus", "sphere-pole"])
+def test_cell_s0_comes_from_closed_form(case, torus, torus_tube, sphere,
+                                        table02, table11, monkeypatch):
+    """evaluate_V3 calls neither SingularTerm.phi nor SingularTerm.evaluate,
+    and gives the same values with both made to raise.  At the sphere's pole
+    the singular line runs through the nearest node of every plane, where
+    s0's closed form divides by zero: the value there is never read, and no
+    floating-point warning escapes."""
+    if case == "torus":
+        surface, tube, xstar = torus, torus_tube, torus.param_point(1.1, 2.3)
+        probe = None
+    else:
+        surface, xstar = sphere, np.array([0.0, 0.0, 1.0])
+        tube = build_tube(sphere, 0.05, 0.1)
+        probe = sphere.exact_probe(xstar)
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return evaluate_V3(KERNEL_KINDS, surface, None, xstar, tube.h,
+                               tube.eps, (table02, table11), tube=tube,
+                               probe=probe)
+
+    expected = run()
+    monkeypatch.setattr(quad_core.SingularTerm, "phi", _no_series)
+    monkeypatch.setattr(quad_core.SingularTerm, "evaluate", _no_series)
+    assert run() == expected
 
 
 def test_torus_gauss_identity_and_baseline(torus, torus_tube, table02, table11):

@@ -211,7 +211,7 @@ def test_term_rejects_unusable_samples(samples, match):
 
 def test_term_accepts_resolved_samples():
     t = SingularTerm(0, np.cos(100 * _angles(512)))
-    assert t.a[100] == pytest.approx(1.0, abs=1e-13)
+    assert t.coefficients[("c", 100)] == pytest.approx(1.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("phi", [
@@ -252,24 +252,36 @@ def test_from_callable_transforms_each_sample_set_once(monkeypatch, mode, sizes)
     monkeypatch.undo()
     # the same bits as a term built from the resolving samples alone
     ref = SingularTerm(1, 1.0 + np.cos(mode * _angles(sizes[-1])))
-    assert term.a.tobytes() == ref.a.tobytes()
-    assert term.b.tobytes() == ref.b.tobytes()
-    assert term.norm == ref.norm
-    assert term.active_modes() == ref.active_modes()
+    assert list(term.coefficients) == list(ref.coefficients)
+    assert (np.array(list(term.coefficients.values())).tobytes()
+            == np.array(list(ref.coefficients.values())).tobytes())
 
 
-def test_from_callable_samples_until_resolved():
+def test_from_callable_samples_until_resolved(monkeypatch):
     # the single-layer plane term near a torus target reaches mode 50: 256
     # samples resolve it, and its low modes agree with 4096 samples
     ex = torus_plane_expansion()
+    accepted = []
+    spectrum = quad_core._spectrum
+
+    def recording(samples):
+        accepted.append(samples)
+        return spectrum(samples)
+
+    monkeypatch.setattr(quad_core, "_spectrum", recording)
     term = ex.s0_term("SL")
-    assert 2 * (term.a.size - 1) <= 512
+    monkeypatch.undo()
+    assert accepted[-1].size <= 512
+    term_a, term_b, norm, _ = spectrum(accepted[-1])
+    # the map holds the spectrum of those samples
+    assert all(c == (term_a if kind == "c" else term_b)[m]
+               for (kind, m), c in term.coefficients.items())
     psi = _angles(4096)
     c = np.fft.rfft(ex.s0_eval("SL", np.stack([np.cos(psi), np.sin(psi)], -1))) / 4096
     a = np.concatenate([[c[0].real], 2.0 * c[1:17].real])
     b = np.concatenate([[0.0], -2.0 * c[1:17].imag])
-    assert np.max(np.abs(term.a[:17] - a)) <= 1e-15 * term.norm
-    assert np.max(np.abs(term.b[:17] - b)) <= 1e-15 * term.norm
+    assert np.max(np.abs(term_a[:17] - a)) <= 1e-15 * norm
+    assert np.max(np.abs(term_b[:17] - b)) <= 1e-15 * norm
 
 
 def test_term_homogeneity():

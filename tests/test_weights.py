@@ -42,12 +42,11 @@ from ctquad.weights import (
     row_term,
     save_weight_table,
     table_filename,
-    weights_at_h,
     weights_dual,
     weights_limit,
 )
 
-from helpers import lattice_mode_sums_complex, singular_moment
+from helpers import lattice_mode_sums_complex, singular_moment, weights_at_h
 
 OFF = GridOffset(0.81, 0.46, (0, 0))
 
