@@ -27,7 +27,9 @@ Two routes to the limit are provided and cross-checked against each other:
   the one route of the 2D studies and of `ctquad weights verify`.
 
 Weight tables for interpolation are built per Fourier mode of phi on a closed
-33x33 cell lattice and combined linearly at lookup time.
+33x33 cell lattice and combined linearly at lookup time.  The sweep runs at
+one offset of each orbit under the square's symmetries; the maps fill the
+rest.
 """
 from __future__ import annotations
 
@@ -748,6 +750,11 @@ class WeightTable:
     the constant mode, rows 2j-1 and 2j are cos(j psi) and sin(j psi)
     (`_row_mode` and its inverse `_mode_row`).
     m_levels holds the sweep level each entry was accepted at (h* = 2**-M).
+    Offsets that a symmetry of the square carries onto each other share one
+    sweep: the build solves one point of each orbit and writes the others'
+    entries and levels from it (`_CellMap`).  Mirrored entries are then
+    equal bit for bit, except at the mirror of a solved point that a map
+    fixes (a diagonal, a midline, the centre), which holds to rounding.
     """
 
     k: int
@@ -814,6 +821,108 @@ def row_term(k: int, row: int) -> SingularTerm:
     return SingularTerm.from_coefficients(k, 0.0, b=coef)
 
 
+def _cell_lo(p: int) -> float:
+    """Low corner of the order-p offset cell: [-1/2, 1/2]^2 for p = 1
+    (nearest-node convention), otherwise [0, 1]^2."""
+    return -0.5 if p == 1 else 0.0
+
+
+def _about_centre(L: np.ndarray, x, c2: int) -> tuple[int, int]:
+    """Image of the integer point x under y -> c + L(y - c), with 2c = (c2, c2)."""
+    q = (L @ (2 * np.asarray(x) - c2) + c2) // 2
+    return int(q[0]), int(q[1])
+
+
+@dataclasses.dataclass(frozen=True)
+class _CellMap:
+    """A map of the square that carries the order-p stencil onto itself.
+
+    `matrix` is a signed permutation L acting about the centre c of the
+    offset cell, x -> c + L(x - c).  It carries the lattice, the stencil
+    and the radial bump onto themselves, so the moment system at the image
+    of x for an angular factor phi is the system at x for the factor
+    phi(arg(L u)), tested against the monomials composed with L, which span
+    the same space: its weights are those at x, moved to the image nodes.
+    For a unit mode, L z = eps*z or eps*conj(z) with z = e**(i psi) and eps
+    in {1, i, -1, -i}, so cos(m psi) and sin(m psi) become the real and
+    imaginary parts of (L z)**m, each one signed row:
+        data[r, image, nodes[i]] = signs[r] * data[rows[r], x, i].
+    """
+
+    matrix: np.ndarray
+    rows: np.ndarray
+    signs: np.ndarray
+    nodes: np.ndarray
+
+    def image(self, mi: int, ni: int, grid_n: int) -> tuple[int, int]:
+        """Lattice indices of the image of the offset at indices (mi, ni)."""
+        return _about_centre(self.matrix, (mi, ni), grid_n - 1)
+
+
+def _cell_maps(p: int, n_modes: int) -> list[_CellMap]:
+    """The maps of the square that carry the order-p stencil and its
+    monomials onto themselves, the identity first.
+
+    For p = 1, 2 and 4 these are all eight; for p = 3 only the identity.
+    """
+    offsets = stencil_for_order(p).offsets
+    monos = set(correction_monomials(p))
+    c2 = round(2 * _cell_lo(p) + 1)       # twice the cell centre, in nodes
+    maps = []
+    for swap in (False, True):
+        for sx in (1, -1):
+            for sy in (1, -1):
+                L = np.diag([sx, sy])
+                if swap:
+                    L = L[::-1]
+                    if {(b, a) for a, b in monos} != monos:
+                        continue
+                images = [_about_centre(L, s, c2) for s in offsets]
+                if set(images) != set(offsets):
+                    continue
+                eps = complex(L[0, 0], L[1, 0])                  # L e1
+                conj = -1 if complex(L[0, 1], L[1, 1]) == -1j * eps else 1
+                rows, signs = [], []
+                for r in range(2 * n_modes + 1):
+                    kind, m = _row_mode(r)
+                    # (L z)**m = e * (cos m psi + i * conj * sin m psi)
+                    e = eps ** m
+                    re = ("c", e.real) if e.real else ("s", -conj * e.imag)
+                    im = ("c", e.imag) if e.imag else ("s", conj * e.real)
+                    src, sign = re if kind == "c" else im
+                    rows.append(_mode_row((src, m)))
+                    signs.append(sign)
+                maps.append(_CellMap(L, np.array(rows), np.array(signs),
+                                     np.array([offsets.index(s) for s in images])))
+    return maps
+
+
+def _table_orbits(p: int, n_modes: int, grid_n: int
+                  ) -> list[list[tuple[tuple[int, int], _CellMap]]]:
+    """The offset lattice split into orbits under `_cell_maps`.
+
+    One list per orbit, ordered by its first point in row-major order.  The
+    first point comes with the identity and is the one solved; every other
+    point comes with a map that carries the first point onto it.  For p = 3
+    every orbit is a single point.
+    """
+    maps = _cell_maps(p, n_modes)
+    seen: set[tuple[int, int]] = set()
+    orbits = []
+    for mi in range(grid_n):
+        for ni in range(grid_n):
+            if (mi, ni) in seen:
+                continue
+            orbit = []
+            for cm in maps:
+                q = cm.image(mi, ni, grid_n)
+                if q not in seen:
+                    seen.add(q)
+                    orbit.append((q, cm))
+            orbits.append(orbit)
+    return orbits
+
+
 def _table_point(args) -> tuple[int, int, np.ndarray, np.ndarray]:
     """Worker: all per-mode weights at one lattice offset (one joint sweep).
 
@@ -869,46 +978,49 @@ def build_weight_table(k: int, p: int, tol: float | None = None,
 
     The offsets run over the closed unit cell, 33x33 by default; for p = 1
     the cell is [-1/2, 1/2]^2 (nearest-node convention), otherwise [0, 1]^2.
-    Each lattice point is an independent job (no shared mutable state), so
-    the build parallelizes over points.  The pool is handed one point at a
+    The square's reflections and the axis swap carry the cell, the p = 1, 2
+    and 4 stencils and their moment systems onto themselves, so the build
+    solves one point of each orbit (`_table_orbits`; 153 of the 1,089
+    points of a 33x33 lattice) and fills the rest of the orbit from it by
+    the maps' signed rows and permuted nodes (`_CellMap`).  The p = 3
+    stencil has no such symmetry and every point is its own orbit.
+    The solved points are independent jobs (no shared mutable state), so
+    the build parallelizes over them.  The pool is handed one point at a
     time: a point on a stencil node costs two to three times one off it, and
-    larger chunks leave a worker idle at the end of small builds.  Each result
-    is placed by its lattice indices, so the output is byte-identical at any
-    worker count and in any completion order.  The radial moments of the
-    stencil's monomials are computed once, before the pool starts, and
-    forked workers inherit them instead of repeating the quadratures.
-    The default pool has `quad_core._pool_size()` processes, at most 16.
+    larger chunks leave a worker idle at the end of small builds.  Results
+    are read in job order, so the output is byte-identical at any worker
+    count.  The radial moments of the stencil's monomials are computed
+    once, before the pool starts, and forked workers inherit them instead
+    of repeating the quadratures.  The default pool has
+    `quad_core._pool_size()` processes, at most 16, and no pool has more
+    processes than points to solve; one process builds in-process.
     """
     if tol is None:
         tol = default_tolerance(p)
     path = table_path(k, p, tol, n_modes, grid_n, cache_dir)
     if not force and os.path.exists(path):
         return load_weight_table(path)
-    domain_lo = -0.5 if p == 1 else 0.0
+    domain_lo = _cell_lo(p)
     step = 1.0 / (grid_n - 1)
-    jobs = []
-    for mi in range(grid_n):
-        for ni in range(grid_n):
-            alpha = domain_lo + mi * step
-            beta = domain_lo + ni * step
-            jobs.append((k, p, mi, ni, alpha, beta, tol, n_modes))
+    orbits = _table_orbits(p, n_modes, grid_n)
+    jobs = [(k, p, mi, ni, domain_lo + mi * step, domain_lo + ni * step,
+             tol, n_modes) for (mi, ni), _ in (orbit[0] for orbit in orbits)]
     n_rows = 2 * n_modes + 1
     stencil = stencil_for_order(p)
     data = np.zeros((n_rows, grid_n, grid_n, len(stencil.offsets)))
     m_levels = np.zeros((n_rows, grid_n, grid_n), dtype=np.int8)
     for a, b in correction_monomials(p):
         _MOMENTS.radial_moment(k + a + b)
-    nproc = processes or min(quad_core._pool_size(), 16)
+    nproc = min(processes or min(quad_core._pool_size(), 16), len(jobs))
     if nproc > 1:
         with ProcessPoolExecutor(max_workers=nproc) as ex:
-            for mi, ni, w, lev in ex.map(_table_point, jobs):
-                data[:, mi, ni, :] = w
-                m_levels[:, mi, ni] = lev
+            solved = list(ex.map(_table_point, jobs))
     else:
-        for job in jobs:
-            mi, ni, w, lev = _table_point(job)
-            data[:, mi, ni, :] = w
-            m_levels[:, mi, ni] = lev
+        solved = [_table_point(job) for job in jobs]
+    for orbit, (_, _, w, lev) in zip(orbits, solved):
+        for (mi, ni), cm in orbit:
+            data[:, mi, ni, cm.nodes] = cm.signs[:, None] * w[cm.rows]
+            m_levels[:, mi, ni] = lev[cm.rows]
     table = WeightTable(k=k, p=p, tol=tol, n_modes=n_modes, grid_n=grid_n,
                         domain_lo=domain_lo, stencil_offsets=stencil.offsets,
                         bump_r0=DEFAULT_BUMP.r0, bump_R=DEFAULT_BUMP.R,

@@ -31,10 +31,13 @@ from ctquad.weights import (
     MomentCache,
     WeightConvergenceError,
     WeightTable,
+    _cell_maps,
     _dual_coefficient,
     _dual_lattice_sums,
     _lattice_mode_sums,
     _row_mode,
+    _table_orbits,
+    _table_point,
     build_weight_table,
     interpolate_weights,
     load_weight_table,
@@ -389,10 +392,61 @@ def test_table_file_identical_at_any_worker_count():
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("k, p, n_modes, grid_n, bound", [
+    (1, 1, 4, 5, 1e-13),
+    (0, 2, 3, 5, 1e-13),
+    (0, 4, 2, 4, 1e-11),
+])
+def test_table_fill_obeys_the_cell_maps(tmp_path, k, p, n_modes, grid_n, bound):
+    # the build solves one point per orbit of the square's maps and writes
+    # the rest from it, so every entry equals its signed, permuted mirror
+    # exactly where the orbit has no point that a map fixes; elsewhere the
+    # solved point's own mirror is as close as the sweep makes it.  Fresh
+    # sweeps at filled points catch a wrong sign or node permutation,
+    # which the mirror relations alone cannot see
+    tab = build_weight_table(k, p, n_modes=n_modes, grid_n=grid_n,
+                             processes=2, cache_dir=str(tmp_path))
+    maps = _cell_maps(p, n_modes)
+    assert len(maps) == 8
+    for mi in range(grid_n):
+        for ni in range(grid_n):
+            free = len({cm.image(mi, ni, grid_n) for cm in maps}) == len(maps)
+            for cm in maps:
+                qm, qn = cm.image(mi, ni, grid_n)
+                mirror = np.empty_like(tab.data[:, qm, qn])
+                mirror[:, cm.nodes] = cm.signs[:, None] * tab.data[cm.rows, mi, ni]
+                gap = float(np.max(np.abs(tab.data[:, qm, qn] - mirror)))
+                assert gap == 0.0 if free else gap <= bound, ((mi, ni), (qm, qn))
+                assert np.array_equal(tab.m_levels[:, qm, qn],
+                                      tab.m_levels[cm.rows, mi, ni])
+    solved = {orbit[0][0] for orbit in _table_orbits(p, n_modes, grid_n)}
+    filled = [(mi, ni) for mi in range(grid_n) for ni in range(grid_n)
+              if (mi, ni) not in solved]
+    for mi, ni in filled[::3]:
+        _, _, w, lev = _table_point((k, p, mi, ni, tab.domain_lo + mi * tab.step,
+                                     tab.domain_lo + ni * tab.step, tab.tol,
+                                     n_modes))
+        assert np.max(np.abs(tab.data[:, mi, ni] - w)) <= bound, (mi, ni)
+        assert np.array_equal(tab.m_levels[:, mi, ni], lev), (mi, ni)
+
+
+@pytest.mark.parametrize("p, grid_n, solved", [
+    (2, 5, 6), (2, 33, 153), (2, 2, 1), (1, 4, 3), (4, 4, 3),
+    # the p = 3 stencil has no symmetry: every point is solved
+    (3, 5, 25),
+])
+def test_table_solves_one_point_per_orbit(p, grid_n, solved):
+    orbits = _table_orbits(p, 2, grid_n)
+    assert len(orbits) == solved
+    points = sorted(q for orbit in orbits for q, _ in orbit)
+    assert points == [(mi, ni) for mi in range(grid_n) for ni in range(grid_n)]
+
+
 @pytest.mark.parametrize("cpus, workers", [(1, None), (3, 3), (64, 16)])
 def test_table_pool_sized_to_usable_cpus(monkeypatch, tmp_path, cpus, workers):
     # the default pool has one process per CPU this process may run on (as
-    # the thread pools have), at most 16; one CPU builds in-process
+    # the thread pools have), at most 16 and at most one per point to solve;
+    # one CPU, or one point, builds in-process
     sized = []
 
     class Pool:
@@ -410,6 +464,10 @@ def test_table_pool_sized_to_usable_cpus(monkeypatch, tmp_path, cpus, workers):
 
     monkeypatch.setattr(quad_core, "_pool_size", lambda: cpus)
     monkeypatch.setattr(weights, "ProcessPoolExecutor", Pool)
+    # grid_n = 11 has 21 points to solve
+    build_weight_table(1, 1, n_modes=1, grid_n=11, cache_dir=str(tmp_path))
+    assert sized == ([] if workers is None else [workers])
+    # grid_n = 2 has one
     build_weight_table(1, 1, n_modes=1, grid_n=2, cache_dir=str(tmp_path))
     assert sized == ([] if workers is None else [workers])
 
@@ -556,11 +614,12 @@ def test_table02_interpolation_matches_dual_route(table02):
 
 def test_table02_diagonal_symmetry(table02):
     # swapping the offset across the diagonal maps the constant mode's
-    # weights onto each other with the node relabeling [0,3,2,1]
+    # weights onto each other with the node relabeling [0,3,2,1]; the build
+    # writes one from the other, so they agree exactly
     d = table02.data[0]
     perm = [0, 3, 2, 1]
     for (mi, ni) in ((3, 11), (7, 20), (15, 4)):
-        assert np.max(np.abs(d[mi, ni] - d[ni, mi][perm])) < 2e-7
+        assert np.array_equal(d[mi, ni], d[ni, mi][perm])
 
 
 @pytest.mark.parametrize("name", ["table02", "table11"])
@@ -590,8 +649,6 @@ def test_table_point_near_lattice_rows_converge():
     # converges by a plain pair difference: the sin-2psi row's iterates at
     # levels 7 and 8 differ by 2.8e-9, below tol, so no row stops at the
     # cancellation floor here
-    from ctquad.weights import _table_point
-
     mi, ni, w, lev = _table_point((2, 2, 1, 0, 0.03125, 0.0, 1e-8, 2))
     assert (mi, ni) == (1, 0)
     assert w.shape == (5, 4)
@@ -611,8 +668,6 @@ def test_table_point_accepts_corner_noise_floor():
     # per level (the level-11 iterate drifts 3e-4 from the stored one).  the
     # sweep must recognize the floor from the decisive rise and accept the
     # coarse member of the best pair, which is converged to ~tol itself
-    from ctquad.weights import _table_point
-
     mi, ni, w, lev = _table_point((2, 3, 0, 0, 0.0, 0.0, 1e-8, 2))
     assert (mi, ni) == (0, 0)
     assert w.shape == (5, 6)
@@ -640,8 +695,6 @@ def test_table_point_accepts_corner_noise_floor():
 def test_table_point_k1p1_matches_dual_route(alpha, beta):
     # for kappa_max = 2 the rounding floor at these levels is ~1e-16, so
     # neither dip is a floor: the sweep must go on to its converged pair
-    from ctquad.weights import _table_point, row_term
-
     tol = 1e-8
     _, _, w, _ = _table_point((1, 1, 0, 0, alpha, beta, tol, 16))
     off = GridOffset(alpha, beta, (0, 0))
