@@ -612,14 +612,20 @@ def test_table02_interpolation_matches_dual_route(table02):
     assert worst < 1e-5
 
 
-def test_table02_diagonal_symmetry(table02):
+def test_table02_diagonal_symmetry(table02, tmp_path):
     # swapping the offset across the diagonal maps the constant mode's
-    # weights onto each other with the node relabeling [0,3,2,1]; the build
-    # writes one from the other, so they agree exactly
-    d = table02.data[0]
+    # weights onto each other with the node relabeling [0,3,2,1].  The
+    # cached table may come from any build of this library version, so it
+    # is held to the sweep's accuracy; a fresh 33x33 build writes one
+    # entry from the other, so there they agree exactly (the constant
+    # mode's row does not depend on n_modes)
     perm = [0, 3, 2, 1]
+    fresh = build_weight_table(0, 2, n_modes=1, processes=2,
+                               cache_dir=str(tmp_path)).data[0]
+    d = table02.data[0]
     for (mi, ni) in ((3, 11), (7, 20), (15, 4)):
-        assert np.array_equal(d[mi, ni], d[ni, mi][perm])
+        assert np.max(np.abs(d[mi, ni] - d[ni, mi][perm])) < 2e-7
+        assert np.array_equal(fresh[mi, ni], fresh[ni, mi][perm])
 
 
 @pytest.mark.parametrize("name", ["table02", "table11"])
