@@ -279,18 +279,6 @@ def observed_order(errors, hs) -> float:
     return float(np.median(orders[-3:]))
 
 
-def find_table_path(k: int, p: int, cache_dir: str | None = None,
-                    tol: float | None = None, n_modes: int = 16,
-                    grid_n: int = 33) -> str | None:
-    """Path of the cached (k, p) table built with these parameters, or None.
-
-    Only the file named by ``weights.table_filename`` is served; a table
-    built with another tolerance, mode count or lattice never stands in.
-    """
-    path = wt.table_path(k, p, tol, n_modes, grid_n, cache_dir)
-    return path if os.path.exists(path) else None
-
-
 def _build_command(k: int, p: int, tol: float | None, n_modes: int,
                    grid_n: int, cache_dir: str | None) -> str:
     cmd = f"ctquad weights build --k {k} --p {p}"
@@ -613,8 +601,9 @@ def _print_table_info(table: wt.WeightTable, path: str | None) -> None:
 
 def cmd_weights_build(args) -> int:
     selection = _table_selection(args)
-    if not args.force and find_table_path(args.k, args.p, args.cache_dir,
-                                          **selection):
+    if not args.force and os.path.exists(
+            wt.table_path(args.k, args.p, cache_dir=args.cache_dir,
+                          **selection)):
         # a cache hit; a file the loader refuses fails with the rebuild command
         table = load_table_checked(args.k, args.p, args.cache_dir, **selection)
     else:
@@ -652,8 +641,9 @@ def cmd_weights_info(args) -> int:
         raise CliError("give both --k and --p (or neither, to list the cache)")
     selection = _table_selection(args)
     table = load_table_checked(args.k, args.p, args.cache_dir, **selection)
-    _print_table_info(table, find_table_path(args.k, args.p, args.cache_dir,
-                                             **selection))
+    _print_table_info(table, wt.table_path(args.k, args.p,
+                                           cache_dir=args.cache_dir,
+                                           **selection))
     return 0
 
 

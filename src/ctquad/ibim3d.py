@@ -159,10 +159,11 @@ class TubeGrid:
 
     Nodes are stored in lexicographic (ix, iy, iz) order; ``key`` is the
     flattened index (strictly increasing), so membership lookups are binary
-    searches.  The lattice triples ``index`` and node positions ``points``
-    are derived from ``key`` when asked for, not stored.  All per-node
-    fields are target-independent: the same tube serves every target point
-    and kernel at a given spacing.
+    searches.  The tube keeps what the rule reads and nothing else: four
+    per-node fields, ``key``, ``foot``, ``normal`` and ``v``, 64 bytes per
+    node.  Lattice triples, node positions, the signed distance and the
+    area ratio J are not kept.  All per-node fields are target-independent:
+    the same tube serves every target point and kernel at a given spacing.
     """
 
     h: float
@@ -172,28 +173,11 @@ class TubeGrid:
     key: np.ndarray               # (N,) flattened lattice index, sorted
     foot: np.ndarray              # (N, 3) closest surface points P(y)
     normal: np.ndarray            # (N, 3) outward unit normals at the feet
-    jacobian: np.ndarray          # (N,) area ratios J
     v: np.ndarray                 # (N,) rho(P) * delta_eps(d) * J
 
     @property
     def n_nodes(self) -> int:
         return self.key.size
-
-    @property
-    def index(self) -> np.ndarray:
-        """(N, 3) int lattice indices."""
-        return _lattice_index(self.key, self.shape)
-
-    @property
-    def points(self) -> np.ndarray:
-        """(N, 3) node positions."""
-        return _lattice_points(self.key,
-                               _lattice_axes(self.origin, self.h, self.shape))
-
-    def flat_key(self, index: np.ndarray) -> np.ndarray:
-        index = np.asarray(index, dtype=np.int64)
-        _, ny, nz = self.shape
-        return (index[..., 0] * ny + index[..., 1]) * nz + index[..., 2]
 
     def rows_for(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tube rows holding the given lattice triples, plus a found mask.
@@ -204,7 +188,8 @@ class TubeGrid:
         index = np.asarray(index, dtype=np.int64)
         bounds = np.asarray(self.shape, dtype=np.int64)
         inside = np.all((index >= 0) & (index < bounds), axis=-1)
-        keys = self.flat_key(index)
+        _, ny, nz = self.shape
+        keys = (index[..., 0] * ny + index[..., 1]) * nz + index[..., 2]
         rows = np.searchsorted(self.key, keys)
         rows = np.minimum(rows, max(self.key.size - 1, 0))
         found = inside & (self.key.size > 0) & (self.key[rows] == keys)
@@ -215,9 +200,11 @@ def build_tube(surface, h: float, eps: float, *,
                rho: Callable | None = None) -> TubeGrid:
     """Scan an axis-aligned lattice and keep the nodes with |d| <= eps.
 
-    The kept nodes carry what the rule reads: projection, normal, area
-    ratio J and the assembled smooth factor v = rho(P) * delta_eps(d) * J.
-    The signed distance d and the density rho(P) are formed for v only.
+    The kept nodes carry what the rule reads and nothing else: key, foot
+    (projection), normal and the assembled smooth factor
+    v = rho(P) * delta_eps(d) * J, 64 bytes per node.  The signed distance
+    d, the density rho(P) and the area ratio J are formed for v only; J is
+    formed in v's own buffer, checked positive there, and never kept.
 
     The scan is a narrow band.  The lattice, which starts MARGIN_CELLS cells
     (plus eps) below the surface's bounding box, is cut into blocks of BLOCK
@@ -256,7 +243,7 @@ def build_tube(surface, h: float, eps: float, *,
     Memory stays near the finished tube's: no whole-tube array of lattice
     triples or positions is formed, the band's feet are moved onto the tube
     rows in place once J is done, and rho and v are formed CHUNK rows at a
-    time.
+    time, each v row over the J it replaces.
 
     The projection of the band, the J passes from the lattice feet and the
     rho/v fill run on a thread pool with one worker per available CPU, in
@@ -304,7 +291,9 @@ def build_tube(surface, h: float, eps: float, *,
     key, d = band_key[inner], band_d[inner]
     del band_d
 
-    jac = np.empty(n)
+    # J is formed in v's buffer and never kept: the fill below turns it into
+    # v row by row
+    v = np.empty(n)
     if from_lattice:
         _, ny, nz = shape
         plane = ny * nz
@@ -333,7 +322,7 @@ def build_tube(surface, h: float, eps: float, *,
             # called through its module: on a pool thread, never through a
             # name imported here, which instrumentation that keeps a single
             # span stack may have rebound (perfbench's tracer does)
-            jac[t0:t1] = geometry.stencil_area_ratio(
+            v[t0:t1] = geometry.stencil_area_ratio(
                 lambda a, k: np.take(band_foot, rows[a, k], axis=0), h)
 
         _pooled(jacobian, range(int(key[0]) // plane, int(key[-1]) // plane + 1,
@@ -344,13 +333,13 @@ def build_tube(surface, h: float, eps: float, *,
         for i0 in range(0, n, CHUNK):
             sl = slice(i0, i0 + CHUNK)
             points = _lattice_points(key[sl], axes)
-            jac[sl] = projection_jacobian(
+            v[sl] = projection_jacobian(
                 displaced_feet(surface.project, points, step), step)
     del band_key
-    if not np.all(jac > 0.0):
-        bad = int(np.argmin(jac))
+    if not np.all(v > 0.0):
+        bad = int(np.argmin(v))
         point = _lattice_points(key[bad:bad + 1], axes)[0]
-        raise ValueError(f"non-positive area ratio J={jac[bad]:.3e} at node "
+        raise ValueError(f"non-positive area ratio J={v[bad]:.3e} at node "
                          f"{point}; tube width exceeds the usable reach")
 
     # tube row t holds band row >= t, so moving the feet up in order never
@@ -361,8 +350,6 @@ def build_tube(surface, h: float, eps: float, *,
     foot = band_foot   # no view of it is alive, so it can shrink in place
     foot.resize((n, 3), refcheck=False)
 
-    v = np.empty(n)
-
     def fill(i0):
         sl = slice(i0, i0 + CHUNK)
         density = 1.0
@@ -371,14 +358,14 @@ def build_tube(surface, h: float, eps: float, *,
             if density.shape != d[sl].shape:
                 raise ValueError(f"rho must map (N,3) surface points to (N,) "
                                  f"values; got shape {density.shape}")
-        v[sl] = density * delta_eps(d[sl], eps) * jac[sl]
+        v[sl] = density * delta_eps(d[sl], eps) * v[sl]
 
     _pooled(fill, range(0, n, CHUNK))
 
     if np.any(np.diff(key) <= 0):
         raise AssertionError("tube nodes are not in lexicographic order")
     return TubeGrid(h=h, eps=eps, origin=origin, shape=shape, key=key,
-                    foot=foot, normal=normal, jacobian=jac, v=v)
+                    foot=foot, normal=normal, v=v)
 
 
 def _band_chunks(inner: np.ndarray):

@@ -204,18 +204,6 @@ class TiltedTorus:
                       self.spec.R2 * np.sin(theta) * np.ones_like(phi)], axis=-1)
         return self.to_world(u)
 
-    def parameters(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Angles (theta, phi) of the closest surface point to x.
-
-        atan2 branch: both angles land in (-pi, pi]; every consumer here is
-        2*pi-periodic so the branch never matters.
-        """
-        u = self.to_local(x)
-        phi = np.arctan2(u[..., 1], u[..., 0])
-        ring = np.hypot(u[..., 0], u[..., 1]) - self.spec.R1
-        theta = np.arctan2(u[..., 2], ring)
-        return theta, phi
-
     def param_frame(self, theta, phi) -> dict[str, np.ndarray]:
         """Orthonormal tangent/normal frame and area element at (theta, phi).
 

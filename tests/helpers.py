@@ -11,6 +11,11 @@
   curvatures, the reference the finite-difference probe is checked against;
 * `sphere_level_jacobian`, `torus_level_jacobian`: exact area ratios J at
   offset points, the reference for the tube's finite-difference J;
+* `tube_index`, `tube_points`, `tube_jacobian`: a tube's lattice triples,
+  node positions and finite-difference area ratios J, which the tube does
+  not keep;
+* `torus_parameters`: the tilted torus's angles (theta, phi) of the closest
+  surface point, by atan2;
 * `torus_plane_expansion`: the kernel expansion on one plane near a torus
   target, a source of realistic singular terms;
 * `lattice_mode_sums_complex`: the windowed lattice sums with complex
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -43,7 +49,15 @@ from ctquad.geometry import (
     canonical_tangent_frame,
     third_derivatives,
 )
-from ctquad.ibim3d import BLOCK, dominant_direction
+from ctquad import ibim3d
+from ctquad.ibim3d import (
+    BLOCK,
+    _lattice_axes,
+    _lattice_index,
+    _lattice_points,
+    build_tube,
+    dominant_direction,
+)
 from ctquad.kernels3d import (
     EXACT_HIT_RADIUS,
     KERNEL_KINDS,
@@ -192,10 +206,46 @@ def torus_level_jacobian(torus, x: np.ndarray) -> np.ndarray:
     ratio is 1 / ((1 - eta*kappa1) * (1 - eta*kappa2)).
     """
     eta = torus.distance(x)
-    theta, _ = torus.parameters(x)
+    theta, _ = torus_parameters(torus, x)
     k_tube = -1.0 / torus.spec.R2
     k_ring = -np.cos(theta) / (torus.spec.R1 + torus.spec.R2 * np.cos(theta))
     return 1.0 / ((1.0 - eta * k_tube) * (1.0 - eta * k_ring))
+
+
+def tube_index(tube) -> np.ndarray:
+    """(N, 3) int lattice triples of a tube's nodes, from its keys."""
+    return _lattice_index(tube.key, tube.shape)
+
+
+def tube_points(tube) -> np.ndarray:
+    """(N, 3) positions of a tube's nodes, bit for bit origin + h * index."""
+    return _lattice_points(tube.key,
+                           _lattice_axes(tube.origin, tube.h, tube.shape))
+
+
+def tube_jacobian(surface, h: float, eps: float) -> np.ndarray:
+    """The area ratios J of the constant-density tube's nodes, bit for bit
+    those `build_tube` forms.
+
+    The tube keeps only v = rho(P) * delta_eps(d) * J; built with delta_eps
+    patched to ones and no density, v is 1.0 * 1.0 * J, which is J.
+    """
+    with mock.patch.object(ibim3d, "delta_eps",
+                           lambda eta, eps: np.ones_like(eta)):
+        return build_tube(surface, h, eps).v
+
+
+def torus_parameters(torus, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angles (theta, phi) of the torus point closest to x.
+
+    atan2 branch: both angles land in (-pi, pi]; every consumer here is
+    2*pi-periodic so the branch never matters.
+    """
+    u = torus.to_local(x)
+    phi = np.arctan2(u[..., 1], u[..., 0])
+    ring = np.hypot(u[..., 0], u[..., 1]) - torus.spec.R1
+    theta = np.arctan2(u[..., 2], ring)
+    return theta, phi
 
 
 def torus_plane_expansion():
@@ -360,7 +410,7 @@ def torus_density_from_angles(torus, x: np.ndarray,
     """`TiltedTorus.density_at` from the atan2 angles of the closest point
     and `torus_density`'s trig: the reference its trig-free form is
     compared with."""
-    theta, phi = torus.parameters(x)
+    theta, phi = torus_parameters(torus, x)
     return torus_density(theta, phi, coefficients)
 
 
@@ -380,7 +430,7 @@ def torus_exact_probe(torus, x: np.ndarray) -> SurfaceProbe:
     canonicalization used by the finite-difference probe.
     """
     p = torus.project(x)
-    theta, phi = torus.parameters(p)
+    theta, phi = torus_parameters(torus, p)
     fr = torus.param_frame(theta, phi)
     k_tube = -1.0 / torus.spec.R2
     k_ring = -np.cos(theta) / (torus.spec.R1 + torus.spec.R2 * np.cos(theta))

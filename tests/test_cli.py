@@ -191,7 +191,7 @@ def test_other_parameter_table_is_not_served(tmp_path, table11):
     other = dataclasses.replace(table11, tol=1e-6)
     name = wt.table_filename(1, 1, tol=1e-6)
     wt.save_weight_table(other, str(tmp_path / name))
-    assert cli.find_table_path(1, 1, cache_dir=str(tmp_path)) is None
+    assert not os.path.exists(wt.table_path(1, 1, cache_dir=str(tmp_path)))
     with pytest.raises(cli.CliError) as exc:
         cli.load_table_checked(1, 1, cache_dir=str(tmp_path))
     assert name in str(exc.value)

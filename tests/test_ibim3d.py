@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ctquad import ibim3d, quad_core
+from ctquad import geometry, ibim3d, quad_core
 from ctquad.ibim3d import (
     build_tube,
     convergence_study_3d,
@@ -48,6 +48,9 @@ from helpers import (
     sphere_level_jacobian,
     torus_foot_and_normal_stacked,
     torus_level_jacobian,
+    tube_index,
+    tube_jacobian,
+    tube_points,
 )
 
 @pytest.fixture(scope="module")
@@ -169,20 +172,22 @@ def test_dominant_direction_cases():
 
 def test_tube_fields_and_lookup(sphere, sphere_tube):
     tube = sphere_tube
-    d = sphere.distance(tube.points)
+    index, points = tube_index(tube), tube_points(tube)
+    J = tube_jacobian(sphere, tube.h, tube.eps)
+    d = sphere.distance(points)
     assert np.all(np.abs(d) <= tube.eps)
     assert np.all(np.diff(tube.key) > 0)
-    assert np.all(tube.jacobian > 0)
+    assert np.all(J > 0)
     assert np.allclose(np.linalg.norm(tube.normal, axis=1), 1.0, atol=1e-12)
     assert np.max(np.abs(sphere.distance(tube.foot))) < 1e-12
     # no density given: v is delta_eps(d) * J alone
-    assert np.array_equal(tube.v, delta_eps(d, tube.eps) * tube.jacobian)
+    assert np.array_equal(tube.v, delta_eps(d, tube.eps) * J)
     # node positions match their lattice indices
-    rec = tube.origin + tube.h * tube.index
-    assert np.max(np.abs(rec - tube.points)) < 1e-12
+    rec = tube.origin + tube.h * index
+    assert np.max(np.abs(rec - points)) < 1e-12
     # row lookup round-trips on a sample and rejects absent triples
     sample = np.arange(0, tube.n_nodes, max(tube.n_nodes // 47, 1))
-    rows, found = tube.rows_for(tube.index[sample])
+    rows, found = tube.rows_for(index[sample])
     assert np.all(found)
     assert np.array_equal(rows, sample)
     _, found = tube.rows_for(np.array([[-1, 0, 0], [10 ** 6, 3, 3], [0, 0, 0]]))
@@ -190,14 +195,20 @@ def test_tube_fields_and_lookup(sphere, sphere_tube):
 
 
 def test_tube_fields_hold_no_lattice_triples(torus_tube):
-    # index and points are derived from key; foot and normal are the only
-    # (N, 3) fields the tube keeps
+    # the tube keeps what the rule reads: key, foot, normal and v, 64 bytes
+    # per node; lattice triples and positions are derived from key
     n = torus_tube.n_nodes
-    wide = {f.name for f in dataclasses.fields(torus_tube)
-            if np.shape(getattr(torus_tube, f.name)) == (n, 3)}
+    per_node = {f.name: getattr(torus_tube, f.name)
+                for f in dataclasses.fields(torus_tube)
+                if np.shape(getattr(torus_tube, f.name))[:1] == (n,)}
+    assert set(per_node) == {"key", "foot", "normal", "v"}
+    assert sum(a.nbytes for a in per_node.values()) == 64 * n
+    wide = {name for name, a in per_node.items() if a.shape == (n, 3)}
     assert wide == {"foot", "normal"}
-    assert torus_tube.index.shape == torus_tube.points.shape == (n, 3)
-    assert np.array_equal(torus_tube.flat_key(torus_tube.index), torus_tube.key)
+    index = tube_index(torus_tube)
+    assert index.shape == tube_points(torus_tube).shape == (n, 3)
+    assert np.array_equal(np.ravel_multi_index(index.T, torus_tube.shape),
+                          torus_tube.key)
 
 
 def test_tube_validation(sphere):
@@ -210,26 +221,31 @@ def test_tube_validation(sphere):
 
 
 def _analytic_jacobian_tube(level_jacobian, surface, tube):
-    """The constant-density tube with J (and so v) from the surface's exact
-    level_jacobian."""
-    J = level_jacobian(surface, tube.points)
-    d = surface.distance(tube.points)
-    return dataclasses.replace(tube, jacobian=J, v=delta_eps(d, tube.eps) * J)
+    """The surface's exact level_jacobian J at the constant-density tube's
+    nodes, and the tube with v formed from it."""
+    points = tube_points(tube)
+    J = level_jacobian(surface, points)
+    d = surface.distance(points)
+    return J, dataclasses.replace(tube, v=delta_eps(d, tube.eps) * J)
 
 
 def test_tube_analytic_jacobian_matches_fd(sphere):
     fd = build_tube(sphere, 0.05, 0.1)
-    an = _analytic_jacobian_tube(sphere_level_jacobian, sphere, fd)
-    assert np.max(np.abs(fd.jacobian - an.jacobian)) < 1e-4
+    J, an = _analytic_jacobian_tube(sphere_level_jacobian, sphere, fd)
+    assert np.max(np.abs(tube_jacobian(sphere, 0.05, 0.1) - J)) < 1e-4
     # the weighted field v differs as little, relative to its own scale
     assert np.max(np.abs(fd.v - an.v)) < 1e-4 * np.max(np.abs(fd.v))
 
 
 def _tube_field(surface, tube, name):
-    """A tube field by name; the signed distance d, which the tube does not
-    keep, recomputed at its nodes."""
+    """A tube field by name; the lattice triples, node positions and signed
+    distance d, which the tube does not keep, recomputed from its keys."""
+    if name == "index":
+        return tube_index(tube)
+    if name == "points":
+        return tube_points(tube)
     if name == "d":
-        return surface.distance(tube.points)
+        return surface.distance(tube_points(tube))
     return getattr(tube, name)
 
 
@@ -261,12 +277,13 @@ def test_tube_jacobian_routes(torus, h, from_lattice):
         assert np.array_equal(_tube_field(torus, tube, field), ref), field
     step = min(h, 0.45 * (torus.reach - eps))
     assert (step == h) == from_lattice
-    J = projection_jacobian(displaced_feet(torus.project, tube.points, step),
-                            step)
+    J = projection_jacobian(displaced_feet(torus.project, tube_points(tube),
+                                           step), step)
     if from_lattice:
-        np.testing.assert_allclose(tube.jacobian, J, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(tube_jacobian(torus, h, eps), J,
+                                   rtol=1e-12, atol=0.0)
     else:
-        assert np.array_equal(tube.jacobian, J)
+        assert np.array_equal(tube_jacobian(torus, h, eps), J)
 
 
 def test_tube_lattice_jacobian_matches_einsum_block(torus):
@@ -279,10 +296,10 @@ def test_tube_lattice_jacobian_matches_einsum_block(torus):
     shift = np.zeros((3, len(JACOBIAN_STENCIL), 3), dtype=np.int64)
     for a in range(3):
         shift[a, :, a] = JACOBIAN_STENCIL
-    nodes = tube.index[:, None, None, :] + shift      # (N, 3, 4, 3) triples
+    nodes = tube_index(tube)[:, None, None, :] + shift  # (N, 3, 4, 3) triples
     feet = torus.project((tube.origin + h * nodes).reshape(-1, 3))
     ref = projection_jacobian_einsum(feet.reshape(nodes.shape), h)
-    assert np.array_equal(tube.jacobian, ref)
+    assert np.array_equal(tube_jacobian(torus, h, eps), ref)
 
 
 # an off-lattice sphere whose lattice extent is no multiple of the scan's
@@ -306,16 +323,19 @@ def test_tube_block_cull_is_exact(case):
     if case.startswith("offset"):
         assert any(n % ibim3d.BLOCK for n in tube.shape)
     else:
-        extent = tube.index.max(axis=0) - tube.index.min(axis=0) + 1
+        index = tube_index(tube)
+        extent = index.max(axis=0) - index.min(axis=0) + 1
         assert np.all(extent <= 4 * ibim3d.BLOCK)
     for field, ref in _reference_scan(surface, tube).items():
         assert np.array_equal(_tube_field(surface, tube, field), ref), field
-    J = projection_jacobian(displaced_feet(surface.project, tube.points, step),
+    points = tube_points(tube)
+    J = projection_jacobian(displaced_feet(surface.project, points, step),
                             step)
-    np.testing.assert_allclose(tube.jacobian, J, rtol=1e-12, atol=0.0)
+    tube_J = tube_jacobian(surface, h, eps)
+    np.testing.assert_allclose(tube_J, J, rtol=1e-12, atol=0.0)
     # no density given: v is delta_eps(d) * J alone
-    d = surface.distance(tube.points)
-    assert np.array_equal(tube.v, delta_eps(d, eps) * tube.jacobian)
+    d = surface.distance(points)
+    assert np.array_equal(tube.v, delta_eps(d, eps) * tube_J)
 
 
 def test_tube_scan_skips_far_blocks(torus, monkeypatch):
@@ -416,6 +436,41 @@ def test_tube_stencil_off_lattice_is_named():
         build_tube(_ShrunkBoxSphere(1.0), 0.1, 0.1)
 
 
+@pytest.mark.parametrize("h, module, name", [
+    (0.04, "geometry", "stencil_area_ratio"),
+    (0.075, "ibim3d", "projection_jacobian"),
+])
+def test_tube_nonpositive_jacobian_is_named(torus, monkeypatch, h, module,
+                                            name):
+    """A non-positive J from either route fails naming its node.
+
+    At h=0.04 J comes from the lattice feet (geometry.stencil_area_ratio);
+    at h=0.075 the reach caps the step and J comes from the displaced
+    projections (ibim3d.projection_jacobian).  The patched route flips the
+    sign of the first J it returns; on one worker that is tube row 0.
+    """
+    eps = 0.1
+    assert (min(h, 0.45 * (torus.reach - eps)) == h) == (module == "geometry")
+    node = tube_points(build_tube(torus, h, eps))[0]
+    owner = {"geometry": geometry, "ibim3d": ibim3d}[module]
+    area_ratio, flipped = getattr(owner, name), []
+
+    def one_negative(*args):
+        J = area_ratio(*args)
+        if not flipped:
+            J[0] = -J[0]
+            flipped.append(J[0])
+        return J
+
+    monkeypatch.setattr(quad_core, "_pool_size", lambda: 1)
+    monkeypatch.setattr(owner, name, one_negative)
+    with pytest.raises(ValueError, match="non-positive area ratio") as err:
+        build_tube(torus, h, eps)
+    assert len(flipped) == 1 and flipped[0] < 0
+    assert (f"J={flipped[0]:.3e} at node {node}; tube width exceeds the "
+            f"usable reach") in str(err.value)
+
+
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -437,7 +492,7 @@ def test_tube_bit_identical_at_any_worker_count(torus, monkeypatch, h,
     ref = build_tube(torus, h, eps, rho=torus.density_at)
     # v from the density and the distance recomputed at the nodes
     assert np.array_equal(ref.v, torus.density_at(ref.foot) * delta_eps(
-        torus.distance(ref.points), eps) * ref.jacobian)
+        torus.distance(tube_points(ref)), eps) * tube_jacobian(torus, h, eps))
     callers = set()
 
     def rho(p):
@@ -522,7 +577,7 @@ def test_tube_task_error_matches_one_worker(torus, sphere, monkeypatch, case):
 
 def test_v_vanishes_at_tube_boundary(sphere, sphere_tube):
     tube = sphere_tube
-    band = np.abs(sphere.distance(tube.points)) > 0.98 * tube.eps
+    band = np.abs(sphere.distance(tube_points(tube))) > 0.98 * tube.eps
     assert np.any(band)
     assert np.max(np.abs(tube.v[band])) < 1e-4 * np.max(np.abs(tube.v))
     assert float(delta_eps(tube.eps, tube.eps)) == 0.0
@@ -841,7 +896,8 @@ def test_analytic_jacobian_value_agrees(torus, torus_tube, table02, table11):
     """J from the exact level_jacobian changes the value negligibly."""
     xstar = torus.param_point(-0.7, 0.4)
     h, eps = torus_tube.h, torus_tube.eps
-    tube_an = _analytic_jacobian_tube(torus_level_jacobian, torus, torus_tube)
+    _, tube_an = _analytic_jacobian_tube(torus_level_jacobian, torus,
+                                         torus_tube)
     probe = surface_probe(torus, xstar, h=h,
                           probe_distance=0.5 * torus.reach)
     a = evaluate_V3("SL", torus, None, xstar, h, eps, (table02, table11),

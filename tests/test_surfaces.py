@@ -24,6 +24,7 @@ from helpers import (
     torus_density_from_angles,
     torus_exact_probe,
     torus_foot_and_normal_stacked,
+    torus_parameters,
 )
 
 
@@ -83,7 +84,7 @@ def test_torus_gradient_is_fd_gradient(torus, tube_points):
 
 def test_torus_parameters_round_trip(torus, tube_points):
     P = torus.project(tube_points)
-    theta, phi = torus.parameters(P)
+    theta, phi = torus_parameters(torus, P)
     np.testing.assert_allclose(torus.param_point(theta, phi), P, atol=1e-12)
 
 
