@@ -7,7 +7,9 @@ Subcommands:
   recomputation, print metadata.
 * ``ctquad quad2d run`` -- convergence studies of the corrected rules on
   plane point-singular benchmark integrands: successive-difference errors
-  and observed orders over a geometric h-sequence.
+  and observed orders over a geometric h-sequence.  Options pick the study,
+  the h-sequence, k, p and the cell offset; every weight comes from the
+  dual-lattice solve, and the grids end at |x| = 1.7.
 * ``ctquad ibim3d run`` -- self-convergence study of the corrected
   layer-potential evaluation on the tilted-torus fixture.
 
@@ -69,6 +71,9 @@ class CliError(RuntimeError):
 # cell offset (alpha, beta) across refinement levels.
 
 SMOOTH_SHIFT = (0.027, 0.0197)  # window centre, slightly off the singularity
+# half-width of the 2D study grids: smooth_factor is below double precision
+# past it, so the truncated domain is exact to roundoff
+HALF_WIDTH = 1.7
 
 
 def angular_phi0(psi):
@@ -105,8 +110,8 @@ def smooth_factor(x, y):
     Bessel J of real order |x|**2 + 1 at argument 3 (the real part of the
     outgoing Hankel function of that order), an exp(-|x - c|**8) window
     centred slightly off the singular point, and a gentle trigonometric
-    modulation.  Decays below double precision for |x| > 1.7, so truncating
-    the integration domain there is exact to roundoff.
+    modulation.  Decays below double precision for |x| > HALF_WIDTH = 1.7,
+    so truncating the integration domain there is exact to roundoff.
     """
     from scipy import special  # on first use: keeps scipy off the import path
     x = np.asarray(x, dtype=float)
@@ -174,8 +179,6 @@ class StudyConfig:
     eps: float = 0.1
     n_targets: int = 5
     seed: int = 7
-    weights_mode: str = "exact"
-    half_width: float = 1.7
     include_baseline: bool = False
 
     def __post_init__(self) -> None:
@@ -188,9 +191,6 @@ class StudyConfig:
                              f"successive differences), got {self.count}")
         if not self.h0 > 0.0:
             raise ValueError(f"h0 must be positive, got {self.h0}")
-        if self.weights_mode not in ("exact", "table"):
-            raise ValueError(f"weights_mode must be 'exact' or 'table', "
-                             f"got {self.weights_mode!r}")
         if self.study == "quad2d-sk":
             bad = [p for p in self.p_values if p not in SK_P_RANGE]
             if bad:
@@ -226,9 +226,7 @@ class StudyConfig:
                         include_baseline=self.include_baseline)
         else:
             base.update(alpha=self.alpha, beta=self.beta,
-                        p_values=list(self.p_values),
-                        weights_mode=self.weights_mode,
-                        half_width=self.half_width)
+                        p_values=list(self.p_values))
             if self.study == "quad2d-sk":
                 base["k_values"] = list(self.k_values)
         return base
@@ -293,6 +291,14 @@ def _build_command(k: int, p: int, tol: float | None, n_modes: int,
     return cmd
 
 
+def _checked_table_path(k: int, p: int, tol: float | None, n_modes: int,
+                        grid_n: int, cache_dir: str | None) -> str:
+    try:
+        return wt.table_path(k, p, tol, n_modes, grid_n, cache_dir)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
 def load_table_checked(k: int, p: int, cache_dir: str | None = None,
                        tol: float | None = None, n_modes: int = 16,
                        grid_n: int = 33) -> wt.WeightTable:
@@ -301,9 +307,9 @@ def load_table_checked(k: int, p: int, cache_dir: str | None = None,
     When the cache holds (k, p) tables built for other parameters only, the
     error lists them.  A file the loader refuses (truncated, foreign, or
     built by another library version) fails with the command that rebuilds
-    it.
+    it.  Parameters out of range fail with the one they name.
     """
-    path = wt.table_path(k, p, tol, n_modes, grid_n, cache_dir)
+    path = _checked_table_path(k, p, tol, n_modes, grid_n, cache_dir)
     build = _build_command(k, p, tol, n_modes, grid_n, cache_dir)
     if not os.path.exists(path):
         where, name = os.path.split(path)
@@ -351,14 +357,13 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
     which wraps it, keeps one span stack for all threads.  Every rule of
     that level reads the product.  Only one level's values are held at a
     time: v and one case's product, or in a one-case study the product
-    alone.  Every correction resolves its weights by the study's mode:
+    alone.  The grids end at |x| = HALF_WIDTH.  Every correction's weights
+    come from `weights.weights_dual`, solved once at the first level's cell
+    offset before the level loop and reused on every level (the offset does
+    not depend on h); the dual route is exact on and off the lattice.
 
-    * "exact": `weights.weights_dual` once, at the first level's cell offset,
-      reused across levels (the offset is h-independent by construction);
-      it is exact on and off the lattice;
-    * "table": `weights.interpolate_weights` at each level's own offset,
-      which caps the achievable accuracy at the table tolerance; "exact" is
-      the default for exactly that reason.
+    `cache_dir` is not read: no 2D study reads a table.  It stays only
+    because the benchmark's `quad2d` workload passes `cache_dir=TABLE_DIR`.
     """
     if config.study not in ("quad2d-sk", "quad2d-general"):
         raise ValueError(f"not a 2D study: {config.study!r}")
@@ -390,8 +395,7 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
                 "observed_order": observed_order(errs, hs),
             })
 
-    def grid_at(h):
-        return grid_with_offset(h, config.half_width, x0, config.alpha, config.beta)
+    g0 = grid_with_offset(hs[0], HALF_WIDTH, x0, config.alpha, config.beta)
 
     if config.study == "quad2d-sk":
         cases = [(k, singular_benchmark_term(k)) for k in config.k_values]
@@ -399,7 +403,7 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
         cases = [(None, general_benchmark_function())]
 
     def prepare(k, s):
-        """The case's singular factor, its weights_at(p, grid), and its
+        """The case's singular factor, its weights per order p, and its
         value lists per method."""
         single = k is not None
         method = "corrected" if single else "composite"
@@ -407,27 +411,12 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
         parts = {p: [(s, p)] if single
                  else [(s.terms[kk], p - 1 - kk) for kk in range(p - 1)]
                  for p in config.p_values}
-        if config.weights_mode == "table":
-            tables = {p: [load_table_checked(t.k, q, cache_dir) for t, q in parts[p]]
-                      for p in config.p_values}
-
-            # the offset moves by an ulp between levels: each level looks up
-            # its own
-            def weights_at(p, grid):
-                return [wt.interpolate_weights(
-                            table, t, locate_singularity(x0, grid, q)[1])
-                        for (t, q), table in zip(parts[p], tables[p])]
-        else:
-            g0 = grid_at(hs[0])
-            fixed: dict[int, list[np.ndarray]] = {}
-            for p in config.p_values:
-                fixed[p] = []
-                for t, q in parts[p]:
-                    stencil, off = locate_singularity(x0, g0, q)
-                    fixed[p].append(wt.weights_dual(t, off, stencil))
-
-            def weights_at(p, grid):
-                return fixed[p]
+        weights: dict[int, list[np.ndarray]] = {}
+        for p in config.p_values:
+            weights[p] = []
+            for t, q in parts[p]:
+                stencil, off = locate_singularity(x0, g0, q)
+                weights[p].append(wt.weights_dual(t, off, stencil))
 
         f = s.evaluate if single else s.full
 
@@ -437,16 +426,16 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
         values: dict[str, list[float]] = {"punctured": []}
         for p in config.p_values:
             values[f"{method}-{p}"] = []
-        return singular, weights_at, values
+        return singular, weights, values
 
     studies = [(k, s, *prepare(k, s)) for k, s in cases]
 
     # the level loop holds the case loop, so each level's smooth factor v
     # is evaluated once and shared by every case
     for h in hs:
-        grid = grid_at(h)
+        grid = grid_with_offset(h, HALF_WIDTH, x0, config.alpha, config.beta)
         v = grid_values(smooth_factor, grid)
-        for i, (k, s, singular, weights_at, values) in enumerate(studies):
+        for i, (k, s, singular, weights, values) in enumerate(studies):
             # s(x - x0) * v on this thread (see above); the last case
             # multiplies into v itself, so a one-case study holds one array
             # per level
@@ -456,13 +445,12 @@ def run_quad2d(config: StudyConfig, cache_dir: str | None = None,
             values["punctured"].append(punctured_trapezoidal(
                 fv, grid, [locate_singularity(x0, grid, 1)[1].anchor]))
             for p in config.p_values:
-                ws = weights_at(p, grid)
                 if k is not None:
                     values[f"corrected-{p}"].append(corrected_Qp(
-                        s, smooth_factor, x0, grid, p, ws[0], fv))
+                        s, smooth_factor, x0, grid, p, weights[p][0], fv))
                 else:
                     values[f"composite-{p}"].append(composite_Up(
-                        s, smooth_factor, x0, grid, p, ws, fv))
+                        s, smooth_factor, x0, grid, p, weights[p], fv))
             del fv
             if progress:
                 label = f"{config.study} k={k}" if k is not None else config.study
@@ -601,18 +589,16 @@ def _print_table_info(table: wt.WeightTable, path: str | None) -> None:
 
 def cmd_weights_build(args) -> int:
     selection = _table_selection(args)
-    if not args.force and os.path.exists(
-            wt.table_path(args.k, args.p, cache_dir=args.cache_dir,
-                          **selection)):
+    path = _checked_table_path(args.k, args.p, cache_dir=args.cache_dir,
+                               **selection)
+    if not args.force and os.path.exists(path):
         # a cache hit; a file the loader refuses fails with the rebuild command
         table = load_table_checked(args.k, args.p, args.cache_dir, **selection)
     else:
         table = wt.build_weight_table(
             args.k, args.p, processes=args.processes,
             cache_dir=args.cache_dir, force=args.force, **selection)
-    _print_table_info(table, wt.table_path(args.k, args.p, table.tol,
-                                           table.n_modes, table.grid_n,
-                                           args.cache_dir))
+    _print_table_info(table, path)
     return 0
 
 
@@ -692,15 +678,13 @@ def _parse_study_configs(args) -> list[StudyConfig]:
             configs.append(StudyConfig(
                 study="quad2d-sk", h0=args.h0, ratio=args.ratio,
                 count=args.count, alpha=args.alpha, beta=args.beta,
-                k_values=tuple(args.k), p_values=tuple(args.p or SK_P_RANGE),
-                weights_mode=args.weights, half_width=args.half_width))
+                k_values=tuple(args.k), p_values=tuple(args.p or SK_P_RANGE)))
         if which in ("general", "both"):
             configs.append(StudyConfig(
                 study="quad2d-general", h0=args.h0, ratio=args.ratio,
                 count=args.count, alpha=args.alpha, beta=args.beta,
                 p_values=tuple(args.p or GENERAL_P_RANGE)
-                if which == "general" else GENERAL_P_RANGE,
-                weights_mode=args.weights, half_width=args.half_width))
+                if which == "general" else GENERAL_P_RANGE))
     except ValueError as exc:
         raise CliError(str(exc))
     return configs
@@ -712,8 +696,7 @@ def cmd_quad2d_run(args) -> int:
                        "--study sk or --study general alongside it")
     configs = _parse_study_configs(args)
     progress = _stderr_progress if args.verbose else None
-    results = [run_quad2d(cfg, cache_dir=args.cache_dir, progress=progress)
-               for cfg in configs]
+    results = [run_quad2d(cfg, progress=progress) for cfg in configs]
     if len(results) == 1:
         chash = results[0]["config_hash"]
     else:
@@ -840,13 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "2-5 composite)")
     qr.add_argument("--alpha", type=float, default=0.81)
     qr.add_argument("--beta", type=float, default=0.46)
-    qr.add_argument("--weights", choices=("exact", "table"), default="exact",
-                    help="weight source: per-offset dual-lattice solve "
-                         "(exact) or interpolated cache tables")
-    qr.add_argument("--half-width", type=float, default=1.7)
     qr.add_argument("--out", default=None, help="CSV path (JSON written "
                     "alongside); stdout if omitted")
-    qr.add_argument("--cache-dir", default=None)
     qr.add_argument("--verbose", action="store_true")
     qr.set_defaults(func=cmd_quad2d_run)
 

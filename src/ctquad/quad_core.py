@@ -586,15 +586,16 @@ def composite_Up(s: SingularFunction, v: Callable, x0: Sequence[float], grid: Gr
 # grid helpers for convergence studies
 # --------------------------------------------------------------------------
 
-def grid_with_offset(h: float, half_width: float, x0: Sequence[float],
+def grid_with_offset(h: float, radius: float, x0: Sequence[float],
                      alpha: float, beta: float) -> Grid2:
     """Grid arranged so x0 sits at cell offset (alpha, beta) at this spacing.
 
     Convergence studies refine h while keeping (alpha, beta) fixed; the grid
-    origin absorbs the shift.  The window is centered on x0.
+    origin absorbs the shift.  The window is centered on x0 and reaches at
+    least radius from it along each axis.
     """
     origin = (x0[0] - h * alpha, x0[1] - h * beta)
-    n = int(math.ceil(half_width / h)) + 4
+    n = int(math.ceil(radius / h)) + 4
     return Grid2(h=h, origin=origin, extent=((-n, n), (-n, n)))
 
 

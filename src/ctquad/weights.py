@@ -957,8 +957,21 @@ def default_cache_dir() -> str:
 
 def table_filename(k: int, p: int, tol: float | None = None,
                    n_modes: int = 16, grid_n: int = 33) -> str:
-    """Cache file name of the (k, p) table; tol defaults per order."""
+    """Cache file name of the (k, p) table; tol defaults per order.
+
+    Every build, load and lookup names its table here, so this is where the
+    parameters are checked: a ValueError names the one out of range.
+    """
     tol = default_tolerance(p) if tol is None else tol
+    for name, value, ok, want in (
+            ("k", k, k >= 0, ">= 0"),
+            ("p", p, p in (1, 2, 3, 4), "one of 1, 2, 3, 4"),
+            ("tol", tol, math.isfinite(tol) and tol > 0.0, "finite and > 0"),
+            ("n_modes", n_modes, n_modes >= 0, ">= 0"),
+            ("grid_n", grid_n, grid_n >= 2, ">= 2")):
+        if not ok:
+            raise ValueError(f"table parameter {name} must be {want}, "
+                             f"got {value!r}")
     return f"ctwt_k{k}_p{p}_N{n_modes}_g{grid_n}_tol{tol:.1e}.ctwt"
 
 

@@ -138,40 +138,50 @@ def test_general_study_smoke():
     assert abs(by_method["composite-2"]["observed_order"] - 2.0) < 0.35
 
 
-def test_sk_table_mode_matches_exact_for_tight_tables(table02):
-    # (k=0, p=2) table has tol 1e-8: table-interpolated and exact weights
-    # give the same observed order and nearly the same values
-    kw = dict(study="quad2d-sk", h0=0.3, count=5, k_values=(0,),
-              p_values=(2,))
-    exact = cli.run_quad2d(cli.StudyConfig(weights_mode="exact", **kw))
-    table = cli.run_quad2d(cli.StudyConfig(weights_mode="table", **kw))
-    ve = [r["value"] for r in exact["rows"] if r["method"] == "corrected-2"]
-    vt = [r["value"] for r in table["rows"] if r["method"] == "corrected-2"]
-    assert np.allclose(ve, vt, atol=2e-6)
-
-
-def test_general_table_mode_matches_exact_for_tight_tables(table02, table11):
-    # composite-3 corrects s_0 with the (0,2) table and s_1 with the (1,1)
-    # one, looked up at each level's offset; both have tol 1e-8, so the
-    # values sit within ~4e-8 of the exact-weight ones (but are not equal)
-    kw = dict(study="quad2d-general", h0=0.3, count=5, p_values=(3,))
-    exact = cli.run_quad2d(cli.StudyConfig(weights_mode="exact", **kw))
-    table = cli.run_quad2d(cli.StudyConfig(weights_mode="table", **kw))
-    ve = [r["value"] for r in exact["rows"] if r["method"] == "composite-3"]
-    vt = [r["value"] for r in table["rows"] if r["method"] == "composite-3"]
-    assert ve != vt
-    assert np.allclose(ve, vt, rtol=0.0, atol=1e-6)
-    orders = [{s["method"]: s["observed_order"] for s in res["summary"]}
-              for res in (exact, table)]
-    assert orders[0]["composite-3"] == pytest.approx(orders[1]["composite-3"],
-                                                     abs=1e-3)
+def test_quad2d_run_has_one_weight_route(capsys):
+    # weights come from the dual route only and the grid's half-width is
+    # fixed by the smooth factor: no option or config field selects either
+    for extra in (("--weights", "table"), ("--half-width", "2"),
+                  ("--cache-dir", "x")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("quad2d", "run", "--study", "sk", "--count", "3", *extra)
+        assert exc.value.code == 2, extra
+        assert "unrecognized arguments" in capsys.readouterr().err
+    fields = {f.name for f in dataclasses.fields(cli.StudyConfig)}
+    assert not fields & {"weights_mode", "half_width"}
 
 
 def test_missing_table_error_names_build_command(tmp_path):
-    cfg = cli.StudyConfig(study="quad2d-sk", h0=0.3, count=3, k_values=(0,),
-                          p_values=(3,), weights_mode="table")
-    with pytest.raises(cli.CliError, match="ctquad weights build --k 0 --p 3"):
-        cli.run_quad2d(cfg, cache_dir=str(tmp_path))
+    # the 3D study reads the (0,2) and (1,1) tables; an empty cache fails
+    # with the command that builds the first
+    cfg = cli.StudyConfig(study="ibim3d", h0=0.075, count=3)
+    with pytest.raises(cli.CliError) as exc:
+        cli.run_ibim3d(cfg, cache_dir=str(tmp_path))
+    assert (f"ctquad weights build --k 0 --p 2 --cache-dir {tmp_path}"
+            in str(exc.value))
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("build", "--k", "0", "--p", "5"), "p"),
+    (("build", "--k", "0", "--p", "1", "--grid-n", "1"), "grid_n"),
+    (("build", "--k", "-1", "--p", "1"), "k"),
+    (("build", "--k", "0", "--p", "1", "--n-modes", "-1"), "n_modes"),
+    (("build", "--k", "0", "--p", "1", "--grid-n", "2", "--n-modes", "0",
+      "--tol", "0"), "tol"),
+    (("build", "--k", "0", "--p", "1", "--tol", "nan"), "tol"),
+    (("info", "--k", "0", "--p", "5"), "p"),
+    (("verify", "--k", "0", "--p", "5"), "p"),
+], ids=["build-p5", "build-grid_n1", "build-k-1", "build-n_modes-1",
+        "build-tol0", "build-tol_nan", "info-p5", "verify-p5"])
+def test_bad_table_parameters_are_cli_errors(tmp_path, capsys, argv, name):
+    # checked once where every table is named: exit status 2, the parameter
+    # named, and nothing written to the cache
+    cache = tmp_path / "cache"
+    assert run_cli("weights", *argv, "--cache-dir", str(cache)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: table parameter {name} must be"), err
+    assert "build it with" not in err
+    assert not cache.exists()
 
 
 def test_version_mismatch_refused(tmp_path, table11, capsys):

@@ -198,7 +198,7 @@ def test_smooth_factor_evaluated_once_per_level(name, monkeypatch):
     cli.run_quad2d(config)
     cases = len(config.k_values) if name == "sk" else 1
     grid_nodes = sum(
-        int(np.prod(cli.grid_with_offset(h, config.half_width, (0.0, 0.0),
+        int(np.prod(cli.grid_with_offset(h, cli.HALF_WIDTH, (0.0, 0.0),
                                          config.alpha, config.beta).shape))
         for h in config.hs())
     # v is also evaluated node by node on each rule's stencil (at most 12)
@@ -212,7 +212,7 @@ def test_bit_identical_at_any_worker_count(monkeypatch):
     interpreter switches threads as often as it can, so a task that wrote
     outside its own rows would show."""
     config = cli.StudyConfig(**{**CONFIGS["sk"], "count": 3})
-    grid = cli.grid_with_offset(0.1, config.half_width, (0.0, 0.0),
+    grid = cli.grid_with_offset(0.1, cli.HALF_WIDTH, (0.0, 0.0),
                                 config.alpha, config.beta)
     monkeypatch.setattr(quad_core, "_pool_size", lambda: 1)
     ref_v = quad_core.grid_values(cli.smooth_factor, grid)

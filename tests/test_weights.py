@@ -596,20 +596,23 @@ def test_table_k1_constant_mode_is_identically_one():
 # production tables (session-cached fixtures)
 # --------------------------------------------------------------------------
 
-def test_table02_interpolation_matches_dual_route(table02):
+def test_table02_interpolation_matches_dual_route(table02, table11):
     # tabulate-and-interpolate must agree with the independent dual-lattice
-    # limit at random off-lattice offsets
-    rng = np.random.default_rng(2024)
-    term = SingularTerm.from_coefficients(0, 1.0, a=[0.8], b=[0.0, -1.2])
-    st = stencil_for_order(2)
-    worst = 0.0
-    for _ in range(20):
-        alpha, beta = rng.uniform(0.06, 0.94, size=2)
-        off = GridOffset(float(alpha), float(beta), (0, 0))
-        wi = interpolate_weights(table02, term, off)
-        wd = weights_dual(term, off, st)
-        worst = max(worst, float(np.max(np.abs(wi - wd))))
-    assert worst < 1e-5
+    # limit at random off-lattice offsets, for the k=0 term on the p=2
+    # stencil and the k=1 term on the p=1 one (whose cell is [-1/2, 1/2]^2)
+    for table, lo, hi in ((table02, 0.06, 0.94), (table11, -0.44, 0.44)):
+        rng = np.random.default_rng(2024)
+        term = SingularTerm.from_coefficients(table.k, 1.0, a=[0.8],
+                                              b=[0.0, -1.2])
+        st = stencil_for_order(table.p)
+        worst = 0.0
+        for _ in range(20):
+            alpha, beta = rng.uniform(lo, hi, size=2)
+            off = GridOffset(float(alpha), float(beta), (0, 0))
+            wi = interpolate_weights(table, term, off)
+            wd = weights_dual(term, off, st)
+            worst = max(worst, float(np.max(np.abs(wi - wd))))
+        assert worst < 1e-5, (table.k, table.p, worst)
 
 
 def test_table02_diagonal_symmetry(table02, tmp_path):
