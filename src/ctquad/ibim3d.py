@@ -46,10 +46,9 @@ from .kernels3d import (
     KERNEL_KINDS,
     S0_KIND,
     CubicSurfaceModel,
-    CurvatureLimitError,
     build_frame,
     expansion_at_plane,
-    kernel_values,
+    weighted_kernels,
 )
 from .quad_core import (
     Grid2,
@@ -79,11 +78,17 @@ MARGIN_CELLS = 4
 # reach of the J stencil along each axis, in cells: the band around the tube
 # that holds every stencil node when the difference step is h
 BAND_CELLS = max(abs(s) for s in JACOBIAN_STENCIL)
-# rows per task of the tube's pooled passes and per kernel-value pass; a J
-# pass spans CHUNK lattice nodes' worth of x-planes, at least one.  Small
-# enough that OpenBLAS runs a task's pose product (x - c) @ rot on one
-# thread, so its threads do not contend with the pool's
+# rows per task of the tube's pooled passes and values per kernel-sweep
+# pass; a J pass spans whole x-planes holding at most CHUNK tube rows, at
+# least one plane.  Small enough that OpenBLAS runs a task's pose product
+# (x - c) @ rot on one thread, so its threads do not contend with the pool's
 CHUNK = 16_384
+# lattice nodes a J pass's row map may span, in CHUNKs (a pass of one
+# x-plane may span more)
+MAP_CHUNKS = 16
+# rows per partial sum of the kernel sweep's products: the blocks' sums are
+# added in tube order, so the products' bits follow this and not CHUNK
+SUM_BLOCK = 1024
 # nodes per side of the blocks that the tube scan keeps or skips whole
 BLOCK = 4
 
@@ -230,9 +235,11 @@ def build_tube(surface, h: float, eps: float, *,
       every stencil node of every tube node because d is 1-Lipschitz, and
       the stencil feet are gathered from the band's feet, one (n, 3) block
       per (axis, stencil node) pair (geometry.stencil_area_ratio, the
-      formula of projection_jacobian).  The row map that finds them covers
-      CHUNK nodes' worth of x-planes plus the stencil's reach on each side,
-      and slides along x; it never spans the lattice.  A stencil node
+      formula of projection_jacobian).  A pass takes whole x-planes while
+      it holds at most CHUNK tube rows, and the row map that finds its
+      stencil feet covers those planes plus the stencil's reach on each
+      side, at most MAP_CHUNKS * CHUNK lattice nodes unless one plane
+      needs more; it never spans the lattice.  A stencil node
       missing from the band raises ValueError naming the tube node, the
       missing lattice node and h; one off the lattice (found from the keys'
       per-axis extent) raises naming the tube node.
@@ -247,7 +254,7 @@ def build_tube(surface, h: float, eps: float, *,
 
     The projection of the band, the J passes from the lattice feet and the
     rho/v fill run on a thread pool with one worker per available CPU, in
-    tasks of CHUNK rows (one J pass each).  The scan and the in-place move
+    tasks of about CHUNK rows (one J pass each).  The scan and the in-place move
     of the feet stay on the calling thread.  Every field is bit-identical
     at any worker count, and an error in a task reaches the caller as the
     serial loop would raise it.  ``rho`` is called from the pool's threads.
@@ -299,10 +306,10 @@ def build_tube(surface, h: float, eps: float, *,
         plane = ny * nz
         shifts = np.array([plane, nz, 1])[:, None] * np.array(JACOBIAN_STENCIL)
         lo_shift, hi_shift = int(shifts.min()), int(shifts.max())
-        planes = max(1, CHUNK // plane)  # x-planes of tube nodes per pass
 
-        def jacobian(x0):
-            first, last = x0 * plane, (x0 + planes) * plane
+        def jacobian(span):
+            x0, x1 = span
+            first, last = x0 * plane, x1 * plane
             t0, t1 = np.searchsorted(key, [first, last])
             if t0 == t1:
                 return
@@ -311,7 +318,7 @@ def build_tube(surface, h: float, eps: float, *,
             base = first + lo_shift
             b0, b1 = np.searchsorted(band_key, [base, last + hi_shift])
             # band row of each node the pass's stencils reach; -1 off the band
-            row_of = np.full(planes * plane + hi_shift - lo_shift, -1,
+            row_of = np.full(last - first + hi_shift - lo_shift, -1,
                              dtype=np.int32)
             row_of[band_key[b0:b1] - base] = np.arange(b0, b1, dtype=np.int32)
             # (axis, stencil node, tube node): one contiguous row per pair
@@ -325,8 +332,7 @@ def build_tube(surface, h: float, eps: float, *,
             v[t0:t1] = geometry.stencil_area_ratio(
                 lambda a, k: np.take(band_foot, rows[a, k], axis=0), h)
 
-        _pooled(jacobian, range(int(key[0]) // plane, int(key[-1]) // plane + 1,
-                                planes))
+        _pooled(jacobian, _plane_passes(key, plane, hi_shift - lo_shift))
     else:
         # only where the reach caps the step, on coarse grids: few nodes, so
         # the 12 projections per node stay on the calling thread
@@ -366,6 +372,26 @@ def build_tube(surface, h: float, eps: float, *,
         raise AssertionError("tube nodes are not in lexicographic order")
     return TubeGrid(h=h, eps=eps, origin=origin, shape=shape, key=key,
                     foot=foot, normal=normal, v=v)
+
+
+def _plane_passes(key: np.ndarray, plane: int,
+                  reach: int) -> list[tuple[int, int]]:
+    """The J passes over the tube rows ``key``: spans [x0, x1) of whole
+    x-planes of ``plane`` lattice nodes each.  A pass adds planes while it
+    holds at most CHUNK tube rows and its row map, its planes' nodes plus
+    ``reach`` more, at most MAP_CHUNKS * CHUNK; it takes one plane at
+    least."""
+    x_lo, x_hi = int(key[0]) // plane, int(key[-1]) // plane
+    starts = np.searchsorted(key, np.arange(x_lo, x_hi + 2) * plane).tolist()
+    spans, i, n = [], 0, x_hi - x_lo + 1
+    while i < n:
+        j = i + 1
+        while (j < n and starts[j + 1] - starts[i] <= CHUNK
+               and (j + 1 - i) * plane + reach <= MAP_CHUNKS * CHUNK):
+            j += 1
+        spans.append((x_lo + i, x_lo + j))
+        i = j
+    return spans
 
 
 def _band_chunks(inner: np.ndarray):
@@ -559,20 +585,70 @@ def _check_tube(tube: TubeGrid, h: float, eps: float) -> None:
                          f"not (h={h}, eps={eps})")
 
 
-def _kernel_rows(kinds: tuple[str, ...], xstar, nstar,
-                 tube: TubeGrid) -> list[np.ndarray]:
-    """Each kind's (N,) kernel values on the tube, formed CHUNK rows at a time.
+def _kernel_products(kinds: tuple[str, ...], probes,
+                     tube: TubeGrid) -> np.ndarray:
+    """The plain lattice sums sum_y K(x*, P(y)) v(y), as (kinds, targets).
 
-    The temporaries of `kernel_values` span one chunk, so beyond the tube
-    this holds 8 bytes per node per kind plus a bound in CHUNK.
+    One pass over the tube forms every target's kernel rows with v folded
+    in (`weighted_kernels`), as (targets, rows) arrays of about CHUNK
+    values in all: a whole number of SUM_BLOCK rows, at least one.  Each
+    block's values are summed alone, and the blocks' sums are added in
+    tube order, so the bits follow SUM_BLOCK and not CHUNK or the targets
+    alongside.  Beyond the tube this holds a bound in CHUNK.
     """
-    kv = [np.empty(tube.n_nodes) for _ in kinds]
-    for i0 in range(0, tube.n_nodes, CHUNK):
-        sl = slice(i0, i0 + CHUNK)
-        part = kernel_values(kinds, xstar, nstar, tube.foot[sl], tube.normal[sl])
-        for values, row in zip(kv, part):
-            values[sl] = row
-    return kv
+    xs = np.array([p.xstar for p in probes], dtype=float).T[:, :, None]
+    ns = np.array([p.n for p in probes], dtype=float).T[:, :, None]
+    rows = max(1, CHUNK // (SUM_BLOCK * len(probes))) * SUM_BLOCK
+    total = np.zeros((len(kinds), len(probes)))
+    for i0 in range(0, tube.n_nodes, rows):
+        sl = slice(i0, i0 + rows)
+        values = weighted_kernels(kinds, xs, ns, tube.foot[sl].T,
+                                  tube.normal[sl].T, tube.v[sl])
+        blocks = np.stack([_block_sums(v) for v in values])
+        for block in np.moveaxis(blocks, -1, 0):
+            total += block
+    return total
+
+
+def _block_sums(values: np.ndarray) -> np.ndarray:
+    """Sums of each run of SUM_BLOCK values along the last axis (the last
+    run may be shorter)."""
+    n = values.shape[-1]
+    cut = n - n % SUM_BLOCK
+    parts = [values[..., :cut].reshape(values.shape[:-1] + (-1, SUM_BLOCK))
+             .sum(axis=-1)]
+    if cut < n:
+        parts.append(values[..., cut:].sum(axis=-1, keepdims=True))
+    return np.concatenate(parts, axis=-1)
+
+
+def _target_batch(xstar, probe, surface, h: float):
+    """(one point?, probes) from evaluate_V3's xstar and probe arguments."""
+    points = np.asarray(xstar, dtype=float)
+    single = points.ndim == 1
+    points = points.reshape(-1, 3)
+    if probe is None:
+        probes = [_default_probe(surface, x, h) for x in points]
+    else:
+        probes = [probe] if single else list(probe)
+    if len(probes) != len(points):
+        raise ValueError(f"{len(points)} targets need as many probes, got "
+                         f"{len(probes)}")
+    return single, probes
+
+
+def _dropped(term, n_modes: int) -> float:
+    """The largest |coefficient| of the term beyond mode n_modes (0 if none)."""
+    out = 0.0
+    for (_, m), c in reversed(term.coefficients.items()):
+        if m <= n_modes:
+            break
+        out = max(out, abs(c))
+    return out
+
+
+# the per-plane parts of an evaluation, summed over each target's planes
+_PLANE_PARTS = ("excluded", "q2", "q1", "remainder")
 
 
 def evaluate_V3(kind: str | tuple[str, ...], surface, rho: Callable | None,
@@ -589,89 +665,164 @@ def evaluate_V3(kind: str | tuple[str, ...], surface, rho: Callable | None,
     minus that node.  Planes beyond the band keep the plain sum (the
     integrand's compact support vanishes around their singular point).
 
-    ``kind`` is one kernel name, or a tuple of names: then the result is a
-    tuple with one entry per name, and the kernel values, the frame, the
-    planes, their row lookups and expansions are formed once for all of
-    them.  Each name's value is bit-identical to its single-name call.
+    ``kind`` is one kernel name, or a tuple of names: then each target's
+    result is a tuple with one entry per name, and the kernel values, the
+    frame, the planes, their row lookups and expansions are formed once for
+    all of them.  ``xstar`` is one point, or a sequence of points evaluated
+    in one pass: the result is then a list with one entry per point.  A
+    level is evaluated like this:
+
+    * one sweep of the tube forms every (target, kind) kernel row, with v
+      folded in, and sums the products in blocks of SUM_BLOCK rows
+      (`_kernel_products`);
+    * every corrected plane of every target is one batch: one expansion
+      over the planes' offsets eta, one sampled term per kind and order
+      (DL and DLC share s0), one table lookup per term kind, and the 4-node
+      cells' kernel values from the same per-node expression as the sweep.
+
+    Each entry is bit-identical to its one-point call, and each name's to
+    its single-name call.
 
     ``tube`` and ``probe`` may be precomputed and shared across kernels and
-    targets; they must match (surface, h, eps) and xstar respectively.
-    With ``return_details`` the result is a dict of the total and its parts:
-    the uncorrected lattice sum ``product``, the ``excluded`` 4-node cells,
-    the corrections ``q2``, ``q1`` and ``remainder``, and the ``planes``.
-    h^3 * product is the first-order punctured baseline: the plain lattice
-    sum of K*v, with only the exact hits of the singular line left out.
+    targets; they must match (surface, h, eps) and xstar respectively (a
+    sequence of probes for a sequence of points).  With ``return_details``
+    each entry is a dict of the total and its parts: the uncorrected
+    lattice sum ``product``, the ``excluded`` 4-node cells, the corrections
+    ``q2``, ``q1`` and ``remainder``, and the ``planes``.  h^3 * product is
+    the first-order punctured baseline: the plain lattice sum of K*v, with
+    only the exact hits of the singular line left out.  Per plane, in the
+    order of ``planes``, it also holds tuples of ``eta``, the top mode of
+    the kind's s0 and s1 terms (``s0_top_mode``, ``s1_top_mode``) and the
+    largest |coefficient| beyond each table's n_modes, the angular mass the
+    lookup drops (``s0_dropped``, ``s1_dropped``).
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     table0, table1 = _check_tables(tables)
     if tube is None:
         tube = build_tube(surface, h, eps, rho=rho)
     _check_tube(tube, h, eps)
-    if probe is None:
-        probe = _default_probe(surface, xstar, h)
+    single, probes = _target_batch(xstar, probe, surface, h)
 
-    kv = _kernel_rows(kinds, probe.xstar, probe.n, tube)
-    parts = [{"product": float(values @ tube.v), "excluded": 0.0, "q2": 0.0,
-              "q1": 0.0, "remainder": 0.0} for values in kv]
+    products = _kernel_products(kinds, probes, tube)
 
-    axis = dominant_direction(probe.n)
-    frame = build_frame(probe, axis)
-    model = CubicSurfaceModel.from_probe(probe)
-    planes = plane_problems(probe, axis, tube)
-    perm = AXIS_PERMUTATION[axis]
-    p0, p1, pw = perm
-    stencil4 = stencil_for_order(2)
-    offsets4 = np.asarray(stencil4.offsets, dtype=np.int64)
-    corner_of = {tuple(o): i for i, o in enumerate(stencil4.offsets)}
+    # every corrected plane of every target, in target order
+    planes, owner, frames, models, perms = [], [], [], [], []
+    for t, pr in enumerate(probes):
+        axis = dominant_direction(pr.n)
+        frame, model = build_frame(pr, axis), CubicSurfaceModel.from_probe(pr)
+        for plane in plane_problems(pr, axis, tube):
+            planes.append(plane)
+            owner.append(t)
+            frames.append(frame)
+            models.append(model)
+            perms.append(AXIS_PERMUTATION[axis])
+    owner = np.array(owner, dtype=np.int64)
 
-    for plane in planes:
+    # per plane and kind: the excluded cell, q2, q1 and the remainder
+    per_plane = np.zeros((len(_PLANE_PARTS), len(kinds), len(planes)))
+    s0_kinds = list(dict.fromkeys(S0_KIND[name] for name in kinds))
+    terms = {}
+    if planes:
         try:
-            expansion = expansion_at_plane(frame, model, plane.eta)
-        except CurvatureLimitError as e:
-            raise CurvatureLimitError(
-                f"plane {plane.index} (eta={plane.eta:.6g}): {e}") from e
-
-        ia2, ja2 = plane.off2.anchor
-        triples = np.empty((4, 3), dtype=np.int64)
-        triples[:, p0] = ia2 + offsets4[:, 0]
-        triples[:, p1] = ja2 + offsets4[:, 1]
-        triples[:, pw] = plane.index
-        rows, found = tube.rows_for(triples)
-        v4 = np.where(found, tube.v[rows], 0.0)
-
-        ia1, ja1 = plane.off1.anchor
-        j1 = corner_of[(ia1 - ia2, ja1 - ja2)]
-        dx = tube.origin[p0] + triples[:, p0] * tube.h - plane.y0[0]
-        dy = tube.origin[p1] + triples[:, p1] * tube.h - plane.y0[1]
-        keep = found.copy()
-        keep[j1] = False
-
-        # k=0 weights and closed-form cell values of each distinct s0 (DL and
-        # DLC share); s0 is not finite at an exact hit, which keep leaves out
-        s0_parts = {}
-        for name, values, part in zip(kinds, kv, parts):
-            s0_kind = S0_KIND[name]
-            if s0_kind not in s0_parts:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    s0 = expansion.s0_eval(s0_kind, np.stack([dx, dy], axis=-1))
-                s0_parts[s0_kind] = (interpolate_weights(
-                    table0, expansion.s0_term(s0_kind), plane.off2), s0)
-            w0, s0 = s0_parts[s0_kind]
-            w1 = interpolate_weights(table1, expansion.s1_term(name), plane.off1)
-            k4 = np.where(found, values[rows], 0.0)
-            part["excluded"] += float(k4 @ v4)
-            part["q2"] += float(w0 @ v4)
-            part["q1"] += float(w1[0]) * float(v4[j1])
-            part["remainder"] += float(np.sum((k4 - s0)[keep] * v4[keep]))
+            expansion = expansion_at_plane(
+                frames, models, np.array([p.eta for p in planes]))
+            for s0_kind in s0_kinds:
+                terms["s0", s0_kind] = expansion.s0_term(s0_kind)
+            for name in kinds:
+                terms["s1", name] = expansion.s1_term(name)
+        except ValueError as e:   # a plane's row names it within the batch
+            row = getattr(e, "row", None)
+            if row is None:
+                raise
+            plane = planes[row]
+            raise type(e)(f"plane {plane.index} (eta={plane.eta:.6g}): "
+                          f"{e}") from e
+        cells = _plane_cells(kinds, planes, perms, probes, owner, tube)
+        v4, keep = cells["v4"], cells["keep"]
+        off2 = [p.off2 for p in planes]
+        off1 = [p.off1 for p in planes]
+        s0, w0 = {}, {}
+        for s0_kind in s0_kinds:
+            # s0 is not finite at an exact hit, which keep leaves out
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s0[s0_kind] = np.where(
+                    keep, expansion.s0_eval(s0_kind, cells["dxy"]), 0.0)
+            w0[s0_kind] = interpolate_weights(table0, terms["s0", s0_kind],
+                                              off2)
+        for ki, name in enumerate(kinds):
+            w1 = interpolate_weights(table1, terms["s1", name], off1)[:, 0]
+            k4v = cells["values"][ki]
+            per_plane[:, ki] = (
+                np.where(cells["found"], k4v, 0.0).sum(axis=-1),
+                (w0[S0_KIND[name]] * v4).sum(axis=-1),
+                w1 * cells["nearest"],
+                np.where(keep, k4v - s0[S0_KIND[name]] * v4, 0.0).sum(axis=-1))
 
     out = []
-    for part in parts:
-        total = (h ** 3 * (part["product"] - part["excluded"])
-                 + h ** 2 * part["q2"] + h ** 3 * part["q1"]
-                 + h ** 3 * part["remainder"])
-        out.append({"total": total, **part, "planes": planes}
-                   if return_details else total)
-    return out[0] if isinstance(kind, str) else tuple(out)
+    for t in range(len(probes)):
+        rows = np.flatnonzero(owner == t)
+        target_planes = [planes[i] for i in rows]
+        entry = []
+        for ki, name in enumerate(kinds):
+            part = {"product": float(products[ki, t])}
+            for key, values in zip(_PLANE_PARTS, per_plane[:, ki, rows]):
+                part[key] = sum(values.tolist(), 0.0)
+            total = (h ** 3 * (part["product"] - part["excluded"])
+                     + h ** 2 * part["q2"] + h ** 3 * part["q1"]
+                     + h ** 3 * part["remainder"])
+            if not return_details:
+                entry.append(total)
+                continue
+            s0_terms = [terms["s0", S0_KIND[name]][i] for i in rows]
+            s1_terms = [terms["s1", name][i] for i in rows]
+            entry.append({
+                "total": total, **part, "planes": target_planes,
+                "eta": tuple(p.eta for p in target_planes),
+                "s0_top_mode": tuple(_top_mode(x) for x in s0_terms),
+                "s1_top_mode": tuple(_top_mode(x) for x in s1_terms),
+                "s0_dropped": tuple(_dropped(x, table0.n_modes)
+                                    for x in s0_terms),
+                "s1_dropped": tuple(_dropped(x, table1.n_modes)
+                                    for x in s1_terms)})
+        out.append(entry[0] if isinstance(kind, str) else tuple(entry))
+    return out[0] if single else out
+
+
+def _top_mode(term) -> int:
+    return next(reversed(term.coefficients))[1]
+
+
+def _plane_cells(kinds, planes, perms, probes, owner, tube: TubeGrid) -> dict:
+    """The 4-node singular cell of every plane: v there (0 off the tube),
+    which nodes are found, which are kept for the remainder (found, and not
+    the nearest node), v at the nearest node, the nodes' in-plane offsets
+    ``dxy`` from the singular point, and each kind's K*v at the nodes."""
+    n = len(planes)
+    offsets4 = np.asarray(stencil_for_order(2).offsets, dtype=np.int64)
+    corner_of = {tuple(o): i for i, o in enumerate(offsets4.tolist())}
+    triples = np.empty((n, 4, 3), dtype=np.int64)
+    dxy = np.empty((n, 4, 2))
+    nearest_corner = np.empty(n, dtype=np.int64)
+    for i, (plane, (p0, p1, pw)) in enumerate(zip(planes, perms)):
+        ia2, ja2 = plane.off2.anchor
+        ia1, ja1 = plane.off1.anchor
+        triples[i, :, p0] = ia2 + offsets4[:, 0]
+        triples[i, :, p1] = ja2 + offsets4[:, 1]
+        triples[i, :, pw] = plane.index
+        nearest_corner[i] = corner_of[(ia1 - ia2, ja1 - ja2)]
+        dxy[i, :, 0] = tube.origin[p0] + triples[i, :, p0] * tube.h - plane.y0[0]
+        dxy[i, :, 1] = tube.origin[p1] + triples[i, :, p1] * tube.h - plane.y0[1]
+    rows, found = tube.rows_for(triples)
+    v4 = np.where(found, tube.v[rows], 0.0)
+    keep = found.copy()
+    keep[np.arange(n), nearest_corner] = False
+    xs = np.array([probes[t].xstar for t in owner], dtype=float).reshape(-1, 3)
+    ns = np.array([probes[t].n for t in owner], dtype=float).reshape(-1, 3)
+    values = weighted_kernels(kinds, xs.T[:, :, None], ns.T[:, :, None],
+                              np.moveaxis(tube.foot[rows], -1, 0),
+                              np.moveaxis(tube.normal[rows], -1, 0), v4)
+    return {"v4": v4, "found": found, "keep": keep, "dxy": dxy,
+            "nearest": v4[np.arange(n), nearest_corner], "values": values}
 
 
 # ---------------------------------------------------------------------------
@@ -702,9 +853,11 @@ def convergence_study_3d(surface, targets, levels: Sequence[float], tables, *,
     observed orders log(E_i/E_{i+1}) / log(h_i/h_{i+1}), each on the
     coarser row of its pair.  The tube and the per-target probes are
     rebuilt per level from the grid alone, so frames, curvatures, third
-    derivatives and J all carry the resolution being measured.  Each
-    (level, target) is one `evaluate_V3` call for all kinds, and each
-    level's tube is released before the next one is built.
+    derivatives and J all carry the resolution being measured.  Each level
+    is one `evaluate_V3` call for all targets and kinds (one sweep of the
+    tube and one batch of planes), and each level's tube is released
+    before the next one is built.  The values are those of one call per
+    target, bit for bit.
 
     Returns a dict with the raw values; per-target ``rows`` ready for
     tabulation; ``mean_rows``, which average the per-target errors at each
@@ -731,10 +884,10 @@ def convergence_study_3d(surface, targets, levels: Sequence[float], tables, *,
         tube = build_tube(surface, h, eps, rho=rho)
         if progress is not None:
             progress(f"h={h:.6g}: tube has {tube.n_nodes} nodes")
-        for ti, x in enumerate(pts):
-            probe = _default_probe(surface, x, h)
-            parts = evaluate_V3(kinds, surface, rho, x, h, eps, tables,
-                                tube=tube, probe=probe, return_details=True)
+        probes = [_default_probe(surface, x, h) for x in pts]
+        level = evaluate_V3(kinds, surface, rho, pts, h, eps, tables,
+                            tube=tube, probe=probes, return_details=True)
+        for ti, parts in enumerate(level):
             for kind, part in zip(kinds, parts):
                 values[(kind, ti, h)] = part["total"]
                 if include_baseline:

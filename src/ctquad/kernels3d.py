@@ -39,6 +39,7 @@ __all__ = [
     "CubicSurfaceModel",
     "KernelExpansion",
     "kernel_values",
+    "weighted_kernels",
     "build_frame",
     "expansion_at_plane",
     "AXIS_PERMUTATION",
@@ -82,37 +83,58 @@ def kernel_values(kind: str | tuple[str, ...], xstar: np.ndarray,
     EXACT_HIT_RADIUS (exact hits of the singular line) get the value 0; the
     quadratures handle them separately.
 
-    The formulas are formed on coordinates: P(y) - x* is the three (N,)
-    columns dx, dy, dz, and each dot product is summed from them explicitly
-    (1-D operations are several times faster than (N, 3) ones).
-
     ``kind`` is one name, giving an (N,) array, or a tuple of names, giving
-    one row per name: P(y) - x*, r and 4 pi r^3 are then formed once for all.
+    one row per name.  The values are `weighted_kernels` with v = 1.
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
+    out = np.array(weighted_kernels(kinds, xstar, nstar, foot.T, normal.T, 1.0))
+    return out[0] if isinstance(kind, str) else out
+
+
+def weighted_kernels(kinds: tuple[str, ...], xstar, nstar, foot, normal,
+                     v) -> list[np.ndarray]:
+    """K(x*, P(y)) * v for each kind, elementwise over broadcast coordinates.
+
+    ``xstar``, ``nstar``, ``foot`` and ``normal`` are each three coordinate
+    arrays (or one (3, ...) array) that broadcast together and with ``v``:
+    (T, 1) target columns against (n,) tube rows give (T, n) values, and
+    (P, 1) columns against (P, 4) cell nodes (P, 4).  The formulas are
+    formed on the coordinates of x* - P(y) (so DL's dot product needs no
+    sign change, and DLC's takes -n_x), with r from their squares r2,
+    v / (4 pi) / r for SL, and that over r2 folded into both normal
+    derivatives.  Every value is an elementwise function of its own node,
+    target and v, so it does not depend on what it was formed beside.
+    Exact hits (r < EXACT_HIT_RADIUS) read 0.
+    """
     for k in kinds:
         if k not in KERNEL_KINDS:
             raise ValueError(f"kind must be one of {KERNEL_KINDS}, got {k!r}")
-    dx = foot[:, 0] - xstar[0]
-    dy = foot[:, 1] - xstar[1]
-    dz = foot[:, 2] - xstar[2]
-    r = np.sqrt(dx * dx + dy * dy + dz * dz)
+    dx = xstar[0] - foot[0]
+    dy = xstar[1] - foot[1]
+    dz = xstar[2] - foot[2]
+    r2 = dx * dx
+    r2 += dy * dy
+    r2 += dz * dz
+    r = np.sqrt(r2)
     hit = r < EXACT_HIT_RADIUS
-    out = np.empty((len(kinds), r.shape[0]))
+    out = []
     with np.errstate(divide="ignore", invalid="ignore"):
+        v_r = np.asarray(v, dtype=float) / (4.0 * np.pi) / r
         if "DL" in kinds or "DLC" in kinds:
-            four_pi_r3 = 4.0 * np.pi * (r * r * r)
-        for row, k in zip(out, kinds):
+            v_r3 = v_r / r2
+        for k in kinds:
             if k == "SL":
-                val = 1.0 / (4.0 * np.pi * r)
-            elif k == "DL":
-                val = -(dx * normal[:, 0] + dy * normal[:, 1]
-                        + dz * normal[:, 2]) / four_pi_r3
-            else:  # DLC
-                val = (dx * nstar[0] + dy * nstar[1]
-                       + dz * nstar[2]) / four_pi_r3
-            row[:] = np.where(hit, 0.0, val)
-    return out[0] if isinstance(kind, str) else out
+                out.append(v_r)
+                continue
+            n = normal if k == "DL" else [-np.asarray(c) for c in nstar[:3]]
+            val = dx * n[0]
+            val += dy * n[1]
+            val += dz * n[2]
+            val *= v_r3
+            out.append(val)
+    if np.any(hit):
+        out = [np.where(hit, 0.0, val) for val in out]
+    return out
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -190,38 +212,45 @@ class CubicSurfaceModel:
         return cls(kappa1=float(probe.kappa1), kappa2=float(probe.kappa2),
                    f3=tuple(float(v) for v in probe.f3))
 
-    @property
-    def M(self) -> np.ndarray:
-        return np.diag([self.kappa1, self.kappa2])
-
     def B(self, y: np.ndarray) -> np.ndarray:
         """Cubic term of f at y, vectorized over (..., 2)."""
-        fxxx, fxxy, fxyy, fyyy = self.f3
         y = np.asarray(y, dtype=float)
-        x1, x2 = y[..., 0], y[..., 1]
-        return 0.5 * (fxxx * x1**3 / 3.0 + fyyy * x2**3 / 3.0
-                      + fxxy * x1**2 * x2 + fxyy * x1 * x2**2)
+        return _cubic(self.f3, y[..., 0], y[..., 1])
 
     def C(self, y: np.ndarray) -> np.ndarray:
         """Gradient of the cubic term at y, vectorized over (..., 2)."""
-        fxxx, fxxy, fxyy, fyyy = self.f3
         y = np.asarray(y, dtype=float)
-        x1, x2 = y[..., 0], y[..., 1]
-        return 0.5 * np.stack([
-            fxxx * x1**2 + 2.0 * fxxy * x1 * x2 + fxyy * x2**2,
-            fyyy * x2**2 + 2.0 * fxyy * x1 * x2 + fxxy * x1**2,
-        ], axis=-1)
+        return np.stack(_cubic_gradient(self.f3, y[..., 0], y[..., 1]), axis=-1)
+
+
+def _cubic(f3, x1, x2):
+    """The cubic term B of the height function with coefficients f3 at the
+    point with components (x1, x2); f3's entries broadcast with them."""
+    fxxx, fxxy, fxyy, fyyy = f3
+    x11, x22 = x1 * x1, x2 * x2
+    return 0.5 * (fxxx * x11 * x1 / 3.0 + fyyy * x22 * x2 / 3.0
+                  + fxxy * x11 * x2 + fxyy * x1 * x22)
+
+
+def _cubic_gradient(f3, x1, x2):
+    """The components of C = grad B at (x1, x2), as for `_cubic`."""
+    fxxx, fxxy, fxyy, fyyy = f3
+    x11, x12, x22 = x1 * x1, x1 * x2, x2 * x2
+    return (0.5 * (fxxx * x11 + 2.0 * fxxy * x12 + fxyy * x22),
+            0.5 * (fyyy * x22 + 2.0 * fxyy * x12 + fxxy * x11))
 
 
 class KernelExpansion:
-    """Singular expansion s = s0 + s1 + O(|y|) of one plane's kernel trace.
+    """Singular expansion s = s0 + s1 + O(|y|) of the kernel trace on one
+    plane, or on a batch of planes.
 
     Built by `expansion_at_plane`.  The building blocks are closures over
-    in-plane offsets y (vectorized over (..., 2)):
+    in-plane offsets y (vectorized over (..., 2)), with M = diag(kappa1,
+    kappa2), D0 = diag(1/(1 - eta kappa_i)) and w = D0 A y:
 
-        chi0(y) = D0 A y                                (degree 1)
-        chi1(y) = (d.y) D0 D0 M A y + eta D0 C(w, w)    (degree 2, w = D0 A y)
-        xi0(y)  = (1/2) y^T (A^T D0 M D0 A) y           (degree 2)
+        chi0(y) = D0 A y = w                            (degree 1)
+        chi1(y) = (d.y) D0 M w + eta D0 C(w, w)         (degree 2)
+        xi0(y)  = (1/2) w^T M w                         (degree 2)
         xi1, xitilde1                                   (degree 3)
         psi0(y) = |chi0(y)|,  psi1(y) = chi0.chi1/|chi0|
 
@@ -235,110 +264,174 @@ class KernelExpansion:
 
     (written here in the scale-invariant form: by homogeneity the assembled
     expressions evaluated on raw offsets already carry the right powers of
-    |y|).  s0 is homogeneous of degree -1 and s1 of degree 0.
+    |y|).  s0 is homogeneous of degree -1 and s1 of degree 0.  D0 and M are
+    diagonal, so every operator product is written out per coordinate:
+
+        xi1      = eta w.(D0 M C) + B(w) + (d.y) w^T D0 M^2 w
+        xitilde1 = w.(D0 C) - B(w) + (d.y) w^T D0 M^2 w
+
+    with C = C(w, w).  A scalar eta gives one plane, whose closures map y to
+    y's shape.  A vector eta gives a batch: each plane's constants are a
+    (P, 1) column, so offsets y of shape (n, 2) (the same for every plane)
+    or (P, m, 2) (one set per plane) give (P, n) or (P, m) values.  Every
+    value is elementwise in its plane's constants and its offset, so it
+    does not depend on the batch it was formed in.
     """
 
-    def __init__(self, frame: PrincipalFrame, model: CubicSurfaceModel, eta: float):
-        self.frame = frame
-        self.model = model
-        self.eta = float(eta)
-        kap = np.array([model.kappa1, model.kappa2])
-        denom = 1.0 - self.eta * kap
-        if np.min(denom) <= 1e-8:
-            raise CurvatureLimitError(
-                f"plane offset eta={eta} reaches the curvature limit "
-                f"(1 - eta*kappa = {denom.min():.3e})")
-        self.D0 = np.diag(1.0 / denom)
-        self._M = model.M
-        self._A = frame.A
-        self._d = frame.d
-        # fixed 2x2 operator products used by the closures
-        self._D0A = self.D0 @ self._A
-        self._chi1_lin = self.D0 @ self.D0 @ self._M @ self._A
-        self._xi0_quad = self._A.T @ self.D0 @ self._M @ self.D0 @ self._A
-        self._xi1_quad = (self._M.T @ self.D0.T @ self.D0.T @ self._M @ self.D0)
-        self._xit_quad = self.D0 @ self._M @ self.D0 @ self.D0 @ self._M
+    def __init__(self, frame, model, eta):
+        eta = np.asarray(eta, dtype=float)
+        etas = eta.reshape(-1)
+
+        def per_plane(x):
+            return list(x) if isinstance(x, (list, tuple)) else [x] * etas.size
+
+        frames, models = per_plane(frame), per_plane(model)
+        if not len(frames) == len(models) == etas.size:
+            raise ValueError(f"{etas.size} plane offsets need as many frames "
+                             f"and models, got {len(frames)} and {len(models)}")
+        self._setup(etas,
+                    np.array([f.A for f in frames], dtype=float).reshape(-1, 2, 2),
+                    np.array([f.d for f in frames], dtype=float).reshape(-1, 2),
+                    np.array([(m.kappa1, m.kappa2) for m in models], dtype=float),
+                    np.array([m.f3 for m in models], dtype=float).reshape(-1, 4),
+                    single=eta.ndim == 0)
+
+    def _setup(self, eta, A, d, kap, f3, single: bool) -> None:
+        denom = 1.0 - eta[:, None] * kap
+        low = np.min(denom, axis=1) <= 1e-8
+        if np.any(low):
+            i = int(np.argmax(low))
+            err = CurvatureLimitError(
+                f"plane offset eta={eta[i]} reaches the curvature limit "
+                f"(1 - eta*kappa = {denom[i].min():.3e})")
+            err.row = None if single else i
+            raise err
+        self._arrays = (eta, A, d, kap, f3)
+        self.eta = float(eta[0]) if single else eta
+
+        def col(x):   # a per-plane constant: a scalar, or a (P, 1) column
+            return x[0] if single else x[:, None]
+
+        g = 1.0 / denom
+        self._eta = col(eta)
+        self._k = [col(kap[:, i]) for i in range(2)]
+        self._g = [col(g[:, i]) for i in range(2)]
+        self._gk = [col(g[:, i] * kap[:, i]) for i in range(2)]
+        self._gkk = [col(g[:, i] * kap[:, i] * kap[:, i]) for i in range(2)]
+        self._D0A = [[col(g[:, i] * A[:, i, j]) for j in range(2)]
+                     for i in range(2)]
+        self._d = [col(d[:, i]) for i in range(2)]
+        self._f3 = [col(f3[:, i]) for i in range(4)]
+
+    def _rows(self, rows) -> KernelExpansion:
+        """The batch's planes ``rows`` (all of them for None)."""
+        if rows is None:
+            return self
+        out = KernelExpansion.__new__(KernelExpansion)
+        out._setup(*(x[rows] for x in self._arrays), single=False)
+        return out
 
     # -- closures -------------------------------------------------------------
 
-    def chi0(self, y: np.ndarray) -> np.ndarray:
+    def _w(self, y):
+        """Components of w = D0 A y, and of y."""
         y = np.asarray(y, dtype=float)
-        return y @ self._D0A.T
+        y1, y2 = y[..., 0], y[..., 1]
+        (a11, a12), (a21, a22) = self._D0A
+        return a11 * y1 + a12 * y2, a21 * y1 + a22 * y2, y1, y2
+
+    def _xi0(self, w1, w2):
+        return 0.5 * (self._k[0] * w1 * w1 + self._k[1] * w2 * w2)
+
+    def _chi1(self, w1, w2, c1, c2, dy):
+        return (dy * self._gk[0] * w1 + self._eta * self._g[0] * c1,
+                dy * self._gk[1] * w2 + self._eta * self._g[1] * c2)
+
+    def _terms(self, y):
+        """w's components, psi0, psi1, xi0, C(w, w) and d.y at offsets y."""
+        w1, w2, y1, y2 = self._w(y)
+        p0 = np.sqrt(w1 * w1 + w2 * w2)
+        dy = self._d[0] * y1 + self._d[1] * y2
+        c1, c2 = _cubic_gradient(self._f3, w1, w2)
+        chi1 = self._chi1(w1, w2, c1, c2, dy)
+        p1 = (w1 * chi1[0] + w2 * chi1[1]) / p0
+        return w1, w2, p0, p1, self._xi0(w1, w2), c1, c2, dy
+
+    def _xi1(self, w1, w2, c1, c2, dy):
+        return (self._eta * (self._gk[0] * w1 * c1 + self._gk[1] * w2 * c2)
+                + _cubic(self._f3, w1, w2) + self._dy_term(w1, w2, dy))
+
+    def _xitilde1(self, w1, w2, c1, c2, dy):
+        return (self._g[0] * w1 * c1 + self._g[1] * w2 * c2
+                - _cubic(self._f3, w1, w2) + self._dy_term(w1, w2, dy))
+
+    def _dy_term(self, w1, w2, dy):
+        """(d.y) w^T D0 M^2 w, shared by xi1 and xitilde1."""
+        return dy * (self._gkk[0] * w1 * w1 + self._gkk[1] * w2 * w2)
+
+    def chi0(self, y: np.ndarray) -> np.ndarray:
+        w1, w2, _, _ = self._w(y)
+        return np.stack([w1, w2], axis=-1)
 
     def chi1(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        w = y @ self._D0A.T
-        lead = (y @ self._d)[..., None] * (y @ self._chi1_lin.T)
-        return lead + self.eta * (self.model.C(w) @ self.D0.T)
+        w1, w2, _, _, _, c1, c2, dy = self._terms(y)
+        return np.stack(self._chi1(w1, w2, c1, c2, dy), axis=-1)
 
     def xi0(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return 0.5 * np.einsum("...i,ij,...j->...", y, self._xi0_quad, y)
+        return self._terms(y)[4]
 
     def xi1(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        w = y @ self._D0A.T
-        dc = self.model.C(w) @ self.D0.T  # D0 C(w, w)
-        mw = w @ self._M.T  # M D0 A y = M w
-        t1 = 0.5 * self.eta * np.sum(dc * mw, axis=-1)
-        t2 = 0.5 * self.eta * np.sum(w * (dc @ self._M.T), axis=-1)
-        t3 = self.model.B(w)
-        z = y @ self._A.T
-        t4 = (y @ self._d) * np.einsum("...i,ij,...j->...", z, self._xi1_quad, z)
-        return t1 + t2 + t3 + t4
+        w1, w2, _, _, _, c1, c2, dy = self._terms(y)
+        return self._xi1(w1, w2, c1, c2, dy)
 
     def xitilde1(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        w = y @ self._D0A.T
-        dc = self.model.C(w) @ self.D0.T
-        mw = w @ self._M.T
-        bracket = np.sum(dc * mw, axis=-1) - np.sum(w * (dc @ self._M.T), axis=-1)
-        z = y @ self._A.T
-        op = self.D0.T @ (np.eye(2) + self.eta * self._M @ self.D0)
-        t3 = np.sum(z * (self.model.C(w) @ op.T), axis=-1)
-        t4 = (y @ self._d) * np.einsum("...i,ij,...j->...", z, self._xit_quad, z)
-        return 0.5 * self.eta * bracket - self.model.B(w) + t3 + t4
+        w1, w2, _, _, _, c1, c2, dy = self._terms(y)
+        return self._xitilde1(w1, w2, c1, c2, dy)
 
     def psi0(self, y: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.chi0(y), axis=-1)
+        return self._terms(y)[2]
 
     def psi1(self, y: np.ndarray) -> np.ndarray:
-        chi0 = self.chi0(y)
-        return np.sum(chi0 * self.chi1(y), axis=-1) / np.linalg.norm(chi0, axis=-1)
+        return self._terms(y)[3]
 
     # -- assembled singular terms ----------------------------------------------
 
     def s0_eval(self, kind: str, y: np.ndarray) -> np.ndarray:
         """Leading singular term at in-plane offsets y (nonzero)."""
         pref = 1.0 / (4.0 * np.pi)
-        p0 = self.psi0(y)
         s0_kind = S0_KIND.get(kind)
+        if s0_kind is None:
+            raise ValueError(f"unknown kernel kind {kind!r}")
+        w1, w2, _, _ = self._w(y)
+        p0 = np.sqrt(w1 * w1 + w2 * w2)
         if s0_kind == "SL":
             return pref / p0
-        if s0_kind == "DL":
-            return pref * self.xi0(y) / p0**3
-        raise ValueError(f"unknown kernel kind {kind!r}")
+        return pref * self._xi0(w1, w2) / (p0 * p0 * p0)
 
     def s1_eval(self, kind: str, y: np.ndarray) -> np.ndarray:
         """First correction term at in-plane offsets y (nonzero)."""
         pref = 1.0 / (4.0 * np.pi)
-        p0 = self.psi0(y)
-        p1 = self.psi1(y)
+        if kind not in KERNEL_KINDS:
+            raise ValueError(f"unknown kernel kind {kind!r}")
+        w1, w2, p0, p1, xi0, c1, c2, dy = self._terms(y)
+        p0_2 = p0 * p0
         if kind == "SL":
-            return -pref * p1 / p0**2
-        if kind == "DLC":
-            return pref * (-3.0 * self.xi0(y) * p1 / p0**4 + self.xi1(y) / p0**3)
-        if kind == "DL":
-            return pref * (-3.0 * self.xi0(y) * p1 / p0**4 + self.xitilde1(y) / p0**3)
-        raise ValueError(f"unknown kernel kind {kind!r}")
+            return -pref * p1 / p0_2
+        xi = (self._xi1 if kind == "DLC" else self._xitilde1)(w1, w2, c1, c2, dy)
+        p0_3 = p0_2 * p0
+        return pref * (-3.0 * xi0 * p1 / (p0_3 * p0) + xi / p0_3)
 
-    def s0_term(self, kind: str) -> SingularTerm:
-        """s0 as a SingularTerm: its phi is s0 on the unit circle."""
-        return SingularTerm.from_callable(0, lambda th: self.s0_eval(kind, _unit(th)))
+    def s0_term(self, kind: str):
+        """s0 as a SingularTerm: its phi is s0 on the unit circle.  A batch
+        gives a list of terms, one per plane, sampled in one call."""
+        return SingularTerm.from_callable(
+            0, lambda th, rows=None: self._rows(rows).s0_eval(kind, _unit(th)))
 
-    def s1_term(self, kind: str) -> SingularTerm:
-        """s1 as a SingularTerm: its phi is s1 on the unit circle."""
-        return SingularTerm.from_callable(1, lambda th: self.s1_eval(kind, _unit(th)))
+    def s1_term(self, kind: str):
+        """s1 as a SingularTerm: its phi is s1 on the unit circle.  A batch
+        gives a list of terms, one per plane, sampled in one call."""
+        return SingularTerm.from_callable(
+            1, lambda th, rows=None: self._rows(rows).s1_eval(kind, _unit(th)))
 
 
 def _unit(theta: np.ndarray) -> np.ndarray:
@@ -346,7 +439,12 @@ def _unit(theta: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
-def expansion_at_plane(frame: PrincipalFrame, model: CubicSurfaceModel,
-                       eta: float) -> KernelExpansion:
-    """Singular expansion of the kernel on the plane at normal offset eta."""
+def expansion_at_plane(frame, model, eta) -> KernelExpansion:
+    """Singular expansion of the kernel on the plane at normal offset eta.
+
+    A vector eta gives one batch of planes; ``frame`` and ``model`` are then
+    one for all of them or sequences with one entry per plane (planes of
+    several targets).  A plane at the curvature limit raises
+    CurvatureLimitError, whose ``row`` names it within a batch.
+    """
     return KernelExpansion(frame, model, eta)

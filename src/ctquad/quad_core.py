@@ -100,29 +100,52 @@ MIN_SAMPLES, MAX_SAMPLES, RESOLUTION = 256, 2 ** 16, 1e-13
 
 
 def _spectrum(samples: np.ndarray):
-    """Coefficients a[j] of cos(j*theta) and b[j] of sin(j*theta) from n uniform
-    samples of phi on [0, 2*pi), their largest magnitude norm, and None if the
-    samples resolve phi, else the mode above n/4 with the largest coefficient.
+    """Coefficients a[..., j] of cos(j*theta) and b[..., j] of sin(j*theta)
+    from n uniform samples of phi on [0, 2*pi) along the last axis, their
+    largest magnitude norm, and -1 where the samples resolve phi, else the
+    mode above n/4 with the largest coefficient.
+
+    Each row of (P, n) samples is transformed by one rfft over the array,
+    with the bits of its own transform.
     """
-    n = samples.size
+    n = samples.shape[-1]
     if n < 4 or (n & (n - 1)) != 0:
         raise ValueError(f"phi sample count must be a power of two >= 4, got {n}")
-    bad = np.flatnonzero(~np.isfinite(samples))
-    if bad.size:
-        raise ValueError(f"phi sample {bad[0]} of {n} is {samples[bad[0]]}, not finite")
+    if not np.all(np.isfinite(samples)):
+        *row, i = np.argwhere(~np.isfinite(samples))[0]
+        where = f"row {row[0]}: " if row else ""
+        raise ValueError(f"{where}phi sample {i} of {n} is "
+                         f"{samples[(*row, i)]}, not finite")
     c = np.fft.rfft(samples) / n
     a = 2.0 * c.real
-    a[[0, -1]] = c[[0, -1]].real
+    a[..., [0, -1]] = c[..., [0, -1]].real
     b = -2.0 * c.imag
-    b[[0, -1]] = 0.0
-    norm = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
+    b[..., [0, -1]] = 0.0
+    norm = np.maximum(np.maximum(np.max(np.abs(a), axis=-1),
+                                 np.max(np.abs(b), axis=-1)), 1e-300)
     top = np.maximum(np.abs(a), np.abs(b))
-    j = n // 4 + 1 + int(np.argmax(top[n // 4 + 1:]))
-    return a, b, norm, (j if top[j] > RESOLUTION * norm else None)
+    j = n // 4 + 1 + np.argmax(top[..., n // 4 + 1:], axis=-1)
+    big = np.take_along_axis(top, j[..., None], -1)[..., 0] > RESOLUTION * norm
+    return a, b, norm, np.where(big, j, -1)
+
+
+def _check_k(k) -> None:
+    if k < 0 or k != int(k):
+        raise ValueError(f"homogeneity index k must be a nonnegative integer, got {k}")
 
 
 class _Unresolved(ValueError):
-    """The samples of phi do not resolve it (see `_spectrum`)."""
+    """The samples of phi do not resolve it (see `_spectrum`); ``row`` is the
+    unresolved row of a batch, None for a single phi."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
+
+
+def _unresolved_message(n: int, a, b, norm: float, j: int) -> str:
+    return (f"{n} samples do not resolve phi: mode {j} has coefficient "
+            f"{max(abs(a[j]), abs(b[j])):.3e} > {RESOLUTION:g} x norm {norm:.3e}")
 
 
 class SingularTerm:
@@ -139,13 +162,14 @@ class SingularTerm:
 
     def __init__(self, k: int, samples: np.ndarray):
         samples = np.asarray(samples, dtype=float)
-        if k < 0 or k != int(k):
-            raise ValueError(f"homogeneity index k must be a nonnegative integer, got {k}")
+        _check_k(k)
         a, b, norm, j = _spectrum(samples)
-        if j is not None:
-            raise _Unresolved(f"{samples.size} samples do not resolve phi: mode {j} "
-                              f"has coefficient {max(abs(a[j]), abs(b[j])):.3e} > "
-                              f"{RESOLUTION:g} x norm {norm:.3e}")
+        if j >= 0:
+            raise _Unresolved(_unresolved_message(samples.size, a, b, norm, j))
+        self._set_modes(k, a, b, norm)
+
+    def _set_modes(self, k: int, a: np.ndarray, b: np.ndarray, norm) -> None:
+        """Keep the coefficients above RESOLUTION * norm as the mode map."""
         self.k = int(k)
         # a[j] multiplies cos(j*theta) (a[0] is the mean), b[j] sin(j*theta)
         big_a = np.abs(a) > RESOLUTION * norm
@@ -161,22 +185,45 @@ class SingularTerm:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_callable(cls, k: int,
-                      phi: Callable[[np.ndarray], np.ndarray]) -> "SingularTerm":
+    def from_callable(cls, k: int, phi: Callable[..., np.ndarray]):
         """Sample phi at 256, 512, ... angles until resolved; raise past MAX_SAMPLES.
 
-        Each sample set is transformed once, by the constructor; the set it
-        finds unresolved is dropped for one twice as long.
+        ``phi(theta)`` maps n angles to n samples of one function, giving one
+        term, or to (P, n) samples of a batch of P functions, giving a list
+        of P terms.  One function is a one-row batch: every sample set, of
+        one row or of P, is transformed once by one rfft (`_spectrum`), and
+        each row is judged alone.  The rows it finds unresolved are sampled
+        again at twice as many angles, a batch's by ``phi(theta, rows)``
+        with the indices of those rows alone; a row still unresolved at
+        MAX_SAMPLES raises, naming its index in a batch (``_Unresolved.row``).
         """
+        _check_k(k)
         n = MIN_SAMPLES
+        samples = np.asarray(phi(2.0 * np.pi * np.arange(n) / n), dtype=float)
+        batch = samples.ndim == 2
+        terms = [None] * (samples.shape[0] if batch else 1)
+        rows = np.arange(len(terms))
         while True:
-            samples = np.asarray(phi(2.0 * np.pi * np.arange(n) / n), dtype=float)
-            try:
-                return cls(k, samples)
-            except _Unresolved:
-                if n == MAX_SAMPLES:
-                    raise
+            a, b, norm, j = (np.reshape(x, (rows.size, -1))
+                             for x in _spectrum(samples))
+            for i, row in enumerate(rows.tolist()):
+                if j[i, 0] < 0:
+                    terms[row] = term = cls.__new__(cls)
+                    term._set_modes(k, a[i], b[i], norm[i, 0])
+            open_ = np.flatnonzero(j[:, 0] >= 0)
+            if open_.size == 0:
+                return terms if batch else terms[0]
+            if n == MAX_SAMPLES:
+                i = int(open_[0])
+                message = _unresolved_message(n, a[i], b[i], norm[i, 0], j[i, 0])
+                if not batch:
+                    raise _Unresolved(message)
+                raise _Unresolved(f"row {rows[i]}: {message}", row=int(rows[i]))
             n *= 2
+            rows = rows[open_]
+            theta = 2.0 * np.pi * np.arange(n) / n
+            samples = np.asarray(phi(theta, rows) if batch else phi(theta),
+                                 dtype=float)
 
     @classmethod
     def from_coefficients(cls, k: int, a0: float,

@@ -1117,8 +1117,7 @@ def load_weight_table(path: str) -> WeightTable:
         data=data, m_levels=m_levels, version=meta["version"])
 
 
-def interpolate_weights(table: WeightTable, term: SingularTerm,
-                        offset: GridOffset) -> np.ndarray:
+def interpolate_weights(table: WeightTable, term, offset) -> np.ndarray:
     """Weights for an arbitrary phi and off-lattice (alpha, beta).
 
     Combines the tabulated per-mode weights linearly with the coefficients
@@ -1127,38 +1126,60 @@ def interpolate_weights(table: WeightTable, term: SingularTerm,
     cubic Lagrange polynomials on the surrounding 4x4 lattice patch.  At
     lattice points the interpolation reproduces table entries exactly.
     Modes beyond the table's range are dropped.
+
+    ``term`` and ``offset`` are one term and its GridOffset, giving the
+    stencil's weights, or equal-length sequences of them (a batch of
+    planes), giving one row of weights each.  A batch gathers the terms'
+    4x4 windows of each table row at once, weights them by the coefficients
+    in row order, and contracts the patches with the Lagrange bases in two
+    sums of four: each row's weights depend on its own term and offset
+    alone.
     """
-    if term.k != table.k:
-        raise ValueError(f"table is for k={table.k}, term has k={term.k}")
+    single = isinstance(offset, GridOffset)
+    terms = [term] if single else list(term)
+    offsets = [offset] if single else list(offset)
+    if len(terms) != len(offsets):
+        raise ValueError(f"{len(terms)} terms for {len(offsets)} offsets")
+    for t in terms:
+        if t.k != table.k:
+            raise ValueError(f"table is for k={table.k}, term has k={t.k}")
     if table.grid_n < 4:
         raise ValueError(f"cubic interpolation needs a lattice of at least "
                          f"4x4 offsets; this table has grid_n={table.grid_n}")
     grid_n, step, lo = table.grid_n, table.step, table.domain_lo
     hi = lo + 1.0
-    a_off, b_off = offset.alpha, offset.beta
+    ab = np.array([(o.alpha, o.beta) for o in offsets], dtype=float).reshape(-1, 2)
     eps = 1e-12
-    if not (lo - eps <= a_off <= hi + eps and lo - eps <= b_off <= hi + eps):
+    outside = np.any((ab < lo - eps) | (ab > hi + eps), axis=1)
+    if np.any(outside):
+        a_off, b_off = ab[np.argmax(outside)]
         raise ValueError(f"offset ({a_off}, {b_off}) outside the table cell "
                          f"[{lo}, {hi}]^2")
 
-    def window(t: float) -> tuple[int, np.ndarray]:
-        x = (t - lo) / step
-        i0 = int(math.floor(x)) - 1
-        i0 = min(max(i0, 0), grid_n - 4)
-        xi = x - i0
-        nodes = np.arange(4.0)
-        basis = np.ones(4)
-        for jn in range(4):
-            for kn in range(4):
-                if kn != jn:
-                    basis[jn] *= (xi - nodes[kn]) / (nodes[jn] - nodes[kn])
-        return i0, basis
+    # each offset's window start and cubic Lagrange basis, per axis
+    x = (ab - lo) / step
+    start = np.clip(np.floor(x).astype(np.int64) - 1, 0, grid_n - 4)
+    xi = x - start
+    basis = np.ones(ab.shape + (4,))
+    for jn in range(4):
+        for kn in range(4):
+            if kn != jn:
+                basis[..., jn] *= (xi - float(kn)) / float(jn - kn)
 
-    ia, ba = window(a_off)
-    ib, bb = window(b_off)
-    patch = np.zeros((4, 4, table.data.shape[-1]))
-    for mode, c in term.coefficients.items():
-        if mode[1] > table.n_modes:
-            continue
-        patch += c * table.data[_mode_row(mode), ia:ia + 4, ib:ib + 4, :]
-    return np.einsum("a,b,abi->i", ba, bb, patch)
+    # the terms' coefficients in table row order, to the table's last mode
+    coef = np.zeros((len(terms), table.n_rows))
+    for i, t in enumerate(terms):
+        for mode, c in t.coefficients.items():
+            if mode[1] > table.n_modes:
+                break
+            coef[i, _mode_row(mode)] = c
+    # each term's 4x4 window of every row it reads, weighted in row order
+    reach = np.arange(4)
+    ia = start[:, 0, None, None] + reach[:, None]
+    ib = start[:, 1, None, None] + reach
+    patch = np.zeros((len(terms), 4, 4, table.data.shape[-1]))
+    for row in np.flatnonzero(np.any(coef != 0.0, axis=0)):
+        patch += coef[:, row, None, None, None] * table.data[row][ia, ib]
+    out = (basis[:, 1, None, :, None] * patch).sum(axis=2)
+    out = (basis[:, 0, :, None] * out).sum(axis=1)
+    return out[0] if single else out

@@ -18,6 +18,9 @@
   surface point, by atan2;
 * `torus_plane_expansion`: the kernel expansion on one plane near a torus
   target, a source of realistic singular terms;
+* `MatrixFormExpansion`: one plane's kernel expansion with its operators
+  as 2x2 matrix products, the form the library's batched per-coordinate
+  expansion must match to rounding;
 * `lattice_mode_sums_complex`: the windowed lattice sums with complex
   products, the form the library's real-multiply sums must match bit for bit;
 * `projection_jacobian_einsum`, `scan_band_ravel`: the tube's area ratio
@@ -254,6 +257,81 @@ def torus_plane_expansion():
     probe = analytic_probe(torus, torus.param_point(1.234, 4.567))
     frame = build_frame(probe, dominant_direction(probe.n))
     return expansion_at_plane(frame, CubicSurfaceModel.from_probe(probe), 0.02)
+
+
+class MatrixFormExpansion:
+    """One plane's s0 and s1 with the closures' operators as 2x2 matrix
+    products, as `kernels3d.KernelExpansion` formed them before it wrote
+    its diagonal products out per coordinate (see its docstring)."""
+
+    def __init__(self, frame, model, eta: float):
+        self.eta = float(eta)
+        self.model = model
+        M = np.diag([model.kappa1, model.kappa2])
+        D0 = np.diag(1.0 / (1.0 - self.eta * np.array([model.kappa1,
+                                                        model.kappa2])))
+        A, self.d = frame.A, frame.d
+        self.M, self.D0, self.A = M, D0, A
+        self.D0A = D0 @ A
+        self.chi1_lin = D0 @ D0 @ M @ A
+        self.xi0_quad = A.T @ D0 @ M @ D0 @ A
+        self.xi1_quad = M.T @ D0.T @ D0.T @ M @ D0
+        self.xit_quad = D0 @ M @ D0 @ D0 @ M
+
+    def chi0(self, y):
+        return y @ self.D0A.T
+
+    def chi1(self, y):
+        w = y @ self.D0A.T
+        lead = (y @ self.d)[..., None] * (y @ self.chi1_lin.T)
+        return lead + self.eta * (self.model.C(w) @ self.D0.T)
+
+    def xi0(self, y):
+        return 0.5 * np.einsum("...i,ij,...j->...", y, self.xi0_quad, y)
+
+    def xi1(self, y):
+        w = y @ self.D0A.T
+        dc = self.model.C(w) @ self.D0.T
+        mw = w @ self.M.T
+        t1 = 0.5 * self.eta * np.sum(dc * mw, axis=-1)
+        t2 = 0.5 * self.eta * np.sum(w * (dc @ self.M.T), axis=-1)
+        z = y @ self.A.T
+        t4 = (y @ self.d) * np.einsum("...i,ij,...j->...", z, self.xi1_quad, z)
+        return t1 + t2 + self.model.B(w) + t4
+
+    def xitilde1(self, y):
+        w = y @ self.D0A.T
+        dc = self.model.C(w) @ self.D0.T
+        mw = w @ self.M.T
+        bracket = (np.sum(dc * mw, axis=-1)
+                   - np.sum(w * (dc @ self.M.T), axis=-1))
+        z = y @ self.A.T
+        op = self.D0.T @ (np.eye(2) + self.eta * self.M @ self.D0)
+        t3 = np.sum(z * (self.model.C(w) @ op.T), axis=-1)
+        t4 = (y @ self.d) * np.einsum("...i,ij,...j->...", z, self.xit_quad, z)
+        return 0.5 * self.eta * bracket - self.model.B(w) + t3 + t4
+
+    def psi0(self, y):
+        return np.linalg.norm(self.chi0(y), axis=-1)
+
+    def psi1(self, y):
+        chi0 = self.chi0(y)
+        return np.sum(chi0 * self.chi1(y), axis=-1) / np.linalg.norm(chi0,
+                                                                     axis=-1)
+
+    def s0_eval(self, kind, y):
+        pref = 1.0 / (4.0 * np.pi)
+        if kind == "SL":
+            return pref / self.psi0(y)
+        return pref * self.xi0(y) / self.psi0(y) ** 3
+
+    def s1_eval(self, kind, y):
+        pref = 1.0 / (4.0 * np.pi)
+        p0, p1 = self.psi0(y), self.psi1(y)
+        if kind == "SL":
+            return -pref * p1 / p0 ** 2
+        xi = self.xi1(y) if kind == "DLC" else self.xitilde1(y)
+        return pref * (-3.0 * self.xi0(y) * p1 / p0 ** 4 + xi / p0 ** 3)
 
 
 def lattice_mode_sums_complex(k, alpha, beta, h, modes, monos, stencil_offsets):

@@ -690,25 +690,35 @@ def test_curvature_limit_propagates_plane_index(sphere, sphere_tube,
                     probe=probe)
 
 
-# (V3, h^3 * product) values recorded before the tube build and the kernel
-# sums were chunked: one torus level at h=0.04 (J from the lattice feet) with
-# the variable density.  The DLC baseline was re-recorded when the baseline
-# took the probe's normal at the target in place of the exact one; the V3
-# totals when a term's modes were cut at RESOLUTION (moves of at most 9e-15
-# relative); the DL baseline when the density came from the local
-# coordinates in place of atan2 angles (one ulp); the SL total when s0's
-# cell values came from its closed form in place of its Fourier series
-# (2 ulps)
+# (V3, h^3 * product) values of one torus level at h=0.04 (J from the
+# lattice feet) with the variable density.  The DLC baseline was
+# re-recorded when the baseline took the probe's normal at the target in
+# place of the exact one; the V3 totals when a term's modes were cut at
+# RESOLUTION (moves of at most 9e-15 relative); the DL baseline when the
+# density came from the local coordinates in place of atan2 angles (one
+# ulp); the SL total when s0's cell values came from its closed form in
+# place of its Fourier series (2 ulps).  All six were re-recorded when a
+# level became one kernel sweep, with v folded into the kernels and the
+# products summed in SUM_BLOCK blocks, and one batch of planes, with the
+# expansion's operator products written out per coordinate.  Old -> new
+# (relative move):
+#   SL  total    1.1469216740821002 ->  1.1469216740821     (1.9e-16)
+#   SL  product  1.1364332193286044 ->  1.1364332193286042  (2.0e-16)
+#   DL  total   -0.7740201701197255 -> -0.7740201701197253  (1.4e-16)
+#   DL  product -0.7616040491396242 -> -0.7616040491396241  (1.5e-16)
+#   DLC total   -0.944490495073738  -> -0.9444904950737375  (4.7e-16)
+#   DLC product -0.9316442913058505 -> -0.9316442913058501  (3.6e-16)
 _PINNED_04 = {
-    "SL": (1.1469216740821002, 1.1364332193286044),
-    "DL": (-0.7740201701197255, -0.7616040491396242),
-    "DLC": (-0.944490495073738, -0.9316442913058505),
+    "SL": (1.1469216740821, 1.1364332193286042),
+    "DL": (-0.7740201701197253, -0.7616040491396241),
+    "DLC": (-0.9444904950737375, -0.9316442913058501),
 }
 
 
 @pytest.mark.parametrize("chunk", [None, 1000])
 def test_values_pinned_bit_for_bit(torus, table02, table11, monkeypatch, chunk):
-    """Chunked passes leave every value bit-identical, at any chunk size."""
+    """Chunked passes leave every value bit-identical, at any chunk size:
+    the sweep sums its products in SUM_BLOCK blocks, whatever CHUNK is."""
     if chunk is not None:    # the 17,276-node tube then spans 18 chunks
         monkeypatch.setattr(ibim3d, "CHUNK", chunk)
     h, eps = 0.04, 0.1
@@ -738,9 +748,69 @@ def test_kind_tuple_matches_single_kinds(torus, torus_tube, table02, table11):
                        tube=torus_tube) == (together[0]["total"],)
 
 
+# torus targets (theta, phi) of the multi-target evaluations
+_TARGET_ANGLES = [(1.1, 2.3), (-0.7, 0.4), (2.9, 5.1), (0.3, 1.7),
+                  (-2.2, 3.9)]
+
+
+def test_target_batch_matches_single_targets(torus, torus_tube, table02,
+                                            table11):
+    """Each target's entry of a multi-target call, details and per-plane
+    diagnostics included, equals its one-point call bit for bit."""
+    h, eps = torus_tube.h, torus_tube.eps
+    tabs = (table02, table11)
+    xs = [torus.param_point(*a) for a in _TARGET_ANGLES]
+    batch = evaluate_V3(KERNEL_KINDS, torus, torus.density_at, xs, h, eps,
+                        tabs, tube=torus_tube, return_details=True)
+    assert isinstance(batch, list) and len(batch) == len(xs)
+    for x, entry in zip(xs, batch):
+        alone = evaluate_V3(KERNEL_KINDS, torus, torus.density_at, x, h, eps,
+                            tabs, tube=torus_tube, return_details=True)
+        assert entry == alone
+        for details in entry:
+            n = len(details["planes"])
+            assert n > 0
+            assert details["eta"] == tuple(p.eta for p in details["planes"])
+            for key in ("s0_top_mode", "s1_top_mode", "s0_dropped",
+                        "s1_dropped"):
+                assert len(details[key]) == n, key
+            assert all(m > table02.n_modes for m in details["s1_top_mode"])
+            assert all(0.0 <= c < 1.0 for c in details["s1_dropped"])
+    totals = evaluate_V3("DLC", torus, torus.density_at, xs[:2], h, eps, tabs,
+                         tube=torus_tube)
+    assert totals == [entry[2]["total"] for entry in batch[:2]]
+
+
+def test_unresolved_plane_is_named(torus, torus_tube, table02, table11,
+                                   monkeypatch):
+    """A plane whose s1 the samples never resolve, among resolved planes of
+    two targets, raises naming that plane's index and eta."""
+    h, eps = torus_tube.h, torus_tube.eps
+    xs = [torus.param_point(1.1, 2.3), torus.param_point(-0.7, 0.4)]
+    planes = evaluate_V3("SL", torus, None, xs[1], h, eps, (table02, table11),
+                         tube=torus_tube, return_details=True)["planes"]
+    bad = planes[len(planes) // 2]
+    s1_eval = KernelExpansion.s1_eval
+
+    def with_a_step(self, kind, y):
+        out = s1_eval(self, kind, y)
+        if np.ndim(self.eta) == 1:   # the batch: one row jumps at angle 0
+            step = np.where(np.arctan2(y[..., 1], y[..., 0]) < 0.0, 1.0, 0.0)
+            out = np.where((self.eta == bad.eta)[:, None], step, out)
+        return out
+
+    monkeypatch.setattr(KernelExpansion, "s1_eval", with_a_step)
+    expected = (rf"plane {bad.index} \(eta={re.escape(f'{bad.eta:.6g}')}\): "
+                rf".*65536 samples do not resolve phi")
+    with pytest.raises(ValueError, match=expected):
+        evaluate_V3("SL", torus, None, xs, h, eps, (table02, table11),
+                    tube=torus_tube)
+
+
 def test_dl_and_dlc_share_s0(torus, torus_tube, table02, table11, monkeypatch):
-    """Per plane, the three kinds build 5 terms and interpolate 5 weight
-    sets: DL and DLC have one s0, so its term and k=0 weights are shared."""
+    """Per batch of planes, the three kinds build 5 term batches and
+    interpolate 5 weight batches: DL and DLC have one s0, so its terms and
+    k=0 weights are shared."""
     calls = []
     for name in ("s0_term", "s1_term"):
         method = getattr(KernelExpansion, name)
@@ -757,50 +827,57 @@ def test_dl_and_dlc_share_s0(torus, torus_tube, table02, table11, monkeypatch):
         return interpolate(*args)
 
     monkeypatch.setattr(ibim3d, "interpolate_weights", counted_interpolate)
-    xstar = torus.param_point(1.1, 2.3)
-    details = evaluate_V3(KERNEL_KINDS, torus, None, xstar, torus_tube.h,
-                          torus_tube.eps, (table02, table11), tube=torus_tube,
-                          return_details=True)
-    planes = len(details[0]["planes"])
-    assert planes > 0
-    assert calls.count("s0_term") == 2 * planes
-    assert calls.count("s1_term") == 3 * planes
-    assert calls.count("interpolate") == 5 * planes
-    q2 = {kind: d["q2"] for kind, d in zip(KERNEL_KINDS, details)}
-    assert q2["DL"] == q2["DLC"] != q2["SL"]
+    xstar = [torus.param_point(1.1, 2.3), torus.param_point(-0.7, 0.4)]
+    batch = evaluate_V3(KERNEL_KINDS, torus, None, xstar, torus_tube.h,
+                        torus_tube.eps, (table02, table11), tube=torus_tube,
+                        return_details=True)
+    assert all(len(details[0]["planes"]) > 0 for details in batch)
+    assert calls.count("s0_term") == 2
+    assert calls.count("s1_term") == 3
+    assert calls.count("interpolate") == 5
+    for details in batch:
+        q2 = {kind: d["q2"] for kind, d in zip(KERNEL_KINDS, details)}
+        assert q2["DL"] == q2["DLC"] != q2["SL"]
 
 
 @pytest.mark.parametrize("kinds", ["SL", "DLC", ("SL", "DL", "DLC")],
                          ids=["SL", "DLC", "all"])
 def test_evaluation_memory_is_bounded(torus, torus_tube, table02, table11,
                                       monkeypatch, kinds):
-    """Beyond the tube, an evaluation holds one (N,) array per kind.
+    """Beyond the tube, an evaluation of 1, 2 or 5 targets holds no
+    per-node array.
 
-    The rest is the temporaries of one chunk of kernel values -- the
-    coordinates dx, dy, dz of P(y) - x*, r, 4 pi r^3, the exact-hit mask and
-    a few per-kind rows -- which stay under 160 bytes per CHUNK row for up
-    to three kinds.  Forming the kernel over the whole tube at once costs
-    about 65 bytes per node.
+    What it holds is the temporaries of one sweep pass -- per target, the
+    coordinates dx, dy, dz of x* - P(y), r2, r, the exact-hit mask, v over
+    4 pi r and over r^3, and a row per kind -- and the batch of planes
+    (about 7 planes per target here, sampled at 256 or 512 angles).  Both
+    stay under 200 bytes per CHUNK row per target for up to three kinds
+    and five targets.  The per-target passes this replaced held one (N,)
+    array per kind, 8 bytes per node each, plus 160 bytes per CHUNK row.
     """
     monkeypatch.setattr(ibim3d, "CHUNK", 2048)
-    xstar = torus.param_point(1.1, 2.3)
     h, eps = torus_tube.h, torus_tube.eps
-    probe = surface_probe(torus, xstar, h=h, probe_distance=0.5 * torus.reach)
+    for n_targets in (1, 2, 5):
+        xstar = [torus.param_point(*a) for a in _TARGET_ANGLES[:n_targets]]
+        probe = [surface_probe(torus, x, h=h, probe_distance=0.5 * torus.reach)
+                 for x in xstar]
+        if n_targets == 1:
+            xstar, probe = xstar[0], probe[0]
 
-    def run():
-        return evaluate_V3(kinds, torus, None, xstar, h, eps,
-                           (table02, table11), tube=torus_tube, probe=probe)
+        def run():
+            return evaluate_V3(kinds, torus, None, xstar, h, eps,
+                               (table02, table11), tube=torus_tube,
+                               probe=probe)
 
-    run()   # warm every cache first
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        run()
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    n_kinds = 1 if isinstance(kinds, str) else len(kinds)
-    assert peak <= 8 * torus_tube.n_nodes * n_kinds + 160 * ibim3d.CHUNK
+        run()   # warm every cache first
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * ibim3d.CHUNK * n_targets, n_targets
 
 
 # ---------------------------------------------------------------------------
@@ -914,9 +991,10 @@ def test_analytic_jacobian_value_agrees(torus, torus_tube, table02, table11):
 def test_convergence_study_structure(sphere, table02, table11, monkeypatch):
     evaluate, passes = ibim3d.evaluate_V3, {}
 
-    def recorded_evaluate(kinds, surface, rho, x, h, *args, **kwargs):
-        out = evaluate(kinds, surface, rho, x, h, *args, **kwargs)
-        passes[(tuple(x), h)] = dict(zip(kinds, out))
+    def recorded_evaluate(kinds, surface, rho, xs, h, *args, **kwargs):
+        out = evaluate(kinds, surface, rho, xs, h, *args, **kwargs)
+        for x, parts in zip(xs, out):
+            passes[(tuple(x), h)] = dict(zip(kinds, parts))
         return out
 
     monkeypatch.setattr(ibim3d, "evaluate_V3", recorded_evaluate)
@@ -958,7 +1036,8 @@ def test_convergence_study_structure(sphere, table02, table11, monkeypatch):
 
 def test_study_one_pass_per_target_and_level(sphere, table02, table11,
                                              monkeypatch):
-    """All kinds in one evaluation; no tube outlives its level."""
+    """All targets and kinds of a level in one evaluation; no tube
+    outlives its level."""
     build, evaluate = ibim3d.build_tube, ibim3d.evaluate_V3
     tubes, calls = [], []
 
@@ -968,9 +1047,9 @@ def test_study_one_pass_per_target_and_level(sphere, table02, table11,
         tubes.append(weakref.ref(tube))
         return tube
 
-    def counted_evaluate(kind, *args, **kwargs):
-        calls.append(kind)
-        return evaluate(kind, *args, **kwargs)
+    def counted_evaluate(kind, surface, rho, xs, *args, **kwargs):
+        calls.append((kind, len(xs)))
+        return evaluate(kind, surface, rho, xs, *args, **kwargs)
 
     monkeypatch.setattr(ibim3d, "build_tube", tracked_build)
     monkeypatch.setattr(ibim3d, "evaluate_V3", counted_evaluate)
@@ -978,7 +1057,7 @@ def test_study_one_pass_per_target_and_level(sphere, table02, table11,
     res = convergence_study_3d(sphere, targets, [0.1, 0.08],
                                (table02, table11), kinds=("DL", "SL"),
                                eps=0.1)
-    assert calls == [("DL", "SL")] * (3 * 2)   # (2 levels + reference) x 2
+    assert calls == [(("DL", "SL"), 2)] * 3   # 2 levels + reference
     assert len(tubes) == 3
     assert list(res["values"]) == [(kind, ti, h) for h in (0.1, 0.08, 0.04)
                                    for ti in range(2) for kind in ("DL", "SL")]

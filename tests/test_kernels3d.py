@@ -21,6 +21,7 @@ from ctquad.kernels3d import (
 from ctquad.surfaces import tilted_torus
 
 from helpers import (
+    MatrixFormExpansion,
     Sphere,
     analytic_probe,
     kernel_values_einsum,
@@ -322,6 +323,52 @@ def test_expansion_dl_dlc_share_s0(torus_probe):
                             -0.04)
     y = np.random.default_rng(1).standard_normal((20, 2))
     np.testing.assert_array_equal(ex.s0_eval("DL", y), ex.s0_eval("DLC", y))
+
+
+def test_batch_expansion_matches_matrix_form(torus):
+    """A batch over the planes of two targets: each plane's closures and
+    terms agree with the matrix-form reference to rounding (relative to
+    each value's scale over the offsets), and bit for bit with that
+    plane's own one-plane expansion, at shared (n, 2) and per-plane
+    (P, m, 2) offsets alike."""
+    frames, models, etas = [], [], []
+    for angles, plane_etas in (((1.234, 4.567), (-0.06, 0.0, 0.033)),
+                               ((-0.7, 0.4), (-0.02, 0.05))):
+        probe = analytic_probe(torus, torus.param_point(*angles))
+        frame = build_frame(probe, dominant_axis(probe.n))
+        model = CubicSurfaceModel.from_probe(probe)
+        for eta in plane_etas:
+            frames.append(frame)
+            models.append(model)
+            etas.append(eta)
+    batch = expansion_at_plane(frames, models, np.array(etas))
+    rng = np.random.default_rng(11)
+    y = rng.standard_normal((64, 2))
+    cells = rng.standard_normal((len(etas), 4, 2))
+    names = ("chi0", "chi1", "xi0", "xi1", "xitilde1", "psi0", "psi1")
+    for i, (frame, model, eta) in enumerate(zip(frames, models, etas)):
+        ref = MatrixFormExpansion(frame, model, eta)
+        one = expansion_at_plane(frame, model, eta)
+        for name in names:
+            got = getattr(batch, name)(y)[i]
+            want = getattr(ref, name)(y)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * scale
+            assert _same(got, getattr(one, name)(y)), (i, name)
+        for kind in KERNEL_KINDS:
+            for order in ("s0_eval", "s1_eval"):
+                got = getattr(batch, order)(kind, y)[i]
+                want = getattr(ref, order)(kind, y)
+                scale = np.max(np.abs(want))
+                assert (np.max(np.abs(got - want))
+                        <= 256 * np.finfo(float).eps * scale), (i, kind, order)
+                assert _same(got, getattr(one, order)(kind, y)), (i, kind)
+                assert _same(getattr(batch, order)(kind, cells)[i],
+                             getattr(one, order)(kind, cells[i])), (i, kind)
+
+
+def _same(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_expansion_curvature_limit(torus_probe):

@@ -17,7 +17,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ctquad import cli
+from ctquad import cli, quad_core
 from ctquad.quad_core import RESOLUTION, SingularTerm, _spectrum
 
 from helpers import active_modes, torus_plane_expansion
@@ -65,16 +65,17 @@ TERMS = {
 @pytest.fixture(scope="module", params=sorted(TERMS))
 def term(request):
     """The term, and the cos/sin coefficients a, b of the samples it was
-    built from (the last sample set its constructor accepted)."""
+    built from (the last sample set transformed, the one that resolved
+    phi; `from_callable` transforms its samples itself, so the set is
+    recorded at `_spectrum`)."""
     accepted = []
-    init = SingularTerm.__init__
 
-    def recording(self, k, samples):
-        init(self, k, samples)
-        accepted.append(np.asarray(samples, dtype=float))
+    def recording(samples):
+        accepted.append(np.array(samples, dtype=float))
+        return _spectrum(samples)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SingularTerm, "__init__", recording)
+        patch.setattr(quad_core, "_spectrum", recording)
         made = TERMS[request.param]()
     return made, *_spectrum(accepted[-1])[:2]
 
