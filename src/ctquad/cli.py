@@ -21,17 +21,13 @@ its output byte for byte (no timestamps, seeded randomness only).
 
 from __future__ import annotations
 
-import argparse
-import csv
 import dataclasses
-import hashlib
 import io
 import json
 import math
 import os
-import shlex
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -53,6 +49,9 @@ from .quad_core import (
     row_blocks,
     stencil_for_order,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class CliError(RuntimeError):
@@ -237,6 +236,8 @@ class StudyConfig:
 
 def config_hash(payload: dict) -> str:
     """SHA-256 of the canonical JSON form of a config document."""
+    import hashlib  # on first use, like argparse, csv and shlex
+
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -279,6 +280,8 @@ def observed_order(errors, hs) -> float:
 
 def _build_command(k: int, p: int, tol: float | None, n_modes: int,
                    grid_n: int, cache_dir: str | None) -> str:
+    import shlex
+
     cmd = f"ctquad weights build --k {k} --p {p}"
     if tol is not None:
         cmd += f" --tol {tol:g}"
@@ -519,6 +522,8 @@ def _fmt(v) -> str:
 
 def write_csv(fp, metadata: dict, fieldnames: list[str], rows: list[dict]) -> None:
     """RFC-4180 records (CRLF, minimal quoting) after a '#' metadata prelude."""
+    import csv
+
     for key in sorted(metadata):
         fp.write(f"# {key}: {metadata[key]}\r\n")
     writer = csv.DictWriter(fp, fieldnames=fieldnames, lineterminator="\r\n",
@@ -767,6 +772,8 @@ def _add_table_selection(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ctquad",
         description="Corrected trapezoidal rules: weight tables, 2D "

@@ -31,7 +31,6 @@ import math
 from functools import lru_cache
 from typing import Callable, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from . import geometry
@@ -104,9 +103,12 @@ def delta_normalization() -> float:
     Computed once by tanh-sinh quadrature at 30 digits; the integrand is
     C-infinity with all derivatives vanishing at the endpoints, so the
     estimate is reliable far past double precision.  The quadrature runs in
-    a context of its own: delta_eps calls this from build_tube's pool
-    threads, and mpmath's global precision is shared by every thread.
+    a context of its own: mpmath's global precision is shared by every
+    thread, and delta_eps may be called from any of them (build_tube calls
+    this on its own thread before its pool starts).
     """
+    import mpmath as mp  # on first use: keeps mpmath off the import path
+
     ctx = mp.MPContext()
     ctx.dps = 30
     val, err = ctx.quad(lambda t: ctx.exp(2 / (t * t - 1)), [0, 1], error=True)
@@ -257,7 +259,9 @@ def build_tube(surface, h: float, eps: float, *,
     tasks of about CHUNK rows (one J pass each).  The scan and the in-place move
     of the feet stay on the calling thread.  Every field is bit-identical
     at any worker count, and an error in a task reaches the caller as the
-    serial loop would raise it.  ``rho`` is called from the pool's threads.
+    serial loop would raise it.  ``rho`` is called from the pool's threads;
+    the window's constant (`delta_normalization`) is computed on the calling
+    thread before the scan.
     """
     if h <= 0:
         raise ValueError(f"grid spacing must be positive, got {h}")
@@ -267,6 +271,9 @@ def build_tube(surface, h: float, eps: float, *,
     if eps >= reach:
         raise ValueError(f"tube half-width eps={eps} must be below the "
                          f"surface reach {reach}")
+    # the window's one-time constant (and mpmath's import) here, on the
+    # calling thread before any large array, not first on a pool thread
+    delta_normalization()
     step = min(h, 0.45 * (reach - eps))
     from_lattice = step == h
     # a hair past eps + 2h, so that rounding in d cannot drop a stencil node
@@ -626,6 +633,8 @@ def _target_batch(xstar, probe, surface, h: float):
     """(one point?, probes) from evaluate_V3's xstar and probe arguments."""
     points = np.asarray(xstar, dtype=float)
     single = points.ndim == 1
+    if points.size == 0:
+        raise ValueError("at least one target is needed, got none")
     points = points.reshape(-1, 3)
     if probe is None:
         probes = [_default_probe(surface, x, h) for x in points]
@@ -698,10 +707,10 @@ def evaluate_V3(kind: str | tuple[str, ...], surface, rho: Callable | None,
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     table0, table1 = _check_tables(tables)
+    single, probes = _target_batch(xstar, probe, surface, h)
     if tube is None:
         tube = build_tube(surface, h, eps, rho=rho)
     _check_tube(tube, h, eps)
-    single, probes = _target_batch(xstar, probe, surface, h)
 
     products = _kernel_products(kinds, probes, tube)
 
@@ -832,6 +841,8 @@ def _plane_cells(kinds, planes, perms, probes, owner, tube: TubeGrid) -> dict:
 def _study_targets(surface, targets) -> np.ndarray:
     """Normalize targets to surface points: (m, 2) angles or (m, 3) points."""
     arr = np.asarray(targets, dtype=float)
+    if arr.size == 0:
+        raise ValueError("at least one target is needed, got none")
     if arr.ndim != 2 or arr.shape[1] not in (2, 3):
         raise ValueError("targets must be (m, 2) surface angles or (m, 3) points")
     if arr.shape[1] == 2:

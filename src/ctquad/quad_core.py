@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from types import MappingProxyType
 from typing import Callable, Sequence
 
@@ -495,6 +494,8 @@ def _pooled(task: Callable, items) -> None:
     items not yet started are cancelled.  The pool is shut down before this
     returns, so no thread outlives the call and a later fork finds none.
     """
+    from concurrent.futures import ThreadPoolExecutor  # on first use
+
     with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
         for _ in pool.map(task, items):
             pass

@@ -37,11 +37,8 @@ import dataclasses
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from . import quad_core
@@ -52,6 +49,9 @@ from .quad_core import (
     correction_monomials,
     stencil_for_order,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BumpFunction",
@@ -146,6 +146,8 @@ class BumpFunction:
 
     def mp_eval(self, r):
         """Same function in mpmath arithmetic (for high-precision moments)."""
+        import mpmath as mp  # on first use: loading a table needs none of it
+
         r0 = mp.mpf(repr(self.r0))
         R = mp.mpf(repr(self.R))
         if r <= r0:
@@ -170,6 +172,8 @@ def _laurent_cos_sin(a: int, b: int) -> dict[int, tuple[Fraction, Fraction]]:
 
     Returns {l: (real, imag)} as Fractions.
     """
+    from fractions import Fraction  # on first use, as mpmath and the pool
+
     coeffs: dict[int, tuple[Fraction, Fraction]] = {0: (Fraction(1), Fraction(0))}
 
     def mul(c, other):
@@ -236,6 +240,8 @@ class MomentCache:
     def radial_moment(self, m: int, dps: int = 40) -> np.longdouble:
         key = (m, dps)
         if key not in self._radial:
+            import mpmath as mp
+
             with mp.workdps(dps):
                 r0 = mp.mpf(repr(DEFAULT_BUMP.r0))
                 R = mp.mpf(repr(DEFAULT_BUMP.R))
@@ -251,6 +257,8 @@ class MomentCache:
         kind, m = mode
         key = (kind, m, a, b)
         if key not in self._angular:
+            from fractions import Fraction
+
             co = _laurent_cos_sin(a, b)
             cm = co.get(m, (Fraction(0), Fraction(0)))
             cmm = co.get(-m, (Fraction(0), Fraction(0)))
@@ -1026,6 +1034,8 @@ def build_weight_table(k: int, p: int, tol: float | None = None,
         _MOMENTS.radial_moment(k + a + b)
     nproc = min(processes or min(quad_core._pool_size(), 16), len(jobs))
     if nproc > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=nproc) as ex:
             solved = list(ex.map(_table_point, jobs))
     else:
@@ -1058,22 +1068,20 @@ def _write_atomic(path: str, blob: bytes) -> None:
 
 
 def save_weight_table(table: WeightTable, path: str) -> None:
-    """Write the binary table plus a JSON metadata sidecar.
+    """Write the binary table, one file.
 
     Layout: 8-byte magic, uint32 little-endian header length, UTF-8 JSON
     header, then the weight block and the level block as raw little-endian
-    arrays in C order.  Each file is written to a temporary name and moved
+    arrays in C order.  The file is written to a temporary name and moved
     into place.
     """
-    meta = table.metadata()
-    header = json.dumps(meta, sort_keys=True).encode()
+    header = json.dumps(table.metadata(), sort_keys=True).encode()
     _write_atomic(path, b"".join([
         TABLE_FORMAT_MAGIC,
         np.uint32(len(header)).tobytes(),
         header,
         np.ascontiguousarray(table.data, dtype="<f8").tobytes(),
         np.ascontiguousarray(table.m_levels, dtype="<i1").tobytes()]))
-    _write_atomic(path + ".json", json.dumps(meta, indent=2, sort_keys=True).encode())
 
 
 def load_weight_table(path: str) -> WeightTable:

@@ -388,8 +388,8 @@ def test_weights_build_cache_roundtrip(tmp_path, capsys):
                  "--n-modes", "1", "--cache-dir", str(tmp_path))
     assert rc == 0
     files = sorted(os.listdir(tmp_path))
-    assert any(f.endswith(".ctwt") for f in files)
-    assert any(f.endswith(".ctwt.json") for f in files)
+    # the table is the cache's one file: no metadata sidecar beside it
+    assert len(files) == 1 and files[0].endswith(".ctwt")
     out = capsys.readouterr().out
     assert "k=0 p=1" in out
 
@@ -484,16 +484,23 @@ COLD_START = """
 import sys
 from ctquad import cli, ibim3d, surfaces, weights
 table = weights.load_weight_table(sys.argv[1])
-tube = ibim3d.build_tube(surfaces.tilted_torus(), 0.075, 0.1)
+surface = surfaces.tilted_torus()
+print(sorted(m for m in ("mpmath", "concurrent.futures", "multiprocessing",
+                         "fractions", "hashlib", "argparse", "csv", "shlex")
+             if m in sys.modules))
+tube = ibim3d.build_tube(surface, 0.075, 0.1)
 assert table.grid_n == 4 and tube.n_nodes > 0 and tube.v.max() > 0.0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_cold_start_loads_no_scipy(tmp_path):
-    # only the exact dual-weight route and the 2D studies' smooth factor
-    # import scipy, on first use: importing the library, loading a table and
-    # building a tube (delta_eps included) load none of it
+    # set-up (importing the library, loading a table, building the surface)
+    # loads only what it uses: mpmath, the pools, exact fractions and the
+    # CLI's hashing, parsing, CSV and quoting modules load on first use.
+    # Only the exact dual-weight route and the 2D studies' smooth factor
+    # import scipy, on first use: building a tube (delta_eps included) loads
+    # none of it
     path = str(tmp_path / "tiny.ctwt")
     wt.save_weight_table(wt.WeightTable(
         k=1, p=1, tol=1e-8, n_modes=0, grid_n=4, domain_lo=-0.5,
@@ -502,7 +509,7 @@ def test_cold_start_loads_no_scipy(tmp_path):
         m_levels=np.zeros((1, 4, 4), dtype=np.int8)), path)
     proc = run_fresh("-c", COLD_START, path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_cli_error_exit_code():

@@ -1073,3 +1073,17 @@ def test_study_input_validation(sphere, table02, table11):
     with pytest.raises(ValueError, match="angle targets"):
         convergence_study_3d(sphere, np.zeros((1, 2)), [0.08, 0.05],
                              (table02, table11))
+
+
+@pytest.mark.parametrize("case", ["evaluate_V3", "convergence_study_3d"])
+def test_empty_targets_name_their_cause(case, sphere, sphere_tube, table02,
+                                        table11):
+    # no target is an input error named as such, not an indexing or
+    # stacking failure from deep inside the pass
+    with pytest.raises(ValueError, match="at least one target is needed"):
+        if case == "evaluate_V3":
+            evaluate_V3("SL", sphere, None, [], sphere_tube.h,
+                        sphere_tube.eps, (table02, table11), tube=sphere_tube)
+        else:
+            convergence_study_3d(sphere, np.empty((0, 3)), [0.08, 0.05],
+                                 (table02, table11))

@@ -7,6 +7,7 @@ routes must keep reproducing them.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -378,7 +379,8 @@ def test_table_roundtrip_bit_exact():
         assert np.array_equal(tab.m_levels, tab2.m_levels)
         assert tab2.k == 1 and tab2.p == 1
         assert tab2.stencil_offsets == ((0, 0),)
-        assert os.path.exists(path + ".json")
+        # one file per table, no metadata sidecar
+        assert os.listdir(td) == [os.path.basename(path)]
 
 
 def test_table_file_identical_at_any_worker_count():
@@ -463,7 +465,8 @@ def test_table_pool_sized_to_usable_cpus(monkeypatch, tmp_path, cpus, workers):
             return map(fn, jobs)
 
     monkeypatch.setattr(quad_core, "_pool_size", lambda: cpus)
-    monkeypatch.setattr(weights, "ProcessPoolExecutor", Pool)
+    # the build imports its pool on first use, from concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     # grid_n = 11 has 21 points to solve
     build_weight_table(1, 1, n_modes=1, grid_n=11, cache_dir=str(tmp_path))
     assert sized == ([] if workers is None else [workers])
@@ -495,8 +498,7 @@ def test_table_rejects_truncated_file():
                 load_weight_table(cut)
             assert cut in str(exc_info.value)
         # the save leaves no temporary files behind
-        assert sorted(os.listdir(td)) == sorted(
-            [os.path.basename(path), os.path.basename(path) + ".json", "cut.ctwt"])
+        assert sorted(os.listdir(td)) == sorted([os.path.basename(path), "cut.ctwt"])
 
 
 def test_table_rejects_foreign_files():
