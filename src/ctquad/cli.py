@@ -309,8 +309,8 @@ def load_table_checked(k: int, p: int, cache_dir: str | None = None,
 
     When the cache holds (k, p) tables built for other parameters only, the
     error lists them.  A file the loader refuses (truncated, foreign, or
-    built by another library version) fails with the command that rebuilds
-    it.  Parameters out of range fail with the one they name.
+    built by another library version or for other parameters) fails with
+    the command that rebuilds it; a parameter out of range fails naming it.
     """
     path = _checked_table_path(k, p, tol, n_modes, grid_n, cache_dir)
     build = _build_command(k, p, tol, n_modes, grid_n, cache_dir)
@@ -326,7 +326,7 @@ def load_table_checked(k: int, p: int, cache_dir: str | None = None,
         raise CliError(f"no weight table {name} in {where}{held}; "
                        f"build it with: {build}")
     try:
-        return wt.load_weight_table(path)
+        return wt.load_named_table(path, k, p, tol, n_modes, grid_n)
     except ValueError as exc:
         raise CliError(f"{exc}; rebuild it with: {build} --force") from None
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,6 +49,7 @@ from .kernels3d import (
     weighted_kernels,
 )
 from .quad_core import (
+    BatchRowError,
     Grid2,
     GridOffset,
     _pooled,
@@ -65,7 +65,7 @@ __all__ = [
     "build_tube",
     "convergence_study_3d",
     "delta_eps",
-    "delta_normalization",
+    "DELTA_NORMALIZATION",
     "dominant_direction",
     "evaluate_V3",
     "plane_problems",
@@ -96,34 +96,18 @@ BLOCK = 4
 # regularized delta function
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def delta_normalization() -> float:
-    """Constant a making a * exp(2/(t^2-1)) integrate to 1 over [-1, 1].
-
-    Computed once by tanh-sinh quadrature at 30 digits; the integrand is
-    C-infinity with all derivatives vanishing at the endpoints, so the
-    estimate is reliable far past double precision.  The quadrature runs in
-    a context of its own: mpmath's global precision is shared by every
-    thread, and delta_eps may be called from any of them (build_tube calls
-    this on its own thread before its pool starts).
-    """
-    import mpmath as mp  # on first use: keeps mpmath off the import path
-
-    ctx = mp.MPContext()
-    ctx.dps = 30
-    val, err = ctx.quad(lambda t: ctx.exp(2 / (t * t - 1)), [0, 1], error=True)
-    total = 2 * val
-    if 2 * err > 1e-12 * total:
-        raise RuntimeError(f"delta normalization quadrature too loose: "
-                           f"err={float(err):.2e}")
-    return float(1 / total)
+# the constant a making a * exp(2/(t^2-1)) integrate to 1 over [-1, 1]:
+# 1 / (2 * int_0^1 exp(2/(t^2-1)) dt), rounded to the nearest double.  The
+# integrand is C-infinity with every derivative vanishing at t = 1, so a
+# tanh-sinh quadrature at 30 digits gives it far past double precision
+DELTA_NORMALIZATION = 7.513931532835812
 
 
 def delta_eps(eta, eps: float):
     """Compactly supported averaging kernel delta_eps(eta) with unit mass.
 
     delta_eps(eta) = (a/eps) * exp(2/((eta/eps)^2 - 1)) for |eta| < eps and
-    exactly zero outside; a = delta_normalization().
+    exactly zero outside; a = DELTA_NORMALIZATION.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -132,7 +116,7 @@ def delta_eps(eta, eps: float):
     inside = np.abs(t) < 1.0
     ti = t[inside]
     out[inside] = np.exp(2.0 / (ti * ti - 1.0))
-    return delta_normalization() * out / eps
+    return DELTA_NORMALIZATION * out / eps
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +243,7 @@ def build_tube(surface, h: float, eps: float, *,
     tasks of about CHUNK rows (one J pass each).  The scan and the in-place move
     of the feet stay on the calling thread.  Every field is bit-identical
     at any worker count, and an error in a task reaches the caller as the
-    serial loop would raise it.  ``rho`` is called from the pool's threads;
-    the window's constant (`delta_normalization`) is computed on the calling
-    thread before the scan.
+    serial loop would raise it.  ``rho`` is called from the pool's threads.
     """
     if h <= 0:
         raise ValueError(f"grid spacing must be positive, got {h}")
@@ -271,9 +253,6 @@ def build_tube(surface, h: float, eps: float, *,
     if eps >= reach:
         raise ValueError(f"tube half-width eps={eps} must be below the "
                          f"surface reach {reach}")
-    # the window's one-time constant (and mpmath's import) here, on the
-    # calling thread before any large array, not first on a pool thread
-    delta_normalization()
     step = min(h, 0.45 * (reach - eps))
     from_lattice = step == h
     # a hair past eps + 2h, so that rounding in d cannot drop a stencil node
@@ -521,7 +500,6 @@ class PlaneProblem:
     stencils with their fractional offsets.
     """
 
-    axis: str
     index: int
     z: float
     eta: float
@@ -557,7 +535,7 @@ def plane_problems(probe, axis: str, tube: TubeGrid) -> list[PlaneProblem]:
         y0_pt = xs + eta * probe.n
         y0 = (float(y0_pt[p0]), float(y0_pt[p1]))
         out.append(PlaneProblem(
-            axis=axis, index=k, z=z, eta=eta, y0=y0,
+            index=k, z=z, eta=eta, y0=y0,
             off1=locate_singularity(y0, grid, 1)[1],
             off2=locate_singularity(y0, grid, 2)[1]))
     return out
@@ -739,11 +717,8 @@ def evaluate_V3(kind: str | tuple[str, ...], surface, rho: Callable | None,
                 terms["s0", s0_kind] = expansion.s0_term(s0_kind)
             for name in kinds:
                 terms["s1", name] = expansion.s1_term(name)
-        except ValueError as e:   # a plane's row names it within the batch
-            row = getattr(e, "row", None)
-            if row is None:
-                raise
-            plane = planes[row]
+        except BatchRowError as e:   # its row names the plane in the batch
+            plane = planes[e.row]
             raise type(e)(f"plane {plane.index} (eta={plane.eta:.6g}): "
                           f"{e}") from e
         cells = _plane_cells(kinds, planes, perms, probes, owner, tube)

@@ -28,6 +28,7 @@ import numpy as np
 
 __all__ = [
     "Grid2",
+    "BatchRowError",
     "SingularTerm",
     "SingularFunction",
     "GridOffset",
@@ -110,11 +111,6 @@ def _spectrum(samples: np.ndarray):
     n = samples.shape[-1]
     if n < 4 or (n & (n - 1)) != 0:
         raise ValueError(f"phi sample count must be a power of two >= 4, got {n}")
-    if not np.all(np.isfinite(samples)):
-        *row, i = np.argwhere(~np.isfinite(samples))[0]
-        where = f"row {row[0]}: " if row else ""
-        raise ValueError(f"{where}phi sample {i} of {n} is "
-                         f"{samples[(*row, i)]}, not finite")
     c = np.fft.rfft(samples) / n
     a = 2.0 * c.real
     a[..., [0, -1]] = c[..., [0, -1]].real
@@ -133,13 +129,24 @@ def _check_k(k) -> None:
         raise ValueError(f"homogeneity index k must be a nonnegative integer, got {k}")
 
 
-class _Unresolved(ValueError):
-    """The samples of phi do not resolve it (see `_spectrum`); ``row`` is the
-    unresolved row of a batch, None for a single phi."""
+class BatchRowError(ValueError):
+    """An error in one row of a batch, which ``row`` names and the message
+    leads with (None outside a batch): samples of phi that are not finite or
+    do not resolve it (see `_spectrum`), or a plane at the curvature limit."""
 
     def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
+        super().__init__(message if row is None else f"row {row}: {message}")
         self.row = row
+
+
+def _check_finite(samples: np.ndarray, rows=None) -> None:
+    """Raise naming the first sample that is not finite; in (P, n) samples
+    of a batch, by its batch row ``rows[i]``, which the error carries."""
+    if not np.all(np.isfinite(samples)):
+        *i, s = np.argwhere(~np.isfinite(samples))[0]
+        raise BatchRowError(f"phi sample {s} of {samples.shape[-1]} is "
+                            f"{samples[(*i, s)]}, not finite",
+                            row=None if rows is None else int(rows[i[0]]))
 
 
 def _unresolved_message(n: int, a, b, norm: float, j: int) -> str:
@@ -162,9 +169,10 @@ class SingularTerm:
     def __init__(self, k: int, samples: np.ndarray):
         samples = np.asarray(samples, dtype=float)
         _check_k(k)
+        _check_finite(samples)
         a, b, norm, j = _spectrum(samples)
         if j >= 0:
-            raise _Unresolved(_unresolved_message(samples.size, a, b, norm, j))
+            raise BatchRowError(_unresolved_message(samples.size, a, b, norm, j))
         self._set_modes(k, a, b, norm)
 
     def _set_modes(self, k: int, a: np.ndarray, b: np.ndarray, norm) -> None:
@@ -193,8 +201,9 @@ class SingularTerm:
         one row or of P, is transformed once by one rfft (`_spectrum`), and
         each row is judged alone.  The rows it finds unresolved are sampled
         again at twice as many angles, a batch's by ``phi(theta, rows)``
-        with the indices of those rows alone; a row still unresolved at
-        MAX_SAMPLES raises, naming its index in a batch (``_Unresolved.row``).
+        with the indices of those rows alone.  A row with a sample that is
+        not finite, in any sample set, or still unresolved at MAX_SAMPLES
+        raises, naming its index in a batch (``BatchRowError.row``).
         """
         _check_k(k)
         n = MIN_SAMPLES
@@ -203,6 +212,7 @@ class SingularTerm:
         terms = [None] * (samples.shape[0] if batch else 1)
         rows = np.arange(len(terms))
         while True:
+            _check_finite(samples, rows if batch else None)
             a, b, norm, j = (np.reshape(x, (rows.size, -1))
                              for x in _spectrum(samples))
             for i, row in enumerate(rows.tolist()):
@@ -214,10 +224,9 @@ class SingularTerm:
                 return terms if batch else terms[0]
             if n == MAX_SAMPLES:
                 i = int(open_[0])
-                message = _unresolved_message(n, a[i], b[i], norm[i, 0], j[i, 0])
-                if not batch:
-                    raise _Unresolved(message)
-                raise _Unresolved(f"row {rows[i]}: {message}", row=int(rows[i]))
+                raise BatchRowError(
+                    _unresolved_message(n, a[i], b[i], norm[i, 0], j[i, 0]),
+                    row=int(rows[i]) if batch else None)
             n *= 2
             rows = rows[open_]
             theta = 2.0 * np.pi * np.arange(n) / n

@@ -45,6 +45,7 @@ from . import quad_core
 from .quad_core import (
     GridOffset,
     SingularTerm,
+    STENCIL_OFFSETS,
     Stencil,
     correction_monomials,
     stencil_for_order,
@@ -66,6 +67,7 @@ __all__ = [
     "build_weight_table",
     "save_weight_table",
     "load_weight_table",
+    "load_named_table",
     "interpolate_weights",
     "default_cache_dir",
     "table_filename",
@@ -1020,7 +1022,7 @@ def build_weight_table(k: int, p: int, tol: float | None = None,
         tol = default_tolerance(p)
     path = table_path(k, p, tol, n_modes, grid_n, cache_dir)
     if not force and os.path.exists(path):
-        return load_weight_table(path)
+        return load_named_table(path, k, p, tol, n_modes, grid_n)
     domain_lo = _cell_lo(p)
     step = 1.0 / (grid_n - 1)
     orbits = _table_orbits(p, n_modes, grid_n)
@@ -1088,7 +1090,8 @@ def load_weight_table(path: str) -> WeightTable:
     """Read a table written by `save_weight_table`.
 
     A file that is not a table, is truncated, or was built by another
-    library version is refused with a ValueError that names it.
+    library version is refused with a ValueError that names it, and so is
+    a header whose shape, stencil, cell or bump no build can have written.
     """
     with open(path, "rb") as f:
         magic = f.read(8)
@@ -1107,6 +1110,12 @@ def load_weight_table(path: str) -> WeightTable:
                              f"{meta['version']}, this is {LIBRARY_VERSION} "
                              f"-- rebuild the table")
         body = f.read()
+    stencil = [list(o) for o in STENCIL_OFFSETS.get(meta["p"], ())]
+    _refuse_header(path, meta, {
+        "shape": [2 * meta["n_modes"] + 1, meta["grid_n"], meta["grid_n"],
+                  len(stencil)],
+        "stencil_offsets": stencil, "domain_lo": _cell_lo(meta["p"]),
+        "bump_r0": DEFAULT_BUMP.r0, "bump_R": DEFAULT_BUMP.R})
     shape = tuple(meta["shape"])
     count = int(np.prod(shape))
     n_data, n_levels = 8 * count, count // shape[-1]
@@ -1125,27 +1134,44 @@ def load_weight_table(path: str) -> WeightTable:
         data=data, m_levels=m_levels, version=meta["version"])
 
 
-def interpolate_weights(table: WeightTable, term, offset) -> np.ndarray:
-    """Weights for an arbitrary phi and off-lattice (alpha, beta).
+def load_named_table(path: str, k: int, p: int, tol: float | None = None,
+                     n_modes: int = 16, grid_n: int = 33) -> WeightTable:
+    """`load_weight_table` of the file that `table_path` names for these
+    parameters, refusing also a header built for other parameters."""
+    table = load_weight_table(path)
+    tol = default_tolerance(p) if tol is None else tol
+    _refuse_header(path, table.metadata(), {"k": k, "p": p, "tol": tol,
+                                            "n_modes": n_modes, "grid_n": grid_n})
+    return table
+
+
+def _refuse_header(path: str, header: dict, expected: dict) -> None:
+    """Raise naming the first field of ``expected`` the header differs in."""
+    for name, want in expected.items():
+        if header[name] != want:
+            raise ValueError(f"{path}: header field {name} is "
+                             f"{header[name]!r}, expected {want!r} "
+                             f"-- rebuild the table")
+
+
+def interpolate_weights(table: WeightTable, terms, offsets) -> np.ndarray:
+    """Weights for arbitrary phi and off-lattice (alpha, beta), one row each.
 
     Combines the tabulated per-mode weights linearly with the coefficients
-    of the term's mode map (`SingularTerm.coefficients`, the same modes the
-    dual route reads), then interpolates over the offset cell with tensor
-    cubic Lagrange polynomials on the surrounding 4x4 lattice patch.  At
-    lattice points the interpolation reproduces table entries exactly.
+    of each term's mode map (`SingularTerm.coefficients`, the same modes
+    the dual route reads), then interpolates over the offset cell with
+    tensor cubic Lagrange polynomials on the surrounding 4x4 lattice patch.
+    At lattice points the interpolation reproduces table entries exactly.
     Modes beyond the table's range are dropped.
 
-    ``term`` and ``offset`` are one term and its GridOffset, giving the
-    stencil's weights, or equal-length sequences of them (a batch of
-    planes), giving one row of weights each.  A batch gathers the terms'
-    4x4 windows of each table row at once, weights them by the coefficients
-    in row order, and contracts the patches with the Lagrange bases in two
-    sums of four: each row's weights depend on its own term and offset
-    alone.
+    ``terms`` and ``offsets`` are equal-length sequences of terms and their
+    GridOffsets (a batch of planes), giving one row of the stencil's
+    weights each.  The batch gathers the terms' 4x4 windows of each table
+    row at once, weights them by the coefficients in row order, and
+    contracts the patches with the Lagrange bases in two sums of four: each
+    row's weights depend on its own term and offset alone.
     """
-    single = isinstance(offset, GridOffset)
-    terms = [term] if single else list(term)
-    offsets = [offset] if single else list(offset)
+    terms, offsets = list(terms), list(offsets)
     if len(terms) != len(offsets):
         raise ValueError(f"{len(terms)} terms for {len(offsets)} offsets")
     for t in terms:
@@ -1189,5 +1215,4 @@ def interpolate_weights(table: WeightTable, term, offset) -> np.ndarray:
     for row in np.flatnonzero(np.any(coef != 0.0, axis=0)):
         patch += coef[:, row, None, None, None] * table.data[row][ia, ib]
     out = (basis[:, 1, None, :, None] * patch).sum(axis=2)
-    out = (basis[:, 0, :, None] * out).sum(axis=1)
-    return out[0] if single else out
+    return (basis[:, 0, :, None] * out).sum(axis=1)

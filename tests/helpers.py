@@ -18,9 +18,11 @@
   surface point, by atan2;
 * `torus_plane_expansion`: the kernel expansion on one plane near a torus
   target, a source of realistic singular terms;
-* `MatrixFormExpansion`: one plane's kernel expansion with its operators
-  as 2x2 matrix products, the form the library's batched per-coordinate
-  expansion must match to rounding;
+* `MatrixFormExpansion`: one plane's kernel expansion and its building
+  blocks with the operators as 2x2 matrix products, the form the library's
+  batched per-coordinate expansion must match to rounding, and
+  `cubic_term`, `cubic_gradient`, the height function's cubic term and its
+  gradient form on (..., 2) offsets;
 * `lattice_mode_sums_complex`: the windowed lattice sums with complex
   products, the form the library's real-multiply sums must match bit for bit;
 * `projection_jacobian_einsum`, `scan_band_ravel`: the tube's area ratio
@@ -65,6 +67,8 @@ from ctquad.kernels3d import (
     EXACT_HIT_RADIUS,
     KERNEL_KINDS,
     CubicSurfaceModel,
+    _cubic,
+    _cubic_gradient,
     build_frame,
     expansion_at_plane,
 )
@@ -158,7 +162,7 @@ def projection_expansion_report(surface, probe, zprime: float, *,
     ang = 2.0 * np.pi * np.arange(n_directions) / n_directions
     yp = radius * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     dy = yp @ D.T
-    predicted = dy + zprime * (model.C(dy) @ D.T)
+    predicted = dy + zprime * (cubic_gradient(model, dy) @ D.T)
     quadratic_residual = float(np.max(np.linalg.norm(h(yp) - predicted, axis=-1)))
 
     return {
@@ -252,17 +256,31 @@ def torus_parameters(torus, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def torus_plane_expansion():
-    """Kernel expansion on the plane eta = 0.02 off a tilted-torus target."""
+    """Kernel expansion on the plane eta = 0.02 off a tilted-torus target,
+    a batch of that one plane."""
     torus = tilted_torus()
     probe = analytic_probe(torus, torus.param_point(1.234, 4.567))
     frame = build_frame(probe, dominant_direction(probe.n))
-    return expansion_at_plane(frame, CubicSurfaceModel.from_probe(probe), 0.02)
+    return expansion_at_plane([frame], [CubicSurfaceModel.from_probe(probe)],
+                              [0.02])
+
+
+def cubic_term(model, y):
+    """The cubic term B of the model's height function at y (..., 2)."""
+    return _cubic(model.f3, y[..., 0], y[..., 1])
+
+
+def cubic_gradient(model, y):
+    """C = grad B at y (..., 2), stacked along the last axis."""
+    return np.stack(_cubic_gradient(model.f3, y[..., 0], y[..., 1]), axis=-1)
 
 
 class MatrixFormExpansion:
-    """One plane's s0 and s1 with the closures' operators as 2x2 matrix
-    products, as `kernels3d.KernelExpansion` formed them before it wrote
-    its diagonal products out per coordinate (see its docstring)."""
+    """One plane's s0 and s1, and the building blocks chi0, chi1, xi0, xi1,
+    xitilde1, psi0 and psi1 they are assembled from, with the operators as
+    2x2 matrix products, as `kernels3d.KernelExpansion` formed them before
+    it wrote its diagonal products out per coordinate (see its
+    docstring)."""
 
     def __init__(self, frame, model, eta: float):
         self.eta = float(eta)
@@ -284,32 +302,32 @@ class MatrixFormExpansion:
     def chi1(self, y):
         w = y @ self.D0A.T
         lead = (y @ self.d)[..., None] * (y @ self.chi1_lin.T)
-        return lead + self.eta * (self.model.C(w) @ self.D0.T)
+        return lead + self.eta * (cubic_gradient(self.model, w) @ self.D0.T)
 
     def xi0(self, y):
         return 0.5 * np.einsum("...i,ij,...j->...", y, self.xi0_quad, y)
 
     def xi1(self, y):
         w = y @ self.D0A.T
-        dc = self.model.C(w) @ self.D0.T
+        dc = cubic_gradient(self.model, w) @ self.D0.T
         mw = w @ self.M.T
         t1 = 0.5 * self.eta * np.sum(dc * mw, axis=-1)
         t2 = 0.5 * self.eta * np.sum(w * (dc @ self.M.T), axis=-1)
         z = y @ self.A.T
         t4 = (y @ self.d) * np.einsum("...i,ij,...j->...", z, self.xi1_quad, z)
-        return t1 + t2 + self.model.B(w) + t4
+        return t1 + t2 + cubic_term(self.model, w) + t4
 
     def xitilde1(self, y):
         w = y @ self.D0A.T
-        dc = self.model.C(w) @ self.D0.T
+        dc = cubic_gradient(self.model, w) @ self.D0.T
         mw = w @ self.M.T
         bracket = (np.sum(dc * mw, axis=-1)
                    - np.sum(w * (dc @ self.M.T), axis=-1))
         z = y @ self.A.T
         op = self.D0.T @ (np.eye(2) + self.eta * self.M @ self.D0)
-        t3 = np.sum(z * (self.model.C(w) @ op.T), axis=-1)
+        t3 = np.sum(z * (cubic_gradient(self.model, w) @ op.T), axis=-1)
         t4 = (y @ self.d) * np.einsum("...i,ij,...j->...", z, self.xit_quad, z)
-        return 0.5 * self.eta * bracket - self.model.B(w) + t3 + t4
+        return 0.5 * self.eta * bracket - cubic_term(self.model, w) + t3 + t4
 
     def psi0(self, y):
         return np.linalg.norm(self.chi0(y), axis=-1)

@@ -25,7 +25,7 @@ from ctquad.cli import (
     successive_differences,
 )
 from ctquad.geometry import surface_probe
-from ctquad.ibim3d import convergence_study_3d, delta_eps, delta_normalization
+from ctquad.ibim3d import DELTA_NORMALIZATION, convergence_study_3d, delta_eps
 from ctquad.kernels3d import (
     AXIS_PERMUTATION,
     CubicSurfaceModel,
@@ -249,9 +249,11 @@ def test_a06_kernel_expansion_consistency_on_torus(torus):
         axis = dominant_axis(probe.n)
         frame = build_frame(probe, axis)
         model = CubicSurfaceModel.from_probe(probe)
-        for eta in (0.0, 0.04, -0.06):
+        etas = (0.0, 0.04, -0.06)
+        # the target's three planes, one batch
+        ex = expansion_at_plane([frame] * 3, [model] * 3, etas)
+        for row, eta in enumerate(etas):
             origin = probe.xstar + eta * probe.n
-            ex = expansion_at_plane(frame, model, eta)
             for kind in ("SL", "DL", "DLC"):
                 res = []
                 for r in radii:
@@ -260,7 +262,7 @@ def test_a06_kernel_expansion_consistency_on_torus(torus):
                                       torus.normal(probe.xstar),
                                       torus.project(pts), torus.normal(pts))
                     approx = (ex.s0_eval(kind, r * dirs)
-                              + ex.s1_eval(kind, r * dirs))
+                              + ex.s1_eval(kind, r * dirs))[row]
                     res.append(np.max(np.abs(s - approx)))
                 logr, loge = np.log(radii[-5:]), np.log(res[-5:])
                 slope = float(np.polyfit(logr, loge, 1)[0])
@@ -375,7 +377,7 @@ def test_a09_volume_rule_matches_surface_quadrature_oracle(torus, table02,
 # --------------------------------------------------------------------------
 
 def test_a10_delta_window_normalization():
-    a = delta_normalization()
+    a = DELTA_NORMALIZATION
     assert abs(a - 7.51393) < 5e-5
     masses = []
     for eps in (0.1, 0.0375):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import os
 import sys
 import threading
@@ -140,3 +141,52 @@ def test_table_build_matches_the_fixture_sublattice(tmp_path):
     assert np.array_equal(table.m_levels,
                           fixture.m_levels[:, ::stride, ::stride])
     assert np.max(np.abs(table.data - fixture.data[:, ::stride, ::stride, :])) <= 1e-12
+
+
+def _weight_table_uses(source: str, names: set[str]):
+    """The keywords of the source's ``WeightTable(...)`` calls, and the
+    attributes it reads on variables called one of ``names``."""
+    with open(os.path.join(PERFBENCH, source)) as f:
+        tree = ast.parse(f.read(), filename=source)
+    keywords, attributes = set(), set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "WeightTable"):
+            keywords |= {k.arg for k in node.keywords}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in names):
+            attributes.add(node.attr)
+    return keywords, attributes
+
+
+def test_weight_table_takes_the_table_script_keywords():
+    # make_tables.py assembles the (1,1) fixture with WeightTable(...)
+    keywords, _ = _weight_table_uses("make_tables.py", set())
+    assert keywords == {"k", "p", "tol", "n_modes", "grid_n", "domain_lo",
+                        "stencil_offsets", "bump_r0", "bump_R", "data",
+                        "m_levels"}
+    inspect.signature(weights.WeightTable).bind(**dict.fromkeys(keywords))
+
+
+def test_weight_table_has_the_workload_attributes():
+    # the table-build workload reads these off its build and the fixture
+    _, attributes = _weight_table_uses("workloads.py", {"table", "fixture"})
+    assert attributes == {"data", "grid_n", "domain_lo", "step", "k", "p",
+                          "n_rows", "m_levels", "tol"}
+    table = weights.WeightTable(
+        k=1, p=1, tol=1e-8, n_modes=0, grid_n=4, domain_lo=-0.5,
+        stencil_offsets=((0, 0),), bump_r0=weights.DEFAULT_BUMP.r0,
+        bump_R=weights.DEFAULT_BUMP.R, data=np.zeros((1, 4, 4, 1)),
+        m_levels=np.zeros((1, 4, 4), dtype=np.int8))
+    assert all(hasattr(table, name) for name in attributes)
+
+
+@pytest.mark.parametrize("k, p", [(0, 2), (1, 1)])
+def test_fixture_tables_pass_the_header_checks(k, p):
+    # the fixtures are named as the library's cache names its tables, for
+    # the default parameters, so a parameter-keyed lookup serves them
+    path = os.path.join(PERFBENCH, "tables", weights.table_filename(k, p))
+    table = weights.load_named_table(path, k, p)
+    assert (table.k, table.p, table.n_modes, table.grid_n) == (k, p, 16, 33)
+    served = cli.load_table_checked(k, p, cache_dir=os.path.dirname(path))
+    assert np.array_equal(served.data, table.data)

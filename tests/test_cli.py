@@ -210,6 +210,29 @@ def test_other_parameter_table_is_not_served(tmp_path, table11):
     assert served.tol == 1e-6
 
 
+def test_table_header_must_match_its_name_and_the_library(tmp_path):
+    # a header no (1,1) build of the default parameters writes, saved under
+    # that table's name, is refused with its path, the field and the
+    # rebuild command, first for its cell, then for its parameters
+    foreign = wt.WeightTable(
+        k=1, p=1, tol=1e-6, n_modes=2, grid_n=4, domain_lo=0.25,
+        stencil_offsets=((0, 0),), bump_r0=0.5, bump_R=2.0,
+        data=np.ones((5, 4, 4, 1)), m_levels=np.zeros((5, 4, 4), dtype=np.int8))
+    path = tmp_path / wt.table_filename(1, 1)
+    wt.save_weight_table(foreign, str(path))
+    with pytest.raises(cli.CliError, match="header field domain_lo is 0.25, "
+                                           "expected -0.5") as exc:
+        cli.load_table_checked(1, 1, cache_dir=str(tmp_path))
+    assert str(path) in str(exc.value) and "--force" in str(exc.value)
+    wt.save_weight_table(dataclasses.replace(
+        foreign, domain_lo=-0.5, bump_r0=wt.DEFAULT_BUMP.r0,
+        bump_R=wt.DEFAULT_BUMP.R), str(path))
+    with pytest.raises(cli.CliError, match="header field tol is 1e-06, "
+                                           "expected 1e-08") as exc:
+        cli.load_table_checked(1, 1, cache_dir=str(tmp_path))
+    assert str(path) in str(exc.value) and "--force" in str(exc.value)
+
+
 def test_refused_table_file_is_a_cli_error(tmp_path, table11, capsys):
     # a truncated or foreign cache file ends the command with exit status 2,
     # its path and the rebuild command; the cache listing reports it
@@ -490,7 +513,8 @@ print(sorted(m for m in ("mpmath", "concurrent.futures", "multiprocessing",
              if m in sys.modules))
 tube = ibim3d.build_tube(surface, 0.075, 0.1)
 assert table.grid_n == 4 and tube.n_nodes > 0 and tube.v.max() > 0.0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("scipy", "mpmath")))
 """
 
 
@@ -499,8 +523,8 @@ def test_cold_start_loads_no_scipy(tmp_path):
     # loads only what it uses: mpmath, the pools, exact fractions and the
     # CLI's hashing, parsing, CSV and quoting modules load on first use.
     # Only the exact dual-weight route and the 2D studies' smooth factor
-    # import scipy, on first use: building a tube (delta_eps included) loads
-    # none of it
+    # import scipy, on first use, and only the weights' moments mpmath:
+    # building a tube (delta_eps included) loads neither
     path = str(tmp_path / "tiny.ctwt")
     wt.save_weight_table(wt.WeightTable(
         k=1, p=1, tol=1e-8, n_modes=0, grid_n=4, domain_lo=-0.5,

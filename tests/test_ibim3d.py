@@ -19,8 +19,8 @@ from ctquad import geometry, ibim3d, quad_core
 from ctquad.ibim3d import (
     build_tube,
     convergence_study_3d,
+    DELTA_NORMALIZATION,
     delta_eps,
-    delta_normalization,
     dominant_direction,
     evaluate_V3,
     plane_problems,
@@ -38,6 +38,7 @@ from ctquad.kernels3d import (
     CurvatureLimitError,
     KernelExpansion,
     kernel_values,
+    weighted_kernels,
 )
 from ctquad.surfaces import TiltedTorus, tilted_torus
 
@@ -83,7 +84,7 @@ def torus_tube(torus):
 # ---------------------------------------------------------------------------
 
 def test_delta_normalization_constant():
-    assert abs(delta_normalization() - 7.51393) < 5e-5
+    assert abs(DELTA_NORMALIZATION - 7.51393) < 5e-5
 
 
 def test_delta_normalization_matches_adaptive_quadrature():
@@ -91,38 +92,17 @@ def test_delta_normalization_matches_adaptive_quadrature():
     # adaptive Gauss-Kronrod estimate with these settings
     val = quad(lambda t: math.exp(2.0 / (t * t - 1.0)), 0.0, 1.0,
                epsabs=1e-16, epsrel=1e-14, limit=200, full_output=1)[0]
-    assert delta_normalization() == 1.0 / (2.0 * val) == 7.513931532835812
+    assert DELTA_NORMALIZATION == 1.0 / (2.0 * val) == 7.513931532835812
 
 
-def test_delta_normalization_from_concurrent_threads():
-    # build_tube's pool threads reach it through delta_eps on first use.  A
-    # quadrature in mpmath's shared global context, switched between four
-    # threads this often, raised ZeroDivisionError or left the global
-    # precision changed in 11 of 20 such rounds
-    interval = sys.getswitchinterval()
-    dps = mp.mp.dps
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            delta_normalization.cache_clear()
-            out, errors = [], []
-
-            def call():
-                try:
-                    out.append(delta_normalization())
-                except Exception as e:
-                    errors.append(e)
-
-            threads = [threading.Thread(target=call) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert not any(t.is_alive() for t in threads)
-            assert not errors and out == [7.513931532835812] * 4
-            assert mp.mp.dps == dps
-    finally:
-        sys.setswitchinterval(interval)
+def test_delta_normalization_is_the_30_digit_quadrature():
+    # the literal is the double nearest 1 / (2 int_0^1 exp(2/(t^2-1)) dt),
+    # by tanh-sinh quadrature at 30 digits in a context of its own
+    ctx = mp.MPContext()
+    ctx.dps = 30
+    val, err = ctx.quad(lambda t: ctx.exp(2 / (t * t - 1)), [0, 1], error=True)
+    assert 2 * err <= 1e-25 * (2 * val)
+    assert DELTA_NORMALIZATION == float(1 / (2 * val))
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.1, 0.37])
@@ -137,7 +117,7 @@ def test_delta_eps_support_and_center():
     edge = delta_eps(np.array([-eps, eps, 1.5 * eps, -3.0]), eps)
     assert np.all(edge == 0.0)
     center = float(delta_eps(0.0, 1.0))
-    assert abs(center - delta_normalization() * math.exp(-2.0)) < 1e-14
+    assert abs(center - DELTA_NORMALIZATION * math.exp(-2.0)) < 1e-14
     assert abs(center - 1.0169) < 1e-3
     # scaling: delta_eps(eta, eps) = delta_1(eta/eps)/eps
     assert np.allclose(delta_eps(np.linspace(-0.2, 0.2, 7), 0.25),
@@ -626,7 +606,8 @@ def test_plane_problems_geometry(torus, torus_tube):
 def test_exact_hit_guard(sphere, sphere_target):
     """Exact hits read 0 for every kind, with no warning and nothing
     non-finite; a foot just beyond EXACT_HIT_RADIUS reads a finite, nonzero
-    value, and each row of a tuple call has its kind's single-name bits."""
+    value, and each row of a tuple of kinds has its kind's single-name
+    bits."""
     n = sphere.normal(sphere_target)
     other = sphere.project(np.array([-0.4, 0.7, 0.2]))
     foot = np.array([sphere_target, sphere_target + 1e-16,
@@ -634,7 +615,8 @@ def test_exact_hit_guard(sphere, sphere_target):
     normal = np.array([n, n, n, sphere.normal(other)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        together = kernel_values(KERNEL_KINDS, sphere_target, n, foot, normal)
+        together = weighted_kernels(KERNEL_KINDS, sphere_target, n, foot.T,
+                                    normal.T, 1.0)
         for kind, row in zip(KERNEL_KINDS, together):
             vals = kernel_values(kind, sphere_target, n, foot, normal)
             assert np.all(np.isfinite(vals)), kind
@@ -805,6 +787,42 @@ def test_unresolved_plane_is_named(torus, torus_tube, table02, table11,
     with pytest.raises(ValueError, match=expected):
         evaluate_V3("SL", torus, None, xs, h, eps, (table02, table11),
                     tube=torus_tube)
+
+
+@pytest.mark.parametrize("resampled", [False, True],
+                         ids=["first-samples", "resampled"])
+def test_non_finite_plane_is_named(torus, torus_tube, table02, table11,
+                                   monkeypatch, resampled):
+    """A plane whose s1 has a sample that is not finite, among finite planes
+    of two targets, raises naming that plane's index and eta and its row in
+    the batch: on the first sample set, and on a resampling of that plane
+    alone, where it is row 0 of the resampled rows."""
+    h, eps = torus_tube.h, torus_tube.eps
+    tabs = (table02, table11)
+    xs = [torus.param_point(1.1, 2.3), torus.param_point(-0.7, 0.4)]
+    first, second = (evaluate_V3("SL", torus, None, x, h, eps, tabs,
+                                 tube=torus_tube, return_details=True)["planes"]
+                     for x in xs)
+    i = len(second) // 2
+    bad, row = second[i], len(first) + i
+    s1_eval = KernelExpansion.s1_eval
+
+    def with_a_nan(self, kind, y):
+        out = s1_eval(self, kind, y)
+        n = y.shape[0]
+        if resampled and n == quad_core.MIN_SAMPLES:
+            # a step: never resolved, so the plane is sampled again
+            value = np.where(np.arctan2(y[:, 1], y[:, 0]) < 0.0, 1.0, 0.0)
+        else:
+            value = np.where(np.arange(n) == 5, np.nan, 1.0)
+        return np.where((self.eta == bad.eta)[:, None], value, out)
+
+    monkeypatch.setattr(KernelExpansion, "s1_eval", with_a_nan)
+    n = 2 * quad_core.MIN_SAMPLES if resampled else quad_core.MIN_SAMPLES
+    expected = (rf"plane {bad.index} \(eta={re.escape(f'{bad.eta:.6g}')}\): "
+                rf"row {row}: phi sample 5 of {n} is nan, not finite")
+    with pytest.raises(ValueError, match=expected):
+        evaluate_V3("SL", torus, None, xs, h, eps, tabs, tube=torus_tube)
 
 
 def test_dl_and_dlc_share_s0(torus, torus_tube, table02, table11, monkeypatch):

@@ -14,9 +14,12 @@ from ctquad.kernels3d import (
     CubicSurfaceModel,
     CurvatureLimitError,
     FrameAxisError,
+    _cubic,
+    _cubic_gradient,
     build_frame,
     expansion_at_plane,
     kernel_values,
+    weighted_kernels,
 )
 from ctquad.surfaces import tilted_torus
 
@@ -45,6 +48,11 @@ def aligned_probe(kappa1=0.0, kappa2=0.0, f3=(0.0, 0.0, 0.0, 0.0)):
                         tau2=np.array([0.0, 1.0, 0.0]),
                         n=np.array([0.0, 0.0, 1.0]),
                         kappa1=kappa1, kappa2=kappa2, f3=f3)
+
+
+def one_plane(frame, model, eta):
+    """The expansion on the plane at offset eta: a batch of one plane."""
+    return expansion_at_plane([frame], [model], [eta])
 
 
 def dominant_axis(n):
@@ -144,7 +152,7 @@ def assert_matches_einsum_form(xstar, nstar, foot, normal):
     bound = {"SL": 1.0 / (4 * np.pi * r), "DL": 1.0 / (4 * np.pi * r * r)}
     bound["DLC"] = bound["DL"]
     for kinds in [(k,) for k in KERNEL_KINDS] + [KERNEL_KINDS]:
-        new = kernel_values(kinds, xstar, nstar, foot, normal)
+        new = weighted_kernels(kinds, xstar, nstar, foot.T, normal.T, 1.0)
         old = kernel_values_einsum(kinds, xstar, nstar, foot, normal)
         for kind, a, b in zip(kinds, new, old):
             assert np.all(a[hit] == 0.0) and np.all(b[hit] == 0.0), kind
@@ -185,8 +193,6 @@ def test_build_frame_aligned():
     fr = build_frame(aligned_probe(), "z")
     np.testing.assert_allclose(fr.A, np.eye(2), atol=1e-15)
     np.testing.assert_allclose(fr.d, 0.0, atol=1e-15)
-    np.testing.assert_allclose(fr.c, 0.0, atol=1e-15)
-    assert fr.a33 == pytest.approx(1.0)
 
 
 def test_build_frame_tiles_qt(torus_probe):
@@ -195,16 +201,16 @@ def test_build_frame_tiles_qt(torus_probe):
             fr = build_frame(torus_probe, axis)
         except FrameAxisError:
             continue
-        QT = fr.Q.T
-        np.testing.assert_allclose(fr.Q.T @ fr.Q, np.eye(3), atol=1e-13)
+        # Q's columns are the frame in the permuted world coordinates
+        perm = list(AXIS_PERMUTATION[axis])
+        QT = np.stack([torus_probe.tau1[perm], torus_probe.tau2[perm],
+                       torus_probe.n[perm]])
         np.testing.assert_allclose(QT[:2, :2], fr.A)
-        np.testing.assert_allclose(QT[:2, 2], fr.c)
         np.testing.assert_allclose(QT[2, :2], fr.d)
-        assert QT[2, 2] == pytest.approx(fr.a33)
         # det A equals the normal's component along the dominant axis
         k = {"x": 0, "y": 1, "z": 2}[axis]
-        assert np.linalg.det(fr.A) == pytest.approx(fr.n[k], abs=1e-13)
-        assert fr.a33 == pytest.approx(fr.n[k])
+        assert np.linalg.det(fr.A) == pytest.approx(torus_probe.n[k],
+                                                    abs=1e-13)
 
 
 def test_build_frame_contraction(torus_probe):
@@ -229,23 +235,30 @@ def test_build_frame_axis_error():
         build_frame(probe, "x")
 
 
+def test_build_frame_refuses_non_orthonormal_probe():
+    probe = aligned_probe()
+    skewed = SurfaceProbe(xstar=probe.xstar, tau1=probe.tau1,
+                          tau2=np.array([0.1, 1.0, 0.0]), n=probe.n,
+                          kappa1=0.0, kappa2=0.0, f3=probe.f3)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        build_frame(skewed, "z")
+
+
 # ---------------------------------------------------------------------------
 # cubic model
 # ---------------------------------------------------------------------------
 
 def test_cubic_model_gradient_consistency():
     rng = np.random.default_rng(12)
-    model = CubicSurfaceModel(kappa1=-0.4, kappa2=0.2,
-                              f3=tuple(rng.uniform(-1, 1, 4)))
-    y = rng.standard_normal((30, 2))
+    f3 = tuple(rng.uniform(-1, 1, 4))
+    y1, y2 = rng.standard_normal((2, 30))
     h = 1e-5
-    ex = np.array([h, 0.0])
-    ey = np.array([0.0, h])
     num = np.stack([
-        (model.B(y + ex) - model.B(y - ex)) / (2 * h),
-        (model.B(y + ey) - model.B(y - ey)) / (2 * h),
+        (_cubic(f3, y1 + h, y2) - _cubic(f3, y1 - h, y2)) / (2 * h),
+        (_cubic(f3, y1, y2 + h) - _cubic(f3, y1, y2 - h)) / (2 * h),
     ], axis=-1)
-    np.testing.assert_allclose(num, model.C(y), atol=1e-6)
+    np.testing.assert_allclose(num, np.stack(_cubic_gradient(f3, y1, y2), -1),
+                               atol=1e-6)
 
 
 def test_cubic_model_from_probe_requires_f3():
@@ -262,8 +275,8 @@ def test_cubic_model_from_probe_requires_f3():
 
 def test_expansion_flat_plane():
     probe = aligned_probe()
-    ex = expansion_at_plane(build_frame(probe, "z"),
-                            CubicSurfaceModel.from_probe(probe), 0.0)
+    ex = one_plane(build_frame(probe, "z"),
+                   CubicSurfaceModel.from_probe(probe), 0.0)
     y = np.array([0.3, -0.4])
     r = np.hypot(*y)
     assert ex.s0_eval("SL", y) == pytest.approx(1.0 / (4 * np.pi * r))
@@ -275,8 +288,8 @@ def test_expansion_flat_plane():
 def test_expansion_constant_curvature():
     kappa = -0.73
     probe = aligned_probe(kappa1=kappa, kappa2=kappa)
-    ex = expansion_at_plane(build_frame(probe, "z"),
-                            CubicSurfaceModel.from_probe(probe), 0.0)
+    ex = one_plane(build_frame(probe, "z"),
+                   CubicSurfaceModel.from_probe(probe), 0.0)
     y = np.array([0.3, -0.4])
     r = np.hypot(*y)
     assert ex.s0_eval("DLC", y) == pytest.approx(kappa / (8 * np.pi * r))
@@ -286,12 +299,15 @@ def test_expansion_constant_curvature():
 def test_expansion_homogeneity(torus_probe):
     frame = build_frame(torus_probe, dominant_axis(torus_probe.n))
     model = CubicSurfaceModel.from_probe(torus_probe)
-    ex = expansion_at_plane(frame, model, 0.033)
+    ex = one_plane(frame, model, 0.033)
     rng = np.random.default_rng(7)
     y = rng.standard_normal((50, 2))
     c = 1.7
-    for fn, deg in [(ex.chi0, 1), (ex.chi1, 2), (ex.xi0, 2), (ex.xi1, 3),
-                    (ex.xitilde1, 3), (ex.psi0, 1), (ex.psi1, 2)]:
+    # the building blocks, in the matrix-form reference the library's
+    # assembled terms are checked against
+    ref = MatrixFormExpansion(frame, model, 0.033)
+    for fn, deg in [(ref.chi0, 1), (ref.chi1, 2), (ref.xi0, 2), (ref.xi1, 3),
+                    (ref.xitilde1, 3), (ref.psi0, 1), (ref.psi1, 2)]:
         np.testing.assert_allclose(np.asarray(fn(c * y)),
                                    c**deg * np.asarray(fn(y)),
                                    atol=1e-12, rtol=1e-12)
@@ -307,11 +323,13 @@ def test_expansion_psi0_bounds(torus_probe):
     frame = build_frame(torus_probe, dominant_axis(torus_probe.n))
     model = CubicSurfaceModel.from_probe(torus_probe)
     eta = 0.05
-    ex = expansion_at_plane(frame, model, eta)
+    ex = one_plane(frame, model, eta)
     sv = np.linalg.svd(frame.A, compute_uv=False)
     kmax = max(abs(model.kappa1), abs(model.kappa2))
     theta = np.linspace(0, 2 * np.pi, 720, endpoint=False)
-    p0 = ex.psi0(np.stack([np.cos(theta), np.sin(theta)], axis=-1))
+    # psi0 = |D0 A y|, read from s0_SL = 1 / (4 pi psi0)
+    unit = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    p0 = 1.0 / (4.0 * np.pi * ex.s0_eval("SL", unit)[0])
     assert np.all(p0 > 0)
     assert p0.min() >= (1 - abs(eta) * kmax) * sv.min() - 1e-12
     assert p0.max() <= sv.max() / (1 - abs(eta) * kmax) + 1e-12
@@ -319,18 +337,16 @@ def test_expansion_psi0_bounds(torus_probe):
 
 def test_expansion_dl_dlc_share_s0(torus_probe):
     frame = build_frame(torus_probe, dominant_axis(torus_probe.n))
-    ex = expansion_at_plane(frame, CubicSurfaceModel.from_probe(torus_probe),
-                            -0.04)
+    ex = one_plane(frame, CubicSurfaceModel.from_probe(torus_probe), -0.04)
     y = np.random.default_rng(1).standard_normal((20, 2))
     np.testing.assert_array_equal(ex.s0_eval("DL", y), ex.s0_eval("DLC", y))
 
 
 def test_batch_expansion_matches_matrix_form(torus):
-    """A batch over the planes of two targets: each plane's closures and
-    terms agree with the matrix-form reference to rounding (relative to
-    each value's scale over the offsets), and bit for bit with that
-    plane's own one-plane expansion, at shared (n, 2) and per-plane
-    (P, m, 2) offsets alike."""
+    """A batch over the planes of two targets: each plane's terms agree
+    with the matrix-form reference to rounding (relative to each value's
+    scale over the offsets), and bit for bit with a batch of that plane
+    alone, at shared (n, 2) and per-plane (P, m, 2) offsets alike."""
     frames, models, etas = [], [], []
     for angles, plane_etas in (((1.234, 4.567), (-0.06, 0.0, 0.033)),
                                ((-0.7, 0.4), (-0.02, 0.05))):
@@ -345,16 +361,9 @@ def test_batch_expansion_matches_matrix_form(torus):
     rng = np.random.default_rng(11)
     y = rng.standard_normal((64, 2))
     cells = rng.standard_normal((len(etas), 4, 2))
-    names = ("chi0", "chi1", "xi0", "xi1", "xitilde1", "psi0", "psi1")
     for i, (frame, model, eta) in enumerate(zip(frames, models, etas)):
         ref = MatrixFormExpansion(frame, model, eta)
-        one = expansion_at_plane(frame, model, eta)
-        for name in names:
-            got = getattr(batch, name)(y)[i]
-            want = getattr(ref, name)(y)
-            scale = np.max(np.abs(want))
-            assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * scale
-            assert _same(got, getattr(one, name)(y)), (i, name)
+        one = one_plane(frame, model, eta)
         for kind in KERNEL_KINDS:
             for order in ("s0_eval", "s1_eval"):
                 got = getattr(batch, order)(kind, y)[i]
@@ -362,9 +371,10 @@ def test_batch_expansion_matches_matrix_form(torus):
                 scale = np.max(np.abs(want))
                 assert (np.max(np.abs(got - want))
                         <= 256 * np.finfo(float).eps * scale), (i, kind, order)
-                assert _same(got, getattr(one, order)(kind, y)), (i, kind)
+                assert _same(got, getattr(one, order)(kind, y)[0]), (i, kind)
                 assert _same(getattr(batch, order)(kind, cells)[i],
-                             getattr(one, order)(kind, cells[i])), (i, kind)
+                             getattr(one, order)(kind, cells[i:i + 1])[0]), (
+                    i, kind)
 
 
 def _same(a, b) -> bool:
@@ -375,24 +385,27 @@ def test_expansion_curvature_limit(torus_probe):
     frame = build_frame(torus_probe, dominant_axis(torus_probe.n))
     model = CubicSurfaceModel.from_probe(torus_probe)
     eta_bad = 1.0 / model.kappa1  # exactly at the limit
-    with pytest.raises(CurvatureLimitError):
-        expansion_at_plane(frame, model, eta_bad)
+    with pytest.raises(CurvatureLimitError) as exc:
+        expansion_at_plane([frame] * 3, [model] * 3, [0.0, eta_bad, 0.01])
+    assert exc.value.row == 1
 
 
 def test_singular_terms_match_closures(torus_probe):
     frame = build_frame(torus_probe, dominant_axis(torus_probe.n))
     model = CubicSurfaceModel.from_probe(torus_probe)
-    ex = expansion_at_plane(frame, model, 0.02)
+    ex = one_plane(frame, model, 0.02)
     rng = np.random.default_rng(3)
     y = rng.standard_normal((40, 2))
     for kind in ("SL", "DL", "DLC"):
-        t0 = ex.s0_term(kind)
-        t1 = ex.s1_term(kind)
+        [t0] = ex.s0_term(kind)
+        [t1] = ex.s1_term(kind)
         assert t0.k == 0 and t1.k == 1
         np.testing.assert_allclose(t0.evaluate(y[:, 0], y[:, 1]),
-                                   ex.s0_eval(kind, y), rtol=1e-9, atol=1e-12)
+                                   ex.s0_eval(kind, y)[0], rtol=1e-9,
+                                   atol=1e-12)
         np.testing.assert_allclose(t1.evaluate(y[:, 0], y[:, 1]),
-                                   ex.s1_eval(kind, y), rtol=1e-9, atol=1e-12)
+                                   ex.s1_eval(kind, y)[0], rtol=1e-9,
+                                   atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +422,14 @@ def test_taylor_consistency_torus(torus, torus_probe, kind):
                      np.sin(2 * np.pi * np.arange(8) / 8)], axis=-1)
     for eta in (0.0, 0.04, -0.06):
         origin = probe.xstar + eta * probe.n
-        ex = expansion_at_plane(frame, model, eta)
+        ex = one_plane(frame, model, eta)
         radii = np.array([1e-1 * 2.0**-j for j in range(8)])
         res = []
         for r in radii:
             pts = world_from_plane(origin, axis, r * dirs)
             s = direct_kernel(kind, probe.xstar, pts, torus)
-            approx = ex.s0_eval(kind, r * dirs) + ex.s1_eval(kind, r * dirs)
+            approx = (ex.s0_eval(kind, r * dirs)
+                      + ex.s1_eval(kind, r * dirs))[0]
             res.append(np.max(np.abs(s - approx)))
         res = np.array(res)
         # remainder decays linearly: mean slope of the last pairs >= 1
@@ -434,13 +448,13 @@ def test_taylor_consistency_sphere():
     axis = dominant_axis(probe.n)
     frame = build_frame(probe, axis)
     model = CubicSurfaceModel.from_probe(probe)
-    ex = expansion_at_plane(frame, model, 0.0)
+    ex = one_plane(frame, model, 0.0)
     dirs = np.stack([np.cos(2 * np.pi * np.arange(8) / 8),
                      np.sin(2 * np.pi * np.arange(8) / 8)], axis=-1)
     for r in (1e-2, 1e-3):
         pts = world_from_plane(xstar, axis, r * dirs)
         exact = direct_kernel("DL", xstar, pts, s)
-        approx = ex.s0_eval("DL", r * dirs) + ex.s1_eval("DL", r * dirs)
+        approx = (ex.s0_eval("DL", r * dirs) + ex.s1_eval("DL", r * dirs))[0]
         assert np.max(np.abs(exact - approx)) < 0.2 * r
 
 

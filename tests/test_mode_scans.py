@@ -58,7 +58,7 @@ TERMS = {
         1, lambda psi: 1.0 / (1.3 + np.cos(psi))),
     "exact_zeros": lambda: SingularTerm.from_coefficients(
         0, 0.0, a=[0.0, 0.5, 0.0, 0.0, -1.25], b=[0.25, 0.0, 0.0, 0.0, 0.0, 2.0]),
-    "torus_sl": lambda: torus_plane_expansion().s0_term("SL"),
+    "torus_sl": lambda: torus_plane_expansion().s0_term("SL")[0],
 }
 
 
@@ -67,7 +67,7 @@ def term(request):
     """The term, and the cos/sin coefficients a, b of the samples it was
     built from (the last sample set transformed, the one that resolved
     phi; `from_callable` transforms its samples itself, so the set is
-    recorded at `_spectrum`)."""
+    recorded at `_spectrum`; a batch of one plane's is one row)."""
     accepted = []
 
     def recording(samples):
@@ -77,7 +77,7 @@ def term(request):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(quad_core, "_spectrum", recording)
         made = TERMS[request.param]()
-    return made, *_spectrum(accepted[-1])[:2]
+    return made, *_spectrum(accepted[-1].reshape(-1))[:2]
 
 
 def test_active_modes_match_loop(term):

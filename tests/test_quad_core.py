@@ -269,15 +269,16 @@ def test_from_callable_samples_until_resolved(monkeypatch):
         return spectrum(samples)
 
     monkeypatch.setattr(quad_core, "_spectrum", recording)
-    term = ex.s0_term("SL")
+    [term] = ex.s0_term("SL")
     monkeypatch.undo()
     assert accepted[-1].size <= 512
-    term_a, term_b, norm, _ = spectrum(accepted[-1])
+    # the plane is a batch of one: its samples are one row
+    term_a, term_b, norm, _ = spectrum(accepted[-1][0])
     # the map holds the spectrum of those samples
     assert all(c == (term_a if kind == "c" else term_b)[m]
                for (kind, m), c in term.coefficients.items())
     psi = _angles(4096)
-    c = np.fft.rfft(ex.s0_eval("SL", np.stack([np.cos(psi), np.sin(psi)], -1))) / 4096
+    c = np.fft.rfft(ex.s0_eval("SL", np.stack([np.cos(psi), np.sin(psi)], -1))[0]) / 4096
     a = np.concatenate([[c[0].real], 2.0 * c[1:17].real])
     b = np.concatenate([[0.0], -2.0 * c[1:17].imag])
     assert np.max(np.abs(term_a[:17] - a)) <= 1e-15 * norm

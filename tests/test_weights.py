@@ -510,6 +510,44 @@ def test_table_rejects_foreign_files():
             load_weight_table(path)
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("n_modes", 1, "shape"),      # 5 rows of data are not 2N+1 = 3
+    ("stencil_offsets", ((1, 0),), "stencil_offsets"),
+    ("domain_lo", 0.25, "domain_lo"),
+    ("bump_r0", 0.5, "bump_r0"),
+    ("bump_R", 2.0, "bump_R"),
+])
+def test_table_rejects_header_the_library_cannot_write(tmp_path, field, value,
+                                                      named):
+    # a (1,1) table's header must hold the p=1 stencil, its cell, the
+    # library's bump and a (2N+1, g, g, nodes) block
+    tab = _tiny_table(str(tmp_path))
+    path = str(tmp_path / "odd.ctwt")
+    save_weight_table(dataclasses.replace(tab, **{field: value}), path)
+    with pytest.raises(ValueError, match=f"header field {named} is .* "
+                                         f"-- rebuild the table") as exc:
+        load_weight_table(path)
+    assert path in str(exc.value)
+
+
+@pytest.mark.parametrize("field, header", [
+    ("k", {"k": 0}), ("tol", {"tol": 1e-6}), ("n_modes", {"n_modes": 1}),
+    ("grid_n", {"grid_n": 4}),
+])
+def test_table_cache_refuses_header_for_other_parameters(tmp_path, field,
+                                                        header):
+    # a cache hit is served only if the header's (k, p, tol, n_modes,
+    # grid_n) are the parameters that named the file
+    td = str(tmp_path)
+    other = _tiny_table(td, **{f: v for f, v in header.items()
+                               if f in ("n_modes", "grid_n")})
+    path = os.path.join(td, table_filename(1, 1, n_modes=2, grid_n=5))
+    save_weight_table(dataclasses.replace(other, **header), path)
+    with pytest.raises(ValueError, match=f"header field {field} is") as exc:
+        _tiny_table(td)
+    assert path in str(exc.value) and "rebuild" in str(exc.value)
+
+
 def test_table_cache_hit():
     with tempfile.TemporaryDirectory() as td:
         tab = _tiny_table(td)
@@ -534,7 +572,7 @@ def test_interpolation_reproduces_lattice_points():
         tab = _tiny_table(td)
         term = SingularTerm.from_coefficients(1, 1.0, a=[0.5], b=[0.25])
         off = GridOffset(-0.25, 0.25, (0, 0))
-        w = interpolate_weights(tab, term, off)
+        [w] = interpolate_weights(tab, [term], [off])
         direct = (tab.data[0, 1, 3] + 0.5 * tab.data[1, 1, 3]
                   + 0.25 * tab.data[2, 1, 3])
         assert float(w[0]) == float(direct[0])
@@ -544,7 +582,8 @@ def test_interpolation_rejects_wrong_k():
     with tempfile.TemporaryDirectory() as td:
         tab = _tiny_table(td)
         with pytest.raises(ValueError, match="k="):
-            interpolate_weights(tab, T_CONST_K0, GridOffset(0.1, 0.2, (0, 0)))
+            interpolate_weights(tab, [T_CONST_K0],
+                                [GridOffset(0.1, 0.2, (0, 0))])
 
 
 def test_interpolation_rejects_lattice_below_4x4():
@@ -558,7 +597,7 @@ def test_interpolation_rejects_lattice_below_4x4():
     term = SingularTerm.from_coefficients(1, 1.0)
     for alpha in (-0.5, 0.0, 0.5):
         with pytest.raises(ValueError, match="grid_n=3"):
-            interpolate_weights(tab, term, GridOffset(alpha, 0.0, (0, 0)))
+            interpolate_weights(tab, [term], [GridOffset(alpha, 0.0, (0, 0))])
 
 
 def test_mode_above_resolution_reaches_dual_and_table_routes():
@@ -577,7 +616,7 @@ def test_mode_above_resolution_reaches_dual_and_table_routes():
                       stencil_offsets=quad_core.STENCIL_OFFSETS[2],
                       bump_r0=DEFAULT_BUMP.r0, bump_R=DEFAULT_BUMP.R,
                       data=data, m_levels=np.zeros((7, 4, 4), dtype=np.int8))
-    np.testing.assert_allclose(interpolate_weights(tab, term, off), c3,
+    np.testing.assert_allclose(interpolate_weights(tab, [term], [off])[0], c3,
                                rtol=1e-12)
     # dual route: the weights move by the mode's own weights times c3
     st = stencil_for_order(2)
@@ -611,7 +650,7 @@ def test_table02_interpolation_matches_dual_route(table02, table11):
         for _ in range(20):
             alpha, beta = rng.uniform(lo, hi, size=2)
             off = GridOffset(float(alpha), float(beta), (0, 0))
-            wi = interpolate_weights(table, term, off)
+            [wi] = interpolate_weights(table, [term], [off])
             wd = weights_dual(term, off, st)
             worst = max(worst, float(np.max(np.abs(wi - wd))))
         assert worst < 1e-5, (table.k, table.p, worst)
