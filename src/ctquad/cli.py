@@ -593,6 +593,8 @@ def _print_table_info(table: wt.WeightTable, path: str | None) -> None:
 
 
 def cmd_weights_build(args) -> int:
+    if args.processes is not None and args.processes < 1:
+        raise CliError(f"--processes must be at least 1, got {args.processes}")
     selection = _table_selection(args)
     path = _checked_table_path(args.k, args.p, cache_dir=args.cache_dir,
                                **selection)

@@ -280,6 +280,11 @@ _MOMENTS = MomentCache()
 # windowed lattice sums (extended precision)
 # --------------------------------------------------------------------------
 
+# Lattice nodes per row tile of `_lattice_mode_sums`: it bounds a call's
+# working set at a few MB however fine h gets.
+SUM_TILE_NODES = 2 ** 15
+
+
 def _lattice_mode_sums(k: int, alpha: float, beta: float, h: float,
                        modes: Sequence[tuple[str, int]],
                        monos: Sequence[tuple[int, int]],
@@ -291,8 +296,11 @@ def _lattice_mode_sums(k: int, alpha: float, beta: float, h: float,
     shape (len(modes), len(monos)); the cos mode is the real part, the sin
     mode the imaginary part.
 
-    Summation is deterministic: fixed tiling over rows, pairwise np.sum per
-    tile, Kahan compensation across tiles, all in extended precision.
+    Summation is deterministic: the window's rows are taken in tiles of
+    about `SUM_TILE_NODES` lattice nodes (at least one row), pairwise np.sum
+    per tile, Kahan compensation across tiles in row order, all in extended
+    precision.  The tile bounds the working set, not the result: moving the
+    tile boundaries moves the sums at long-double rounding.
 
     e**(i m psi) is the power chain zz**m, one in-place multiply per m, with
     zz = u/|u|.  Against 40-digit mpmath on 3,000 lattice nodes it errs by
@@ -312,7 +320,7 @@ def _lattice_mode_sums(k: int, alpha: float, beta: float, h: float,
     ncols = n1.size
     res = np.zeros((len(modes), len(monos)), dtype=_CLD)
     comp = np.zeros_like(res)
-    tile = max(16, int(2.0e6 / ncols))
+    tile = max(1, SUM_TILE_NODES // ncols)
     mmax = max((m for _, m in modes), default=0)
     mode_rows = {}
     for mi, (_, m) in enumerate(modes):
@@ -1016,8 +1024,13 @@ def build_weight_table(k: int, p: int, tol: float | None = None,
     once, before the pool starts, and forked workers inherit them instead
     of repeating the quadratures.  The default pool has
     `quad_core._pool_size()` processes, at most 16, and no pool has more
-    processes than points to solve; one process builds in-process.
+    processes than points to solve; one process builds in-process.  Each
+    process sums its lattice in tiles of `SUM_TILE_NODES` nodes, so a
+    worker's memory does not grow with the sweep level (about 50 MB peak
+    for the 33x33 (0, 2) build).  `processes` below 1 is refused.
     """
+    if processes is not None and processes < 1:
+        raise ValueError(f"processes must be at least 1, got {processes}")
     if tol is None:
         tol = default_tolerance(p)
     path = table_path(k, p, tol, n_modes, grid_n, cache_dir)

@@ -54,7 +54,7 @@ from ctquad.geometry import (
     canonical_tangent_frame,
     third_derivatives,
 )
-from ctquad import ibim3d
+from ctquad import ibim3d, weights
 from ctquad.ibim3d import (
     BLOCK,
     _lattice_axes,
@@ -354,13 +354,14 @@ class MatrixFormExpansion:
 
 def lattice_mode_sums_complex(k, alpha, beta, h, modes, monos, stencil_offsets):
     """`weights._lattice_mode_sums` with its products formed as complex
-    multiplies: the reference its real-multiply form is compared with."""
+    multiplies: the reference its real-multiply form is compared with.  It
+    reads `weights.SUM_TILE_NODES` at call time, so both tile alike."""
     K = int(np.ceil(DEFAULT_BUMP.R / h)) + 3
     n1 = np.arange(-K, K + 1, dtype=np.int64)
     ncols = n1.size
     res = np.zeros((len(modes), len(monos)), dtype=_CLD)
     comp = np.zeros_like(res)
-    tile = max(16, int(2.0e6 / ncols))
+    tile = max(1, weights.SUM_TILE_NODES // ncols)
     mmax = max((m for _, m in modes), default=0)
     mode_rows = {}
     for mi, (_, m) in enumerate(modes):

@@ -369,6 +369,27 @@ def test_weights_verify_refuses_fewer_than_one_entry(tmp_path, capsys, entries):
     assert "verified" not in captured.out
 
 
+@pytest.mark.parametrize("processes", ["0", "-2"])
+def test_weights_build_refuses_fewer_than_one_process(tmp_path, capsys, processes):
+    # checked before the cache is read: neither a build nor a cache hit
+    # takes 0 for the default pool or -2 for one process
+    small = ("weights", "build", "--k", "1", "--p", "1", "--n-modes", "0",
+             "--grid-n", "2", "--cache-dir", str(tmp_path))
+
+    def refused():
+        assert run_cli(*small, "--processes", processes) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --processes must be at least 1, "
+                                f"got {processes}\n")
+        assert captured.out == ""
+
+    refused()
+    assert os.listdir(tmp_path) == []
+    assert run_cli(*small) == 0
+    capsys.readouterr()
+    refused()
+
+
 def test_weights_verify_detects_corruption(tmp_path, table11, capsys):
     broken = dataclasses.replace(table11, data=table11.data + 1e-3)
     path = tmp_path / wt.table_filename(1, 1)

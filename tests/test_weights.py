@@ -12,6 +12,7 @@ import dataclasses
 import math
 import os
 import tempfile
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -213,7 +214,7 @@ def test_axis_swap_symmetry():
     (0, 2, 0.25, 0.75, 6, [_row_mode(r) for r in range(33)]),
     # on the node (0, 0): the puncture removes u = 0 from the sum
     (1, 1, 0.0, 0.0, 5, [_row_mode(r) for r in range(33)]),
-    # three row tiles at h = 2**-10: the Kahan carry across tiles
+    # 137 row tiles of 15 rows at h = 2**-10: the Kahan carry across tiles
     (2, 3, 0.0, 0.0, 10, [("c", 0)]),
 ])
 def test_lattice_sums_bit_identical_to_complex_products(k, p, alpha, beta, j, modes):
@@ -224,6 +225,44 @@ def test_lattice_sums_bit_identical_to_complex_products(k, p, alpha, beta, j, mo
     want = lattice_mode_sums_complex(*args)
     assert got.shape == (len(modes), len(monos))
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k, p, alpha, beta", [
+    (0, 2, 0.25, 0.75),
+    # on the node (0, 0): the puncture falls inside one tile
+    (1, 1, 0.0, 0.0),
+])
+def test_lattice_sums_do_not_depend_on_the_tiling(monkeypatch, k, p, alpha, beta):
+    # the tiles bound the working set, not the result: tiles of 2**10 nodes
+    # (7 rows) and of a single row agree with the default budget's one tile
+    # at long-double rounding.  They read at most 8.5e-20 of the largest
+    # |sum| apart, so a dropped or doubled row of the window fails the bound
+    h = 2.0 ** -6
+    modes = [_row_mode(r) for r in range(33)]
+    args = (k, alpha, beta, h, modes, correction_monomials(p),
+            stencil_for_order(p).offsets)
+    want = _lattice_mode_sums(*args)
+    ncols = 2 * (math.ceil(DEFAULT_BUMP.R / h) + 3) + 1
+    assert ncols ** 2 <= weights.SUM_TILE_NODES
+    scale = float(np.max(np.abs(want)))
+    for budget in (2 ** 10, ncols - 1):
+        monkeypatch.setattr(weights, "SUM_TILE_NODES", budget)
+        got = _lattice_mode_sums(*args)
+        assert float(np.max(np.abs(got - want))) <= 1e-17 * scale, budget
+
+
+def test_lattice_sums_memory_stays_bounded_at_fine_h():
+    # the window at h = 2**-9 has 1.06e6 nodes; tiled by SUM_TILE_NODES a
+    # call peaks at about 16 MiB, where one tile over the whole window took
+    # 343 MiB
+    tracemalloc.start()
+    try:
+        _lattice_mode_sums(0, 0.0, 0.0, 2.0 ** -9, [("c", 0)],
+                           correction_monomials(2), stencil_for_order(2).offsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak / 2 ** 20
 
 
 def test_lattice_sums_match_mpmath_at_high_modes():
@@ -442,6 +481,15 @@ def test_table_solves_one_point_per_orbit(p, grid_n, solved):
     assert len(orbits) == solved
     points = sorted(q for orbit in orbits for q, _ in orbit)
     assert points == [(mi, ni) for mi in range(grid_n) for ni in range(grid_n)]
+
+
+@pytest.mark.parametrize("processes", [0, -2])
+def test_table_build_refuses_fewer_than_one_process(tmp_path, processes):
+    # 0 must not fall back to the default pool, nor -2 build in-process
+    with pytest.raises(ValueError, match=f"processes must be at least 1, got {processes}"):
+        build_weight_table(1, 1, n_modes=1, grid_n=3, processes=processes,
+                           cache_dir=str(tmp_path))
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("cpus, workers", [(1, None), (3, 3), (64, 16)])
