@@ -39,6 +39,40 @@ def test_smooth_factor_window_decay():
     assert 0.5 < cli.smooth_factor(0.0, 0.0) < 1.0
 
 
+# (lowest order, highest order, largest error in ulp) per range of orders
+BESSEL_ULP_BOUNDS = [(1.0, 3.0, 6.0), (3.0, 8.0, 8.0), (8.0, 31.0, 10.0)]
+
+
+@pytest.mark.parametrize("lo, hi, bound", BESSEL_ULP_BOUNDS)
+def test_bessel_series_against_mpmath(lo, hi, bound):
+    # J_nu(3) from the ascending series against 40-digit mpmath at 120
+    # random orders per range, 360 over [1, 31].  The series reads at most
+    # 5.2, 5.2 and 6.4 ulp here (median 0.9, 0.7, 1.0); scipy.special.jv,
+    # which it replaced, 200, 28 and 104 ulp (median 6.2, 5.0, 20)
+    import mpmath
+
+    nu = np.random.default_rng(0).uniform(lo, hi, 120)
+    got = cli._bessel_j_at_3(nu)
+    with mpmath.workdps(40):
+        want = [mpmath.besselj(float(n), 3) for n in nu]
+    ulps = [float(abs(mpmath.mpf(float(g)) - w)) / np.spacing(float(w))
+            for g, w in zip(got, want)]
+    assert max(ulps) <= bound, (max(ulps), nu[int(np.argmax(ulps))])
+    # elementwise: one order at a time, as the rules call it, gives the
+    # same bits as the whole array
+    assert [cli._bessel_j_at_3(n) for n in nu[:20]] == list(got[:20])
+    assert cli._bessel_j_at_3(np.asarray(2.5)) == cli._bessel_j_at_3([2.5])[0]
+
+
+def test_bessel_series_is_zero_at_far_orders():
+    # a coarse grid (h0 = 6 reaches |x| = 42) asks for orders past 1.5**nu's
+    # overflow at 1750; J is far below double range there, and reads 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = cli._bessel_j_at_3(np.array([172.0, 200.0, 1800.0, 1e6]))
+    assert far.tolist() == [0.0, 0.0, 0.0, 0.0]
+
+
 def test_general_benchmark_structure():
     s = cli.general_benchmark_function()
     assert [t.k for t in s.terms] == [0, 1, 2, 3]
@@ -74,6 +108,41 @@ def test_config_validation():
         cli.StudyConfig(study="quad2d-general", h0=0.2, p_values=(1,))
     with pytest.raises(ValueError, match="kernel"):
         cli.StudyConfig(study="ibim3d", h0=0.1, kernels=("SL", "XX"))
+
+
+@pytest.mark.parametrize("study, field, value", [
+    ("quad2d-sk", "h0", math.inf),
+    ("quad2d-sk", "h0", math.nan),
+    ("quad2d-general", "ratio", math.inf),
+    ("quad2d-sk", "alpha", math.nan),
+    ("quad2d-general", "beta", -math.inf),
+    ("ibim3d", "eps", math.inf),
+])
+def test_config_refuses_non_finite_values(study, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        cli.StudyConfig(**{"study": study, "h0": 0.2, field: value})
+
+
+@pytest.mark.parametrize("argv, message", [
+    # each level used to append twice to the one corrected-1 value list:
+    # error 0.0 and order nan
+    (("--study", "sk", "--p", "1", "1"),
+     "p values must be distinct, got [1, 1], which repeats 1"),
+    # every row used to be printed twice
+    (("--study", "sk", "--k", "0", "2", "0"),
+     "k values must be distinct, got [0, 2, 0], which repeats 0"),
+    (("--study", "general", "--p", "3", "2", "3", "2"),
+     "p values must be distinct, got [3, 2, 3, 2], which repeats 2, 3"),
+    # a traceback from locate_singularity
+    (("--alpha", "nan"), "alpha must be finite, got nan"),
+    # a ZeroDivisionError traceback: the second spacing is 0
+    (("--ratio", "inf"), "ratio must be finite, got inf"),
+], ids=["sk-p-twice", "k-twice", "general-p-twice", "alpha-nan", "ratio-inf"])
+def test_quad2d_run_refuses_degenerate_configs(capsys, argv, message):
+    assert run_cli("quad2d", "run", "--count", "3", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_config_hash_stable_and_sensitive():
